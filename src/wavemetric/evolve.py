@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
-from ._accel import resolve_backend
-from ._evkernels import rhs_const_a, rhs_var_a
 from .errors import ConvergenceError, InstabilityError, ValidationError
 from .grids import Grid
 from .systems import CoefficientSystem, ConstMatrixField
@@ -114,6 +113,18 @@ def _central_diff(values: np.ndarray, axis: int, coeffs) -> np.ndarray:
     return out
 
 
+def _check_grid(sys: CoefficientSystem, grid: Grid, order: int) -> None:
+    if grid.domain != sys.domain:
+        raise ValidationError("grid domain does not match the system domain")
+    if not grid.interior:
+        raise ValidationError(
+            "evolution requires an interior grid (Grid(..., interior=True)); "
+            "closure grids place nodes on the window edge"
+        )
+    if order not in _DIFF_COEFFS:
+        raise ValueError(f"difference order must be one of {sorted(_DIFF_COEFFS)}")
+
+
 @lru_cache(maxsize=16)
 def _weight_samples(E_field, grid: Grid) -> np.ndarray:
     """Cached E(x) samples on the grid; treat the result as read-only."""
@@ -123,136 +134,73 @@ def _weight_samples(E_field, grid: Grid) -> np.ndarray:
 
 
 class DiscreteOperator:
-    """Precomputed coefficient samples plus the operator application itself.
+    """The discrete weighted operator, assembled once as a sparse matrix.
 
-    Building one is the expensive part (field sampling, weight inversion);
-    ``apply`` is then cheap enough to call thousands of times per run.
+    Building one is the expensive part (field sampling, weight inversion,
+    assembly); ``apply`` is then one sparse matrix-vector product, cheap
+    enough to call thousands of times per run.
+
+    Row (n, a) of the matrix holds, for each axis j and stencil offset m with
+    weight c_m / h_j, the neighbour blocks
+
+        E^{-1}(n) (-/+ i c_m / (2 h_j)) (A^j(n) + A^j(n +/- m e_j))
+
+    and the diagonal block E^{-1}(n) V(n); neighbours outside the grid are
+    zero exterior values and have no entry.
     """
 
-    def __init__(self, sys: CoefficientSystem, grid: Grid, order: int = 2,
-                 backend: str | None = None):
-        if grid.domain != sys.domain:
-            raise ValidationError("grid domain does not match the system domain")
-        if not grid.interior:
-            raise ValidationError(
-                "evolution requires an interior grid (Grid(..., interior=True)); "
-                "closure grids place nodes on the window edge"
-            )
-        if order not in _DIFF_COEFFS:
-            raise ValueError(f"difference order must be one of {sorted(_DIFF_COEFFS)}")
+    def __init__(self, sys: CoefficientSystem, grid: Grid, order: int = 2):
+        _check_grid(sys, grid, order)
         self.sys = sys
         self.grid = grid
         self.order = order
-        self.backend = resolve_backend(backend)
         d, k = grid.d, sys.k
-        n_nodes = grid.node_count
 
-        self.E_samples = _weight_samples(sys.E, grid)
-        offdiag = self.E_samples - self.E_samples * np.eye(k)
-        if not offdiag.any():
-            diag = np.real(np.einsum("...ii->...i", self.E_samples))
+        self.E_samples = E = _weight_samples(sys.E, grid)
+        if not E[..., ~np.eye(k, dtype=bool)].any():
+            diag = np.real(np.einsum("...ii->...i", E))
             if not np.all(diag > 0):
                 raise ValidationError("weight field must be positive definite on the grid")
-            self._einv_diag = np.ascontiguousarray(1.0 / diag).reshape(n_nodes, k)
-            self._einv_full = None
+            einv, apply_einv = (1.0 / diag)[..., None], np.multiply
         else:
-            self._einv_diag = None
-            self._einv_full = np.ascontiguousarray(
-                np.linalg.inv(self.E_samples).astype(np.complex128)
-            ).reshape(n_nodes, k, k)
+            einv, apply_einv = np.linalg.inv(E), np.matmul
 
-        self.const_a = all(isinstance(A, ConstMatrixField) for A in sys.A)
-        if self.const_a:
-            self._a_mats = [A.mat.astype(np.complex128) for A in sys.A]
-            nnz = [np.nonzero(m) for m in self._a_mats]
-            width = max(1, max(len(rr) for rr, _ in nnz))
-            self._a_nnz = np.array([len(rr) for rr, _ in nnz], dtype=np.int64)
-            self._a_rows = np.zeros((d, width), dtype=np.int64)
-            self._a_cols = np.zeros((d, width), dtype=np.int64)
-            self._a_vals = np.zeros((d, width), dtype=np.complex128)
-            for j, (rr, cc) in enumerate(nnz):
-                self._a_rows[j, : len(rr)] = rr
-                self._a_cols[j, : len(rr)] = cc
-                self._a_vals[j, : len(rr)] = self._a_mats[j][rr, cc]
-            self._a_samples = None
-        else:
-            self._a_samples = np.ascontiguousarray(
-                np.stack(
-                    [A.on_grid(grid.axes).reshape(n_nodes, k, k) for A in sys.A]
-                ).astype(np.complex128)
-            )
+        idx = np.arange(grid.node_count * k, dtype=np.int32).reshape(grid.shape + (k,))
+        rows, cols, vals = [], [], []
 
-        v_is_zero = isinstance(sys.V, ConstMatrixField) and not sys.V.mat.any()
-        if v_is_zero:
-            self._v_samples = None
-        else:
-            self._v_samples = np.ascontiguousarray(
-                sys.V.on_grid(grid.axes).astype(np.complex128)
-            )
+        def add_block(dst, src, coeff, scale):
+            """Entries scale * E^{-1} coeff coupling nodes idx[dst] to idx[src]."""
+            blk = apply_einv(einv[dst], coeff)
+            nz = blk != 0
+            rows.append(np.broadcast_to(idx[dst][..., :, None], blk.shape)[nz])
+            cols.append(np.broadcast_to(idx[src][..., None, :], blk.shape)[nz])
+            vals.append(scale * blk[nz])
 
-        self.coeffs = np.array(
-            [[c / h for c in _DIFF_COEFFS[order]] for h in grid.spacing], dtype=float
-        )
-        self._shape_arr = np.array(grid.shape, dtype=np.int64)
-        strides = np.ones(d, dtype=np.int64)
-        for j in range(d - 2, -1, -1):
-            strides[j] = strides[j + 1] * grid.shape[j + 1]
-        self._strides = strides
+        everywhere = (slice(None),) * d
+        if not (isinstance(sys.V, ConstMatrixField) and not sys.V.mat.any()):
+            add_block(everywhere, everywhere, sys.V.on_grid(grid.axes), 1.0)
+        for j, (A, h) in enumerate(zip(sys.A, grid.spacing)):
+            a = A.mat if isinstance(A, ConstMatrixField) else A.on_grid(grid.axes)
+            a = np.broadcast_to(a, grid.shape + (k, k))
+            for m, c in enumerate(_DIFF_COEFFS[order], start=1):
+                lo = everywhere[:j] + (slice(None, -m),) + everywhere[j + 1:]
+                hi = everywhere[:j] + (slice(m, None),) + everywhere[j + 1:]
+                a_sum = a[lo] + a[hi]
+                scale = -0.5j * (c / h)
+                add_block(lo, hi, a_sum, scale)
+                add_block(hi, lo, a_sum, -scale)
+            del a, a_sum  # free this axis's samples before sampling the next
+        rows = np.concatenate(rows)
+        cols = np.concatenate(cols)
+        vals = np.concatenate(vals).astype(np.complex128, copy=False)
+        self.matrix = sparse.csr_array((vals, (rows, cols)), shape=(idx.size, idx.size))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """The discrete weighted operator applied to a state array."""
         want = self.grid.shape + (self.sys.k,)
         if values.shape != want:
             raise ValidationError(f"state values must have shape {want}, got {values.shape}")
-        if self.backend == "numba":
-            return self._apply_numba(values)
-        return self._apply_numpy(values)
-
-    def _apply_numba(self, values: np.ndarray) -> np.ndarray:
-        k = self.sys.k
-        psi = np.ascontiguousarray(values, dtype=np.complex128).reshape(-1, k)
-        out = np.empty_like(psi)
-        use_diag = self._einv_diag is not None
-        einv_diag = self._einv_diag if use_diag else np.zeros((1, 1))
-        einv_full = (
-            self._einv_full if not use_diag else np.zeros((1, 1, 1), np.complex128)
-        )
-        use_v = self._v_samples is not None
-        vmat = (
-            self._v_samples.reshape(-1, k, k)
-            if use_v
-            else np.zeros((1, 1, 1), np.complex128)
-        )
-        if self.const_a:
-            rhs_const_a(psi, out, self._shape_arr, self._strides, self.coeffs,
-                        self._a_nnz, self._a_rows, self._a_cols, self._a_vals,
-                        einv_diag, einv_full, use_diag, vmat, use_v)
-        else:
-            rhs_var_a(psi, out, self._shape_arr, self._strides, self.coeffs,
-                      self._a_samples, einv_diag, einv_full, use_diag, vmat, use_v)
-        return out.reshape(values.shape)
-
-    def _apply_numpy(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=np.complex128)
-        acc = np.zeros_like(values)
-        if self._v_samples is not None:
-            acc += np.einsum("...ab,...b->...a", self._v_samples, values)
-        shape = self.grid.shape + (self.sys.k, self.sys.k)
-        for j in range(self.grid.d):
-            dv = _central_diff(values, j, self.coeffs[j])
-            if self.const_a:
-                acc += -1j * np.einsum("ab,...b->...a", self._a_mats[j], dv)
-            else:
-                aj = self._a_samples[j].reshape(shape)
-                phi = np.einsum("...ab,...b->...a", aj, values)
-                acc += -0.5j * (
-                    np.einsum("...ab,...b->...a", aj, dv)
-                    + _central_diff(phi, j, self.coeffs[j])
-                )
-        if self._einv_diag is not None:
-            return self._einv_diag.reshape(self.grid.shape + (self.sys.k,)) * acc
-        einv = self._einv_full.reshape(shape)
-        return np.einsum("...ab,...b->...a", einv, acc)
+        return (self.matrix @ values.reshape(-1)).reshape(want)
 
     def density(self, values: np.ndarray) -> np.ndarray:
         """Pointwise energy density <psi, E psi>, one value per node."""
@@ -262,15 +210,13 @@ class DiscreteOperator:
 
 
 @lru_cache(maxsize=8)
-def _get_operator(sys: CoefficientSystem, grid: Grid, order: int,
-                  backend: str | None) -> DiscreteOperator:
-    return DiscreteOperator(sys, grid, order, backend)
+def _get_operator(sys: CoefficientSystem, grid: Grid, order: int) -> DiscreteOperator:
+    return DiscreteOperator(sys, grid, order)
 
 
-def apply_operator(sys: CoefficientSystem, state: WaveState, order: int = 2,
-                   backend: str | None = None) -> np.ndarray:
+def apply_operator(sys: CoefficientSystem, state: WaveState, order: int = 2) -> np.ndarray:
     """Discrete weighted operator applied to the state; same shape as values."""
-    op = _get_operator(sys, state.grid, order, resolve_backend(backend))
+    op = _get_operator(sys, state.grid, order)
     return op.apply(state.values)
 
 
@@ -445,8 +391,7 @@ def _plan_steps(sys, grid, T, cfl, dt):
 
 def integrate(sys: CoefficientSystem, state0: WaveState, T: float, cfl: float = 0.4,
               support_threshold: float = DEFAULT_SUPPORT_THRESHOLD, method: str = "rk4",
-              order: int = 2, dt: float | None = None, backend: str | None = None,
-              log_every: int | None = None):
+              order: int = 2, dt: float | None = None, log_every: int | None = None):
     """Integrate psi' = -i Op(psi) to time T; returns (final state, EvolutionLog).
 
     The log samples every max(1, steps // 1000) steps (or every ``log_every``
@@ -458,8 +403,10 @@ def integrate(sys: CoefficientSystem, state0: WaveState, T: float, cfl: float = 
         raise ValueError(f"method must be one of {sorted(_STEPPERS)}")
     if not 0.0 < support_threshold < 1.0:
         raise ValueError(f"support threshold must be in (0, 1), got {support_threshold}")
-    op = _get_operator(sys, state0.grid, order, resolve_backend(backend))
+    _check_grid(sys, state0.grid, order)
+    # plan first: the velocity samples behind the CFL step are freed before assembly
     dt, steps = _plan_steps(sys, state0.grid, T, cfl, dt)
+    op = _get_operator(sys, state0.grid, order)
     stride = max(1, steps // LOG_ROWS) if log_every is None else max(1, int(log_every))
     step_fn = _STEPPERS[method]
     weights = state0.grid.trapezoid_weights()
@@ -517,8 +464,7 @@ def integrate(sys: CoefficientSystem, state0: WaveState, T: float, cfl: float = 
 
 def arrival_time(sys: CoefficientSystem, state0: WaveState, T: float, probes,
                  threshold: float = DEFAULT_SUPPORT_THRESHOLD, cfl: float = 0.4,
-                 method: str = "rk4", order: int = 2, dt: float | None = None,
-                 backend: str | None = None) -> np.ndarray:
+                 method: str = "rk4", order: int = 2, dt: float | None = None) -> np.ndarray:
     """First time each probe node's energy density exceeds the threshold cut.
 
     Probes are node index tuples; the cut is threshold^2 times the initial
@@ -531,8 +477,10 @@ def arrival_time(sys: CoefficientSystem, state0: WaveState, T: float, probes,
     for p in probes:
         if len(p) != state0.grid.d:
             raise ValueError(f"probe {p} does not index a {state0.grid.d}-d grid")
-    op = _get_operator(sys, state0.grid, order, resolve_backend(backend))
+    _check_grid(sys, state0.grid, order)
+    # plan first: the velocity samples behind the CFL step are freed before assembly
     dt, steps = _plan_steps(sys, state0.grid, T, cfl, dt)
+    op = _get_operator(sys, state0.grid, order)
     step_fn = _STEPPERS[method]
 
     ref = float(op.density(state0.values).max())

@@ -4,8 +4,7 @@ Each check draws its own deterministically seeded generator, measures a worst
 observed residual, and compares it against a fixed tolerance.  The CLI
 ``verify`` command renders the results as a table; the library entry point is
 :func:`run_checks`.  A check may return ``None`` to signal that it cannot run
-in the current environment (for example the compiled-kernel comparison when
-the JIT backend is disabled); such checks report as skipped.
+in the current environment; such checks report as skipped.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from typing import Callable
 import numpy as np
 
 from . import dsl
-from ._accel import has_numba
 from .errors import ValidationError
 from .grids import Grid
 from .matkernel import op_norm, spd_sqrt
@@ -27,7 +25,6 @@ from .systems import (
     CoefficientSystem,
     ConstMatrixField,
     canonicalize,
-    maxwell_anisotropic,
     symbol,
     telegraph,
 )
@@ -375,26 +372,6 @@ def _check_energy(rng) -> float:
     pulse = gaussian_state(grid, [1.0, 0.0], [0.5], 0.04)
     _, log = integrate(sys, pulse, 0.1)
     return abs(log.energies[-1] / log.energies[0] - 1.0)
-
-
-@_register("evolve.backend_agreement", 1e-12)
-def _check_backends(rng) -> float | None:
-    if not has_numba:
-        return None
-    from .evolve import WaveState, apply_operator
-
-    sys = maxwell_anisotropic(
-        [["1 + x*y", 0, 0], [0, "2", 0], [0, 0, "3 - z"]],
-        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-    )
-    grid = Grid(sys.domain, (8, 8, 8))
-    psi = rng.standard_normal(grid.shape + (6,)) + 1j * rng.standard_normal(
-        grid.shape + (6,)
-    )
-    st = WaveState(grid, psi)
-    a = apply_operator(sys, st, backend="numba")
-    b = apply_operator(sys, st, backend="numpy")
-    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
 
 
 # --- cli --------------------------------------------------------------------

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -6,7 +9,6 @@ import pytest
 
 import wavemetric as wm
 from wavemetric import evolve as ev
-from wavemetric._accel import has_numba
 from wavemetric.errors import InstabilityError, ValidationError
 from wavemetric.evolve import _central_diff
 
@@ -88,22 +90,84 @@ def test_operator_rejects_closure_grid():
         ev.DiscreteOperator(sysm, grid)
 
 
-@pytest.mark.skipif(not has_numba, reason="numba disabled")
+def reference_apply(sysm, grid, order, values):
+    """E^{-1}[-(i/2) sum_j (A^j D_j + D_j A^j) + V] psi from whole-array differences."""
+    def field(M):
+        return np.asarray(M.on_grid(grid.axes), dtype=complex)
+
+    acc = np.einsum("...ab,...b->...a", field(sysm.V), values)
+    for j, A in enumerate(sysm.A):
+        coeffs = [c / grid.spacing[j] for c in ev._DIFF_COEFFS[order]]
+        aj = field(A)
+        acc += -0.5j * (
+            np.einsum("...ab,...b->...a", aj, _central_diff(values, j, coeffs))
+            + _central_diff(np.einsum("...ab,...b->...a", aj, values), j, coeffs)
+        )
+    return np.einsum("...ab,...b->...a", np.linalg.inv(field(sysm.E)), acc)
+
+
+def _box(d):
+    return wm.BoxDomain((0.0,) * d, (1.0,) * d)
+
+
+def massive_dirac():
+    m = "1 + x*y - z"
+    mass = [[m if a == b else 0 for b in range(4)] for a in range(4)]
+    mass[2][2] = mass[3][3] = f"-({m})"
+    return wm.CoefficientSystem(
+        domain=_box(3), k=4, E=wm.ConstMatrixField(np.eye(4)),
+        A=wm.dirac_free().A, V=wm.ExprMatrixField(mass),
+    )
+
+
+REFERENCE_CASES = {
+    # constant A, diagonal E, V = 0
+    "telegraph-1d": (wm.telegraph("1 + 0.5*x", "2 - x"), (48,)),
+    "maxwell-2d": (wm.maxwell_isotropic("1 + x*y", "2 - x", domain=_box(2)), (12, 14)),
+    "maxwell-3d": (wm.maxwell_isotropic("1 + x*y", "2 - z", domain=_box(3)), (8, 9, 10)),
+    # variable A with E = I and a non-zero V from the canonical transform
+    "canonical-telegraph-1d": (wm.canonicalize(wm.telegraph("1 + 0.5*x", "2 - x")), (48,)),
+    "canonical-maxwell-2d": (
+        wm.canonicalize(wm.maxwell_isotropic("1 + x*y", "2 - x", domain=_box(2))), (12, 14)
+    ),
+    "canonical-maxwell-3d": (
+        wm.canonicalize(wm.maxwell_isotropic("1 + x*y", "2 - z", domain=_box(3))), (8, 9, 10)
+    ),
+    # full (non-diagonal) E
+    "elastic-1d": (wm.elastic_isotropic("1 + x", "1", "0.3", domain=_box(1)), (40,)),
+    "elastic-2d": (wm.elastic_isotropic("1 + x", "1 + y", "0.3", domain=_box(2)), (12, 14)),
+    "elastic-3d": (wm.elastic_isotropic("1 + x", "1 + y*z", "0.3", domain=_box(3)), (8, 9, 10)),
+    # complex A and a variable mass term V
+    "massive-dirac-3d": (massive_dirac(), (8, 9, 10)),
+}
+
+
 @pytest.mark.parametrize("order", [2, 4])
-def test_backends_agree(order):
-    cases = [
-        wm.telegraph("1 + 0.5*x", "2 - x"),
-        wm.canonicalize(wm.telegraph("1 + 0.5*x", "2 - x")),
-        wm.elastic_isotropic("1", "1", "0.3", domain=wm.BoxDomain((0.0,), (1.0,))),
-    ]
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_operator_matches_reference_formula(case, order):
+    sysm, shape = REFERENCE_CASES[case]
+    grid = wm.Grid(sysm.domain, shape)
     rng = np.random.default_rng(21)
-    for sysm in cases:
-        grid = wm.Grid(sysm.domain, (48,))
-        psi = rng.standard_normal((48, sysm.k)) + 1j * rng.standard_normal((48, sysm.k))
-        st = ev.WaveState(grid, psi)
-        a = ev.apply_operator(sysm, st, order=order, backend="numba")
-        b = ev.apply_operator(sysm, st, order=order, backend="numpy")
-        assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+    psi = rng.standard_normal(shape + (sysm.k,)) + 1j * rng.standard_normal(shape + (sysm.k,))
+    got = ev.DiscreteOperator(sysm, grid, order).apply(psi)
+    want = reference_apply(sysm, grid, order, psi)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_import_and_apply_without_numba():
+    code = (
+        "import sys; sys.modules['numba'] = None\n"
+        "import numpy as np, wavemetric as wm\n"
+        "sysm = wm.telegraph('1', '1')\n"
+        "grid = wm.Grid(sysm.domain, (32,))\n"
+        "st = wm.gaussian_state(grid, [1.0, 0.0], [0.5], 0.05)\n"
+        "print(np.abs(wm.apply_operator(sysm, st)).max() > 0)\n"
+    )
+    src = os.path.dirname(os.path.dirname(wm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "True"
 
 
 @pytest.mark.parametrize("order", [2, 4])
