@@ -20,6 +20,7 @@ __all__ = [
     "op_norm",
     "spd_sqrt",
     "spd_inv_sqrt",
+    "at_point",
 ]
 
 HERMITIAN_RTOL = 1e-13
@@ -130,3 +131,16 @@ def spd_sqrt(s, *, where: str = "") -> np.ndarray:
 def spd_inv_sqrt(s, *, where: str = "") -> np.ndarray:
     """Inverse principal square root of an SPD matrix, as a plain array."""
     return _spd_power(s, -0.5, where)
+
+
+def at_point(fn, mat, what: str, x) -> np.ndarray:
+    """``fn(mat)`` for a coefficient matrix sampled at the point x.
+
+    Formatting x costs more than the small eigendecomposition itself, so the
+    error context " (<what> at <x>)" is built only when ``fn`` raises: the
+    call is then repeated with it, and raises the same error with the context.
+    """
+    try:
+        return fn(mat)
+    except MatrixError:
+        return fn(mat, where=f" ({what} at {np.asarray(x)})")

@@ -3,21 +3,33 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import qmc
 
 DEFAULT_SEED = 0x5EED
+HALTON_BASES = (2, 3, 5)
 
 
 def halton_unit(n: int, d: int, *, skip: int = 1) -> np.ndarray:
     """First n unscrambled Halton points in (0,1)^d.
 
-    The leading point of the raw sequence is the origin, which sits on the
-    boundary; ``skip`` drops it so all returned points are strictly interior.
+    Coordinate j is the radical inverse of the point's index in the j-th
+    prime base.  The digits are accumulated lowest first, as scipy's
+    unscrambled Halton sampler does, so the points equal its points bit for
+    bit.  The leading point of the raw sequence is the origin, which sits on
+    the boundary; ``skip`` drops it so all returned points are strictly
+    interior.
     """
-    sampler = qmc.Halton(d=d, scramble=False)
-    if skip:
-        sampler.fast_forward(skip)
-    return sampler.random(n)
+    if not 1 <= d <= len(HALTON_BASES):
+        raise ValueError(f"Halton points need 1 <= d <= {len(HALTON_BASES)}, got {d}")
+    index = np.arange(skip, skip + n, dtype=np.int64)
+    out = np.zeros((n, d))
+    for j, base in enumerate(HALTON_BASES[:d]):
+        q = index.copy()
+        b2r = 1.0 / base
+        while q.any():
+            out[:, j] += (q % base) * b2r
+            b2r /= base
+            q //= base
+    return out
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:

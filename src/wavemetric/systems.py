@@ -25,7 +25,7 @@ import numpy as np
 
 from . import dsl
 from .errors import MatrixError, ValidationError
-from .matkernel import HermitianMatrix
+from .matkernel import HermitianMatrix, at_point, spd_inv_sqrt
 from .sampling import halton_unit
 
 __all__ = [
@@ -284,12 +284,6 @@ def _batched_inv_sqrt(mats: np.ndarray, what: str) -> np.ndarray:
     return np.einsum("...ij,...j,...kj->...ik", u, w**-0.5, u.conj())
 
 
-def _point_inv_sqrt(mat: np.ndarray, where: str) -> np.ndarray:
-    from .matkernel import spd_inv_sqrt
-
-    return np.asarray(spd_inv_sqrt(mat, where=where))
-
-
 class _ElasticWeightField(MatrixField):
     """E = blockdiag(rho * C^{-1}, I_3) for the 9-component elastic state."""
 
@@ -333,7 +327,7 @@ class _CanonicalAField(MatrixField):
         self.k = A.k
 
     def __call__(self, x) -> np.ndarray:
-        R = _point_inv_sqrt(self.E(x), where=f" (E at {np.asarray(x)})")
+        R = at_point(spd_inv_sqrt, self.E(x), "E", x)
         out = R @ self.A(x) @ R
         return 0.5 * (out + out.conj().T)
 
@@ -377,8 +371,8 @@ def _inv_sqrt_gradients(E: MatrixField, domain: BoxDomain, E_grad, x) -> list[np
         xp, xm = x.copy(), x.copy()
         xp[j] += h
         xm[j] -= h
-        Rp = _point_inv_sqrt(E(xp), where=f" (E at {xp})")
-        Rm = _point_inv_sqrt(E(xm), where=f" (E at {xm})")
+        Rp = at_point(spd_inv_sqrt, E(xp), "E", xp)
+        Rm = at_point(spd_inv_sqrt, E(xm), "E", xm)
         grads.append((Rp - Rm) / (2.0 * h))
     return grads
 
@@ -408,7 +402,7 @@ class _CanonicalVField(MatrixField):
         return v0
 
     def __call__(self, x) -> np.ndarray:
-        R = _point_inv_sqrt(self.E(x), where=f" (E at {np.asarray(x)})")
+        R = at_point(spd_inv_sqrt, self.E(x), "E", x)
         grads = _inv_sqrt_gradients(self.E, self.domain, self.E_grad, x)
         A_vals = [A(x) for A in self.A_fields]
         out = self._v0_from(R, grads, A_vals) + R @ self.V(x) @ R

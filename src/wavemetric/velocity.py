@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import MajorantError, UnsupportedSystemError, ValidationError
 from .grids import Grid
-from .matkernel import op_norm
+from .matkernel import at_point, op_norm, spd_inv_sqrt, spd_sqrt
 from .sampling import unit_directions
 from .systems import CoefficientSystem, canonicalize
 
@@ -87,12 +87,11 @@ def velocity_matrix(sys: CoefficientSystem, x) -> np.ndarray:
 
 def _structured_maxwell(sys: CoefficientSystem, x) -> np.ndarray:
     from .systems import CURL_GENERATORS
-    from .matkernel import spd_inv_sqrt
 
     eps = sys.parts["eps"](x)
     mu = sys.parts["mu"](x)
-    re = spd_inv_sqrt(eps, where=f" (permittivity at {x})")
-    rm = spd_inv_sqrt(mu, where=f" (permeability at {x})")
+    re = at_point(spd_inv_sqrt, eps, "permittivity", x)
+    rm = at_point(spd_inv_sqrt, mu, "permeability", x)
     d = sys.d
     blocks = [re @ CURL_GENERATORS[j] @ rm for j in range(d)]
     M = np.empty((d, d))
@@ -107,12 +106,11 @@ def _structured_maxwell(sys: CoefficientSystem, x) -> np.ndarray:
 def _structured_elastic(sys: CoefficientSystem, x) -> np.ndarray:
     from . import dsl
     from .systems import STRAIN_GENERATORS
-    from .matkernel import spd_sqrt
 
     rho_expr, rho_src = sys.parts["rho"]
     rho = dsl.eval_expr(rho_expr, np.atleast_1d(x), source=rho_src)
     C = sys.parts["stiffness"](x)
-    half = spd_sqrt(C, where=f" (stiffness at {x})")
+    half = at_point(spd_sqrt, C, "stiffness", x)
     d = sys.d
     blocks = [half @ STRAIN_GENERATORS[j] for j in range(d)]
     M = np.empty((d, d))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +26,21 @@ def telegraph_scenario(tmp_path, L="1", C="1", nodes=256,
     }
     data.update(extra)
     return write_scenario(tmp_path, data, name)
+
+
+def test_cli_start_up_does_not_import_scipy_stats():
+    code = (
+        "import sys\n"
+        "import wavemetric.cli\n"
+        "import wavemetric as wm\n"
+        "print(wm.validate_system(wm.telegraph('1 + x', '2')).ok)\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.split() == ["True", "False"]
 
 
 # -- scenario parsing --------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import wavemetric as wm
-from wavemetric.errors import ValidationError
+from wavemetric.errors import MatrixError, SingularMatrixError, ValidationError
 from wavemetric.systems import CURL_GENERATORS, STRAIN_GENERATORS
 
 
@@ -259,6 +259,30 @@ def test_canonical_grid_matches_pointwise():
         x = np.array([g.axes[0][i]])
         assert np.allclose(Vg[i], can.V(x), atol=1e-11)
         assert np.allclose(Ag[i], can.A[0](x), atol=1e-12)
+
+
+# L = x - 0.05 is positive at every point the construction probe samples, but
+# not below x = 0.05.  The messages pin the exact " (E at <x>)" context.
+_NON_SPD = "matrix is not positive definite: smallest eigenvalue "
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda can: can.A[0]([0.03]), MatrixError,
+     _NON_SPD + "-2.000000e-02 (E at [0.03])"),
+    (lambda can: can.A[0](np.array([0.05000000000000001])), SingularMatrixError,
+     "numerically singular E: eigenvalue 6.938894e-18 below 1e-14 of norm "
+     "1.000000e+00 (E at [0.05])"),
+    (lambda can: can.V(np.array([0.05])), MatrixError,
+     _NON_SPD + "0.000000e+00 (E at [0.05])"),
+    (lambda can: can.V(np.array([0.050005])), MatrixError,
+     _NON_SPD + "-5.000000e-06 (E at [0.049995])"),
+], ids=["A", "A-singular", "V", "V-gradient"])
+def test_canonical_point_error_names_the_point(call, error, message):
+    can = wm.canonicalize(wm.telegraph(L="x - 0.05", C="1"))
+    with pytest.raises(error) as info:
+        call(can)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 # -- validation -------------------------------------------------------------

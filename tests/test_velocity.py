@@ -6,7 +6,12 @@ import pytest
 
 import wavemetric as wm
 from wavemetric import velocity as vel
-from wavemetric.errors import MajorantError, UnsupportedSystemError, ValidationError
+from wavemetric.errors import (
+    MajorantError,
+    MatrixError,
+    UnsupportedSystemError,
+    ValidationError,
+)
 from wavemetric.matkernel import op_norm
 
 
@@ -82,6 +87,23 @@ def test_structured_matches_generic():
         ref = vel.velocity_matrix(sysm, x)
         fast = vel.velocity_matrix_structured(sysm, x)
         assert np.allclose(fast, ref, rtol=1e-10, atol=1e-12), sysm.label
+
+
+def test_structured_error_names_the_point():
+    # x - 0.05 passes the construction probe but is negative at x = 0.03
+    cases = [
+        (wm.maxwell_isotropic(eps="x - 0.05", mu="1",
+                              domain=wm.BoxDomain((0.0, 0.0), (1.0, 1.0))),
+         [0.03, 0.5], "-2.000000e-02 (permittivity at [0.03 0.5 ])"),
+        (wm.elastic_isotropic(rho="1", K="x - 0.05", mu="1",
+                              domain=wm.BoxDomain((0.0,), (1.0,))),
+         [0.03], "-6.000000e-02 (stiffness at [0.03])"),
+    ]
+    for sysm, x, tail in cases:
+        with pytest.raises(MatrixError) as info:
+            vel.velocity_matrix_structured(sysm, x)
+        assert str(info.value) == (
+            "matrix is not positive definite: smallest eigenvalue " + tail)
 
 
 def test_structured_rejects_custom_kind():
