@@ -23,6 +23,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -75,16 +76,6 @@ RADIAL_OCTAVES = 12
 RADIAL_PER_OCTAVE = 4
 BOUNDARY_MARGIN_COUNT = 8
 
-_PARAM_KEYS = {
-    "telegraph": {"L", "C"},
-    "maxwell_isotropic": {"eps", "mu"},
-    "maxwell_anisotropic": {"eps", "mu"},
-    "elastic_isotropic": {"rho", "K", "mu"},
-    "elastic": {"rho", "stiffness"},
-    "dirac": {"radius"},
-    "custom": {"k", "E", "A", "V"},
-}
-
 _UNBOUNDED_WORDS = ("none", "lower", "upper", "both")
 
 
@@ -122,7 +113,7 @@ def _num_list(value, where: str, length: int | None = None) -> list[float]:
     return out
 
 
-def _coeff(value, where: str):
+def _coeff(value, where: str, *_):
     """A coefficient entry: an expression string or a plain number."""
     if isinstance(value, str):
         from . import dsl
@@ -145,82 +136,140 @@ def _coeff_table(value, size: int, where: str) -> list[list]:
     return out
 
 
+def _table3(value, where: str, *_):
+    return _coeff_table(value, 3, where)
+
+
+def _stiffness(value, where: str, *_):
+    if not isinstance(value, list) or len(value) != 21:
+        raise ScenarioError(f"{where} must list the 21 upper-triangle entries")
+    return [_coeff(v, f"{where}[{i}]") for i, v in enumerate(value)]
+
+
+def _radius(value, where: str, *_):
+    radius = _num(value, where)
+    if not radius > 0:
+        raise ScenarioError(f"{where} must be positive")
+    return radius
+
+
+def _component_count(value, where: str, *_):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ScenarioError(f"{where} must be a positive integer")
+    return value
+
+
+def _axis_tables(value, where: str, parsed: dict, d: int):
+    if not isinstance(value, list) or len(value) != d:
+        raise ScenarioError(f"{where} must list {d} matrices (one per axis)")
+    return [_coeff_table(a, parsed["k"], f"{where}[{j}]") for j, a in enumerate(value)]
+
+
+def _optional_table(value, where: str, parsed: dict, d: int):
+    return None if value is None else _coeff_table(value, parsed["k"], where)
+
+
+def _dirac(radius: float, domain: BoxDomain) -> CoefficientSystem:
+    width = domain.upper[0]
+    symmetric = all(l == -width and u == width
+                    for l, u in zip(domain.lower, domain.upper))
+    if not (symmetric and all(domain.unbounded_lower + domain.unbounded_upper)):
+        raise ScenarioError(
+            "the dirac demo needs a symmetric window (-w, w)^3 with all "
+            "axes unbounded 'both'"
+        )
+    return dirac_free(radius=radius, half_width=width)
+
+
+def _custom(k: int, A: list, E, V, domain: BoxDomain) -> CoefficientSystem:
+    sys_obj = CoefficientSystem(
+        domain=domain,
+        k=k,
+        E=ConstMatrixField(np.eye(k)) if E is None else ExprMatrixField(E),
+        A=tuple(ExprMatrixField(a) for a in A),
+        V=ConstMatrixField(np.zeros((k, k))) if V is None else ExprMatrixField(V),
+        label="custom",
+    )
+    report = validate_system(sys_obj, samples=64)
+    if not report.ok:
+        raise ScenarioError(
+            "custom system fails validation: " + "; ".join(report.issues[:3])
+        )
+    return sys_obj
+
+
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class _Family:
+    """A built-in system family: where it lives, its parameters, its factory.
+
+    ``params`` maps each parameter, in parsing order, to its default
+    (``_REQUIRED`` when it has none) and its parser, called as
+    ``parse(value, where, parsed, d)`` with the parameters parsed before it.
+    ``k`` is None when the ``k`` parameter gives the component count.  The
+    system is ``build(**params, domain=domain)``.
+    """
+
+    dims: tuple[int, ...]
+    dim_error: str
+    k: int | None
+    params: dict
+    build: Callable[..., CoefficientSystem]
+
+
+_MAXWELL_DIMS = ((2, 3), "maxwell systems need a 2- or 3-dimensional domain")
+_ELASTIC_DIMS = ((1, 2, 3), "elastic systems need a 1-, 2- or 3-dimensional domain")
+
+_FAMILIES = {
+    "telegraph": _Family(
+        (1,), "telegraph needs a 1-dimensional domain", 2,
+        {"L": ("1", _coeff), "C": ("1", _coeff)}, telegraph),
+    "maxwell_isotropic": _Family(
+        *_MAXWELL_DIMS, 6,
+        {"eps": ("1", _coeff), "mu": ("1", _coeff)}, maxwell_isotropic),
+    "maxwell_anisotropic": _Family(
+        *_MAXWELL_DIMS, 6,
+        {"eps": (_REQUIRED, _table3), "mu": (_REQUIRED, _table3)},
+        maxwell_anisotropic),
+    "elastic_isotropic": _Family(
+        *_ELASTIC_DIMS, 9,
+        {"rho": ("1", _coeff), "K": ("1", _coeff), "mu": ("1", _coeff)},
+        elastic_isotropic),
+    "elastic": _Family(
+        *_ELASTIC_DIMS, 9,
+        {"stiffness": (_REQUIRED, _stiffness), "rho": ("1", _coeff)}, elastic),
+    "dirac": _Family(
+        (3,), "the dirac demo needs a 3-dimensional domain", 4,
+        {"radius": (0.1, _radius)}, _dirac),
+    "custom": _Family(
+        (1, 2, 3), "custom systems need a 1-, 2- or 3-dimensional domain", None,
+        {"k": (_REQUIRED, _component_count), "A": (_REQUIRED, _axis_tables),
+         "E": (None, _optional_table), "V": (None, _optional_table)},
+        _custom),
+}
+
+
 def _normalize_system(raw, d: int) -> tuple[dict, int]:
     _check_keys(raw, {"name", "params"}, "system")
     name = _need(raw, "name", "system")
-    if name not in _PARAM_KEYS:
+    if not isinstance(name, str) or name not in _FAMILIES:
         raise ScenarioError(
             f"system.name {name!r} unknown; expected one of "
-            f"{', '.join(sorted(_PARAM_KEYS))}"
+            f"{', '.join(sorted(_FAMILIES))}"
         )
+    family = _FAMILIES[name]
     params = raw.get("params", {})
-    _check_keys(params, _PARAM_KEYS[name], f"system.params ({name})")
+    _check_keys(params, family.params, f"system.params ({name})")
+    if d not in family.dims:
+        raise ScenarioError(family.dim_error)
     out: dict = {}
-    if name == "telegraph":
-        if d != 1:
-            raise ScenarioError("telegraph needs a 1-dimensional domain")
-        out = {"L": _coeff(params.get("L", "1"), "system.params.L"),
-               "C": _coeff(params.get("C", "1"), "system.params.C")}
-        k = 2
-    elif name == "maxwell_isotropic":
-        if d not in (2, 3):
-            raise ScenarioError("maxwell systems need a 2- or 3-dimensional domain")
-        out = {"eps": _coeff(params.get("eps", "1"), "system.params.eps"),
-               "mu": _coeff(params.get("mu", "1"), "system.params.mu")}
-        k = 6
-    elif name == "maxwell_anisotropic":
-        if d not in (2, 3):
-            raise ScenarioError("maxwell systems need a 2- or 3-dimensional domain")
-        out = {"eps": _coeff_table(_need(params, "eps", "system.params"), 3,
-                                   "system.params.eps"),
-               "mu": _coeff_table(_need(params, "mu", "system.params"), 3,
-                                  "system.params.mu")}
-        k = 6
-    elif name == "elastic_isotropic":
-        if d not in (1, 2, 3):
-            raise ScenarioError("elastic systems need a 1-, 2- or 3-dimensional domain")
-        out = {"rho": _coeff(params.get("rho", "1"), "system.params.rho"),
-               "K": _coeff(params.get("K", "1"), "system.params.K"),
-               "mu": _coeff(params.get("mu", "1"), "system.params.mu")}
-        k = 9
-    elif name == "elastic":
-        if d not in (1, 2, 3):
-            raise ScenarioError("elastic systems need a 1-, 2- or 3-dimensional domain")
-        stiff = _need(params, "stiffness", "system.params")
-        if not isinstance(stiff, list) or len(stiff) != 21:
-            raise ScenarioError(
-                "system.params.stiffness must list the 21 upper-triangle entries"
-            )
-        out = {"rho": _coeff(params.get("rho", "1"), "system.params.rho"),
-               "stiffness": [_coeff(v, f"system.params.stiffness[{i}]")
-                             for i, v in enumerate(stiff)]}
-        k = 9
-    elif name == "dirac":
-        if d != 3:
-            raise ScenarioError("the dirac demo needs a 3-dimensional domain")
-        radius = _num(params.get("radius", 0.1), "system.params.radius")
-        if not radius > 0:
-            raise ScenarioError("system.params.radius must be positive")
-        out = {"radius": radius}
-        k = 4
-    else:  # custom
-        k_raw = _need(params, "k", "system.params")
-        if isinstance(k_raw, bool) or not isinstance(k_raw, int) or k_raw < 1:
-            raise ScenarioError("system.params.k must be a positive integer")
-        k = k_raw
-        A_raw = _need(params, "A", "system.params")
-        if not isinstance(A_raw, list) or len(A_raw) != d:
-            raise ScenarioError(
-                f"system.params.A must list {d} matrices (one per axis)"
-            )
-        out = {"k": k,
-               "A": [_coeff_table(a, k, f"system.params.A[{j}]")
-                     for j, a in enumerate(A_raw)]}
-        out["E"] = (None if params.get("E") is None
-                    else _coeff_table(params["E"], k, "system.params.E"))
-        out["V"] = (None if params.get("V") is None
-                    else _coeff_table(params["V"], k, "system.params.V"))
-    return {"name": name, "params": out}, k
+    for key, (default, parse) in family.params.items():
+        value = (_need(params, key, "system.params") if default is _REQUIRED
+                 else params.get(key, default))
+        out[key] = parse(value, f"system.params.{key}", out, d)
+    return {"name": name, "params": out}, family.k or out["k"]
 
 
 def _normalize_domain(raw) -> dict:
@@ -343,49 +392,9 @@ def _build_domain(dom: dict) -> BoxDomain:
 
 
 def _build_system(data: dict) -> CoefficientSystem:
-    name = data["system"]["name"]
-    params = data["system"]["params"]
-    domain = _build_domain(data["domain"])
-    if name == "telegraph":
-        return telegraph(params["L"], params["C"], domain=domain)
-    if name == "maxwell_isotropic":
-        return maxwell_isotropic(params["eps"], params["mu"], domain=domain)
-    if name == "maxwell_anisotropic":
-        return maxwell_anisotropic(params["eps"], params["mu"], domain=domain)
-    if name == "elastic_isotropic":
-        return elastic_isotropic(params["rho"], params["K"], params["mu"],
-                                 domain=domain)
-    if name == "elastic":
-        return elastic(params["rho"], params["stiffness"], domain=domain)
-    if name == "dirac":
-        lo, hi = data["domain"]["lower"], data["domain"]["upper"]
-        width = hi[0]
-        symmetric = all(l == -width and u == width for l, u in zip(lo, hi))
-        if not symmetric or any(w != "both" for w in data["domain"]["unbounded"]):
-            raise ScenarioError(
-                "the dirac demo needs a symmetric window (-w, w)^3 with all "
-                "axes unbounded 'both'"
-            )
-        return dirac_free(radius=params["radius"], half_width=width)
-    k = params["k"]
-    E = (ConstMatrixField(np.eye(k)) if params["E"] is None
-         else ExprMatrixField(params["E"]))
-    V = (ConstMatrixField(np.zeros((k, k))) if params["V"] is None
-         else ExprMatrixField(params["V"]))
-    sys_obj = CoefficientSystem(
-        domain=domain,
-        k=k,
-        E=E,
-        A=tuple(ExprMatrixField(a) for a in params["A"]),
-        V=V,
-        label="custom",
-    )
-    report = validate_system(sys_obj, samples=64)
-    if not report.ok:
-        raise ScenarioError(
-            "custom system fails validation: " + "; ".join(report.issues[:3])
-        )
-    return sys_obj
+    system = data["system"]
+    return _FAMILIES[system["name"]].build(**system["params"],
+                                           domain=_build_domain(data["domain"]))
 
 
 @dataclass

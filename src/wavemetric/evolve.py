@@ -16,7 +16,6 @@ fixed-point tolerance, at the cost of an inner iteration).
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConvergenceError, InstabilityError, ValidationError
-from .grids import Grid
+from .grids import Grid, write_csv
 from .systems import CoefficientSystem, ConstMatrixField
 from .velocity import VelocityField
 
@@ -68,19 +67,11 @@ class WaveState:
     def to_csv(self, path) -> None:
         """Snapshot: node coordinates plus Re/Im per component."""
         d, k = self.grid.d, self.k
-        coords = self.grid.coords().reshape(-1, d)
-        flat = self.values.reshape(-1, k)
         header = [f"x{j + 1}" for j in range(d)]
         for c in range(k):
             header += [f"re_{c + 1}", f"im_{c + 1}"]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for x, psi in zip(coords, flat):
-                row = [f"{v:.17g}" for v in x]
-                for c in range(k):
-                    row += [f"{psi[c].real:.17g}", f"{psi[c].imag:.17g}"]
-                w.writerow(row)
+        re_im = np.ascontiguousarray(self.values).reshape(-1, k).view(np.float64)
+        write_csv(path, header, np.hstack([self.grid.coords().reshape(-1, d), re_im]))
 
 
 def gaussian_state(grid: Grid, components, center, sigma: float, t: float = 0.0) -> WaveState:
@@ -131,6 +122,11 @@ def _weight_samples(E_field, grid: Grid) -> np.ndarray:
     out = E_field.on_grid(grid.axes)
     out.setflags(write=False)
     return out
+
+
+def _density(values: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Pointwise energy density <psi, E psi> of a state array, one value per node."""
+    return np.real(np.einsum("...a,...ab,...b->...", np.conj(values), E, values))
 
 
 class DiscreteOperator:
@@ -204,9 +200,7 @@ class DiscreteOperator:
 
     def density(self, values: np.ndarray) -> np.ndarray:
         """Pointwise energy density <psi, E psi>, one value per node."""
-        return np.real(
-            np.einsum("...a,...ab,...b->...", np.conj(values), self.E_samples, values)
-        )
+        return _density(values, self.E_samples)
 
 
 @lru_cache(maxsize=8)
@@ -222,10 +216,7 @@ def apply_operator(sys: CoefficientSystem, state: WaveState, order: int = 2) -> 
 
 def energy(sys: CoefficientSystem, state: WaveState) -> float:
     """Trapezoid quadrature of the energy density <psi, E psi> over the grid."""
-    E = _weight_samples(sys.E, state.grid)
-    dens = np.real(
-        np.einsum("...a,...ab,...b->...", np.conj(state.values), E, state.values)
-    )
+    dens = _density(state.values, _weight_samples(sys.E, state.grid))
     return float((state.grid.trapezoid_weights() * dens).sum())
 
 
@@ -270,10 +261,7 @@ def support_box(sys: CoefficientSystem, state: WaveState, threshold: float = DEF
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"support threshold must be in (0, 1), got {threshold}")
-    E = _weight_samples(sys.E, state.grid)
-    dens = np.real(
-        np.einsum("...a,...ab,...b->...", np.conj(state.values), E, state.values)
-    )
+    dens = _density(state.values, _weight_samples(sys.E, state.grid))
     ref = float(dens.max()) if ref_density is None else float(ref_density)
     if ref <= 0.0:
         return None
@@ -334,21 +322,15 @@ class EvolutionLog:
         for j in range(self.d):
             header += [f"supp_lo_{j + 1}", f"supp_hi_{j + 1}"]
         header += ["boundary_margin", "max_abs"]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for t, en, box, margin, peak in zip(
-                self.times, self.energies, self.boxes, self.margins, self.max_abs
-            ):
-                row = [f"{t:.17g}", f"{en:.17g}"]
-                if box is None:
-                    row += ["nan", "nan"] * self.d + ["nan"]
-                else:
-                    for lo, hi in box:
-                        row += [f"{lo:.17g}", f"{hi:.17g}"]
-                    row.append(f"{margin:.17g}")
-                row.append(f"{peak:.17g}")
-                w.writerow(row)
+        table = np.full((len(self.times), len(header)), np.nan)
+        table[:, 0] = self.times
+        table[:, 1] = self.energies
+        table[:, -1] = self.max_abs
+        for row, box, margin in zip(table, self.boxes, self.margins):
+            if box is not None:  # no support box: its columns and the margin stay NaN
+                row[2:-2] = np.ravel(box)
+                row[-2] = margin
+        write_csv(path, header, table)
 
 
 def _rk4_step(op: DiscreteOperator, values: np.ndarray, dt: float) -> np.ndarray:

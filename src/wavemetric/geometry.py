@@ -24,13 +24,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import dijkstra
 
 from . import dsl
 from .errors import DomainEvalError, MajorantError, UnsupportedSystemError, ValidationError
-from .grids import Grid
+from .grids import Grid, write_csv
 from .velocity import EPS_REG_FLOOR, EPS_REG_REL, VelocityField
 
 __all__ = [
@@ -178,16 +177,10 @@ class DistanceField:
         return self.values[idx]
 
     def to_csv(self, path) -> None:
-        import csv
-
         d = self.grid.d
-        coords = self.grid.coords().reshape(-1, d)
-        vals = self.values.reshape(-1)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{j + 1}" for j in range(d)] + ["value"])
-            for x, v in zip(coords, vals):
-                writer.writerow([f"{c:.17g}" for c in x] + [f"{v:.17g}"])
+        table = np.column_stack([self.grid.coords().reshape(-1, d),
+                                 self.values.reshape(-1)])
+        write_csv(path, [f"x{j + 1}" for j in range(d)] + ["value"], table)
 
 
 def node_boundary_distances(grid: Grid) -> np.ndarray:
@@ -504,6 +497,8 @@ def ray_completeness(
     asserts an inverse-linear speed tail; it is certified only if the
     measured increments are constant within 1%.
     """
+    from scipy.integrate import quad  # the only user; keeps it off start-up
+
     t0 = float(t0)
     t_end = float(t_end)
     if not t_end > t0:

@@ -96,3 +96,14 @@ class Grid:
             w[-1] *= 0.5
             per_axis.append(w)
         return reduce(np.multiply.outer, per_axis)
+
+
+def write_csv(path, names, table) -> None:
+    """Write a float table as CSV: a header row, then rows of ``%.17g`` values.
+
+    Rows end in ``\r\n`` as ``csv.writer`` ends them, so the bytes equal rows
+    of ``f"{v:.17g}"`` strings written by it (``nan``, ``inf``, ``-0`` included).
+    """
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=",".join(names),
+                   comments="", newline="\r\n")

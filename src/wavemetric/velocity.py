@@ -22,7 +22,6 @@ the field degenerates.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from collections import namedtuple
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MajorantError, UnsupportedSystemError, ValidationError
-from .grids import Grid
+from .grids import Grid, write_csv
 from .matkernel import at_point, op_norm, spd_inv_sqrt, spd_sqrt
 from .sampling import unit_directions
 from .systems import CoefficientSystem, canonicalize
@@ -382,15 +381,9 @@ def to_csv(field: VelocityField, path) -> None:
     triangle.  Full float64 precision (17 significant digits).
     """
     d = field.d
+    rows, cols = np.triu_indices(d)
     header = [f"x{j + 1}" for j in range(d)]
-    header += [f"M{i + 1}{j + 1}" for i in range(d) for j in range(i, d)]
+    header += [f"M{i + 1}{j + 1}" for i, j in zip(rows, cols)]
     coords = field.grid.coords().reshape(-1, d)
-    M = field.M_samples.reshape(-1, d, d)
-    iu = [(i, j) for i in range(d) for j in range(i, d)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row_x, row_M in zip(coords, M):
-            writer.writerow(
-                [f"{v:.17g}" for v in row_x] + [f"{row_M[i, j]:.17g}" for i, j in iu]
-            )
+    M = field.M_samples.reshape(-1, d, d)[:, rows, cols]
+    write_csv(path, header, np.hstack([coords, M]))

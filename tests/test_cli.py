@@ -35,12 +35,13 @@ def test_cli_start_up_does_not_import_scipy_stats():
         "import wavemetric as wm\n"
         "print(wm.validate_system(wm.telegraph('1 + x', '2')).ok)\n"
         "print('scipy.stats' in sys.modules)\n"
+        "print('scipy.integrate' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.split() == ["True", "False"]
+    assert out.stdout.split() == ["True", "False", "False"]
 
 
 # -- scenario parsing --------------------------------------------------------
@@ -70,6 +71,9 @@ def test_normalization_is_idempotent():
     (lambda d: d.update(analysis={"criterion": "speed"}), "criterion"),
     (lambda d: d.update(analysis={"cutoffs": 2}), "cutoffs"),
     (lambda d: d.pop("output"), "output"),
+    (lambda d: d["domain"].update(lower=[0.0, 0.0], upper=[1.0, 1.0]),
+     "^telegraph needs a 1-dimensional domain$"),
+    (lambda d: d["system"].update(name=["telegraph"]), "unknown; expected one of"),
 ])
 def test_normalization_rejects(mutate, match):
     raw = {
@@ -81,6 +85,96 @@ def test_normalization_rejects(mutate, match):
     mutate(raw)
     with pytest.raises(ScenarioError, match=match):
         cli.normalize_scenario(raw)
+
+
+def family_scenario(name, params, d, lower=0.0, upper=1.0, unbounded="none"):
+    return {
+        "system": {"name": name, "params": params},
+        "domain": {"lower": [lower] * d, "upper": [upper] * d,
+                   "unbounded": [unbounded] * d},
+        "grid": {"nodes": [8] * d},
+        "output": {"dir": "o"},
+    }
+
+
+_EYE3 = [[1, 0, 0], [0, "2", 0], [0, 0, 1]]
+_EYE3_NORM = [[1.0, 0.0, 0.0], [0.0, "2", 0.0], [0.0, 0.0, 1.0]]
+_STIFF = [4, 1, 1, 0, 0, 0, 4, 1, 0, 0, 0, 4, 0, 0, 0, 1, 0, 0, 1, 0, "1"]
+
+
+@pytest.mark.parametrize("name,d,params,normalized,k", [
+    ("telegraph", 1, {}, {"L": "1", "C": "1"}, 2),
+    ("maxwell_isotropic", 2, {}, {"eps": "1", "mu": "1"}, 6),
+    ("maxwell_anisotropic", 3, {"eps": _EYE3, "mu": _EYE3},
+     {"eps": _EYE3_NORM, "mu": _EYE3_NORM}, 6),
+    ("elastic_isotropic", 1, {"K": 2}, {"rho": "1", "K": 2.0, "mu": "1"}, 9),
+    ("elastic", 2, {"stiffness": _STIFF},
+     {"rho": "1", "stiffness": [float(v) for v in _STIFF[:-1]] + ["1"]}, 9),
+    ("dirac", 3, {}, {"radius": 0.1}, 4),
+    ("custom", 1, {"k": 2, "A": [[[0, "1"], [1, 0]]]},
+     {"k": 2, "A": [[[0.0, "1"], [1.0, 0.0]]], "E": None, "V": None}, 2),
+])
+def test_family_defaults_and_build(name, d, params, normalized, k):
+    if name == "dirac":
+        raw = family_scenario(name, params, d, -2.0, 2.0, "both")
+    else:
+        raw = family_scenario(name, params, d)
+    once = cli.normalize_scenario(raw)
+    assert once["system"] == {"name": name, "params": normalized}
+    assert cli.normalize_scenario(once) == once
+    scn = cli.Scenario.from_dict(once)
+    assert (scn.system.k, scn.system.d) == (k, d)
+
+
+@pytest.mark.parametrize("name,d,params,message", [
+    ("maxwell_isotropic", 1, {}, "maxwell systems need a 2- or 3-dimensional domain"),
+    ("maxwell_anisotropic", 1, {"eps": _EYE3, "mu": _EYE3},
+     "maxwell systems need a 2- or 3-dimensional domain"),
+    ("elastic_isotropic", 4, {},
+     "elastic systems need a 1-, 2- or 3-dimensional domain"),
+    ("elastic", 4, {"stiffness": _STIFF},
+     "elastic systems need a 1-, 2- or 3-dimensional domain"),
+    ("dirac", 2, {}, "the dirac demo needs a 3-dimensional domain"),
+    ("maxwell_anisotropic", 3, {"mu": _EYE3},
+     "system.params: missing required key 'eps'"),
+    ("maxwell_anisotropic", 3, {"eps": _EYE3[:2], "mu": _EYE3},
+     "system.params.eps must be a 3x3 table"),
+    ("maxwell_anisotropic", 3, {"eps": [row[:2] for row in _EYE3], "mu": _EYE3},
+     "system.params.eps[0] must have 3 entries"),
+    ("elastic", 2, {"stiffness": _STIFF[:20]},
+     "system.params.stiffness must list the 21 upper-triangle entries"),
+    ("dirac", 3, {"radius": 0}, "system.params.radius must be positive"),
+    ("custom", 1, {"k": 0, "A": [[[0]]]}, "system.params.k must be a positive integer"),
+    ("custom", 2, {"k": 1, "A": [[[0]]]},
+     "system.params.A must list 2 matrices (one per axis)"),
+    ("custom", 1, {"k": 2, "A": [[[0, 1], [1, 0]]], "E": [[1]]},
+     "system.params.E must be a 2x2 table"),
+    ("custom", 1, {"k": 2, "A": [[[0, 2], [1, 0]]]},
+     "custom system fails validation: "
+     "A[1] not Hermitian at [0.5]: entry (1, 2) defect 4.47e-01; "
+     "A[1] not Hermitian at [0.25]: entry (1, 2) defect 4.47e-01; "
+     "A[1] not Hermitian at [0.75]: entry (1, 2) defect 4.47e-01"),
+])
+def test_family_rejects(name, d, params, message):
+    raw = family_scenario(name, params, d)
+    with pytest.raises(ScenarioError) as info:
+        cli.Scenario.from_dict(raw)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("upper,unbounded", [
+    ([2.0, 2.0, 1.5], ["both"] * 3),
+    ([2.0, 2.0, 2.0], ["both", "both", "upper"]),
+])
+def test_dirac_needs_symmetric_window(upper, unbounded):
+    raw = family_scenario("dirac", {}, 3, -2.0, 2.0, "both")
+    raw["domain"].update(upper=upper, unbounded=unbounded)
+    with pytest.raises(ScenarioError) as info:
+        cli.Scenario.from_dict(raw)
+    assert str(info.value) == (
+        "the dirac demo needs a symmetric window (-w, w)^3 with all axes "
+        "unbounded 'both'"
+    )
 
 
 def test_simulate_section_validation():
@@ -254,6 +348,15 @@ def test_custom_system_must_be_hermitian(tmp_path, capsys):
     p = write_scenario(tmp_path, data)
     assert cli.main(["analyze", str(p)]) == 2
     assert "validation" in capsys.readouterr().err
+
+
+def test_custom_system_needs_1_to_3_dimensions(tmp_path, capsys):
+    data = family_scenario("custom", {"k": 1, "A": [[[1]]] * 4}, 4)
+    p = write_scenario(tmp_path, data)
+    assert cli.main(["analyze", str(p)]) == 2
+    assert capsys.readouterr().err == (
+        f"{p}: custom systems need a 1-, 2- or 3-dimensional domain\n"
+    )
 
 
 # -- distance ----------------------------------------------------------------

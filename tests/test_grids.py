@@ -85,3 +85,102 @@ def test_trapezoid_weights_2d_product():
     w = g.trapezoid_weights()
     assert w.shape == (16, 16)
     assert np.sum(w) == pytest.approx(1.0, rel=1e-13)
+
+
+# -- CSV output --------------------------------------------------------------
+
+def _integer_grid(d: int) -> Grid:
+    """8 interior nodes per axis at the coordinates 1, 2, ..., 8."""
+    return Grid(BoxDomain((0.0,) * d, (9.0,) * d), (8,) * d)
+
+
+def test_velocity_csv_bytes(tmp_path):
+    from wavemetric import velocity as vel
+
+    grid = _integer_grid(2)
+    M = np.zeros((8, 8, 2, 2))
+    M[..., 0, 0] = 10.0 + np.arange(8)[:, None]
+    M[..., 1, 1] = 20.0 + np.arange(8)[None, :]
+    M[..., 0, 1] = M[..., 1, 0] = -0.0
+    M[0, 0, 0, 1] = M[0, 0, 1, 0] = 0.1
+    M[7, 7, 1, 1] = 0.1 + 0.2
+    path = tmp_path / "velocity.csv"
+    vel.to_csv(vel.VelocityField(grid, M), path)
+    rows = ["x1,x2,M11,M12,M22"]
+    for i in range(8):
+        for j in range(8):
+            m12 = "0.10000000000000001" if (i, j) == (0, 0) else "-0"
+            m22 = "0.30000000000000004" if (i, j) == (7, 7) else str(20 + j)
+            rows.append(f"{i + 1},{j + 1},{10 + i},{m12},{m22}")
+    assert path.read_bytes() == ("\r\n".join(rows) + "\r\n").encode()
+
+
+def test_distance_csv_bytes(tmp_path):
+    from wavemetric.geometry import DistanceField
+
+    grid = _integer_grid(2)
+    values = np.arange(64.0).reshape(8, 8)
+    values[0, 1] = 0.1
+    values[1, 0] = -0.0
+    values[3, 4] = 2.5e-7
+    values[7, 7] = np.inf
+    path = tmp_path / "distance.csv"
+    DistanceField(grid, values).to_csv(path)
+    special = {(0, 1): "0.10000000000000001", (1, 0): "-0",
+               (3, 4): "2.4999999999999999e-07", (7, 7): "inf"}
+    rows = ["x1,x2,value"]
+    for i in range(8):
+        for j in range(8):
+            rows.append(f"{i + 1},{j + 1},{special.get((i, j), 8 * i + j)}")
+    assert path.read_bytes() == ("\r\n".join(rows) + "\r\n").encode()
+
+    path_1d = tmp_path / "distance_1d.csv"
+    DistanceField(_integer_grid(1), [0.0, 0.1, 1.0, 2.0, 3.0, 4.0, 5.0, np.inf]
+                  ).to_csv(path_1d)
+    assert path_1d.read_bytes() == (
+        b"x1,value\r\n1,0\r\n2,0.10000000000000001\r\n3,1\r\n4,2\r\n5,3\r\n"
+        b"6,4\r\n7,5\r\n8,inf\r\n"
+    )
+
+
+def test_wave_state_csv_bytes(tmp_path):
+    from wavemetric.evolve import WaveState
+
+    values = np.zeros((8, 2), dtype=np.complex128)
+    values.real[:, 0] = np.arange(1.0, 9.0)
+    values.imag[0, 0] = 0.1
+    values.real[:, 1] = -0.0
+    values.imag[:, 1] = -0.25 * np.arange(1.0, 9.0)
+    path = tmp_path / "state.csv"
+    WaveState(_integer_grid(1), values).to_csv(path)
+    assert path.read_bytes() == (
+        b"x1,re_1,im_1,re_2,im_2\r\n"
+        b"1,1,0.10000000000000001,-0,-0.25\r\n"
+        b"2,2,0,-0,-0.5\r\n"
+        b"3,3,0,-0,-0.75\r\n"
+        b"4,4,0,-0,-1\r\n"
+        b"5,5,0,-0,-1.25\r\n"
+        b"6,6,0,-0,-1.5\r\n"
+        b"7,7,0,-0,-1.75\r\n"
+        b"8,8,0,-0,-2\r\n"
+    )
+
+
+def test_evolution_log_csv_bytes(tmp_path):
+    import math
+
+    from wavemetric.evolve import EvolutionLog
+
+    log = EvolutionLog(d=2, dt=0.1, steps=2, method="rk4", order=2,
+                       sampled_every=1, support_threshold=1e-3, ref_density=1.0)
+    log.append(0.0, 1.0, [(2.0, 7.0), (3.0, 6.0)], 1.0, 0.5)
+    log.append(0.1, 0.1 + 0.2, [(-0.0, 8.0), (1.0, 8.0)], 0.25, 1e-3)
+    log.append(0.2, 1.0, None, math.nan, 0.0)
+    path = tmp_path / "evolution.csv"
+    log.to_csv(path)
+    assert path.read_bytes() == (
+        b"t,energy,supp_lo_1,supp_hi_1,supp_lo_2,supp_hi_2,boundary_margin,max_abs\r\n"
+        b"0,1,2,7,3,6,1,0.5\r\n"
+        b"0.10000000000000001,0.30000000000000004,-0,8,1,8,0.25,0.001\r\n"
+        b"0.20000000000000001,1,nan,nan,nan,nan,nan,0\r\n"
+    )
