@@ -12,6 +12,15 @@ box approaches within four nodes of the edge are flagged
 Integrators: classic RK4 (default; tiny 5th-order-per-step energy drift) and
 implicit midpoint behind a flag (conserves the energy quadratic form to
 fixed-point tolerance, at the cost of an inner iteration).
+
+Every run goes through one driver: ``_evolution`` checks the method, the
+support threshold and the grid/order, plans the time step (before assembly,
+so the velocity samples behind the CFL step are freed first), builds the
+operator once and returns a generator of ``(i, t, values)``: the initial
+state, then the state after each step, raising ``InstabilityError`` on a
+non-finite one.  ``integrate`` records a log row every few steps of it and
+``arrival_time`` stops it once every probe is reached.  Nothing is cached
+between runs.
 """
 
 from __future__ import annotations
@@ -19,7 +28,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -91,17 +99,13 @@ def gaussian_state(grid: Grid, components, center, sigma: float, t: float = 0.0)
 
 # --- the discrete operator -------------------------------------------------
 
-def _central_diff(values: np.ndarray, axis: int, coeffs) -> np.ndarray:
-    """Antisymmetric central difference with zero exterior values."""
-    out = np.zeros_like(values)
-    for m, c in enumerate(coeffs, start=1):
-        fwd = [slice(None)] * values.ndim
-        bwd = [slice(None)] * values.ndim
-        fwd[axis] = slice(m, None)
-        bwd[axis] = slice(None, -m)
-        out[tuple(bwd)] += c * values[tuple(fwd)]
-        out[tuple(fwd)] -= c * values[tuple(bwd)]
-    return out
+def _stencil_pairs(d: int, axis: int, order: int):
+    """(lo, hi, c_m) per stencil offset m: lo selects nodes n, hi nodes n + m e_axis."""
+    everywhere = (slice(None),) * d
+    for m, c in enumerate(_DIFF_COEFFS[order], start=1):
+        lo = everywhere[:axis] + (slice(None, -m),) + everywhere[axis + 1:]
+        hi = everywhere[:axis] + (slice(m, None),) + everywhere[axis + 1:]
+        yield lo, hi, c
 
 
 def _check_grid(sys: CoefficientSystem, grid: Grid, order: int) -> None:
@@ -114,14 +118,6 @@ def _check_grid(sys: CoefficientSystem, grid: Grid, order: int) -> None:
         )
     if order not in _DIFF_COEFFS:
         raise ValueError(f"difference order must be one of {sorted(_DIFF_COEFFS)}")
-
-
-@lru_cache(maxsize=16)
-def _weight_samples(E_field, grid: Grid) -> np.ndarray:
-    """Cached E(x) samples on the grid; treat the result as read-only."""
-    out = E_field.on_grid(grid.axes)
-    out.setflags(write=False)
-    return out
 
 
 def _density(values: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -152,7 +148,7 @@ class DiscreteOperator:
         self.order = order
         d, k = grid.d, sys.k
 
-        self.E_samples = E = _weight_samples(sys.E, grid)
+        self.E_samples = E = sys.E.on_grid(grid.axes)
         if not E[..., ~np.eye(k, dtype=bool)].any():
             diag = np.real(np.einsum("...ii->...i", E))
             if not np.all(diag > 0):
@@ -178,9 +174,7 @@ class DiscreteOperator:
         for j, (A, h) in enumerate(zip(sys.A, grid.spacing)):
             a = A.mat if isinstance(A, ConstMatrixField) else A.on_grid(grid.axes)
             a = np.broadcast_to(a, grid.shape + (k, k))
-            for m, c in enumerate(_DIFF_COEFFS[order], start=1):
-                lo = everywhere[:j] + (slice(None, -m),) + everywhere[j + 1:]
-                hi = everywhere[:j] + (slice(m, None),) + everywhere[j + 1:]
+            for lo, hi, c in _stencil_pairs(d, j, order):
                 a_sum = a[lo] + a[hi]
                 scale = -0.5j * (c / h)
                 add_block(lo, hi, a_sum, scale)
@@ -203,20 +197,14 @@ class DiscreteOperator:
         return _density(values, self.E_samples)
 
 
-@lru_cache(maxsize=8)
-def _get_operator(sys: CoefficientSystem, grid: Grid, order: int) -> DiscreteOperator:
-    return DiscreteOperator(sys, grid, order)
-
-
 def apply_operator(sys: CoefficientSystem, state: WaveState, order: int = 2) -> np.ndarray:
     """Discrete weighted operator applied to the state; same shape as values."""
-    op = _get_operator(sys, state.grid, order)
-    return op.apply(state.values)
+    return DiscreteOperator(sys, state.grid, order).apply(state.values)
 
 
 def energy(sys: CoefficientSystem, state: WaveState) -> float:
     """Trapezoid quadrature of the energy density <psi, E psi> over the grid."""
-    dens = _density(state.values, _weight_samples(sys.E, state.grid))
+    dens = _density(state.values, sys.E.on_grid(state.grid.axes))
     return float((state.grid.trapezoid_weights() * dens).sum())
 
 
@@ -236,18 +224,23 @@ def cfl_dt(sys: CoefficientSystem, grid: Grid, cfl: float) -> float:
 
 # --- support tracking ------------------------------------------------------
 
-def _support_extent(density: np.ndarray, cutoff: float):
-    """Per-axis (lo, hi) node-index extents of {density >= cutoff}, or None."""
-    mask = density >= cutoff
+def _support_extent(grid: Grid, density: np.ndarray, ref: float, threshold: float):
+    """(extent, box) of {density >= threshold^2 ref}, or None.
+
+    extent holds the per-axis (lo, hi) node indices, box the matching node
+    coordinates.
+    """
+    if ref <= 0.0:
+        return None
+    mask = density >= threshold**2 * ref
     if not mask.any():
         return None
-    out = []
+    extent = []
     for axis in range(mask.ndim):
         other = tuple(i for i in range(mask.ndim) if i != axis)
-        line = mask.any(axis=other) if other else mask
-        idx = np.flatnonzero(line)
-        out.append((int(idx[0]), int(idx[-1])))
-    return out
+        idx = np.flatnonzero(mask.any(axis=other) if other else mask)
+        extent.append((int(idx[0]), int(idx[-1])))
+    return extent, [(float(ax[lo]), float(ax[hi])) for ax, (lo, hi) in zip(grid.axes, extent)]
 
 
 def support_box(sys: CoefficientSystem, state: WaveState, threshold: float = DEFAULT_SUPPORT_THRESHOLD,
@@ -261,17 +254,10 @@ def support_box(sys: CoefficientSystem, state: WaveState, threshold: float = DEF
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"support threshold must be in (0, 1), got {threshold}")
-    dens = _density(state.values, _weight_samples(sys.E, state.grid))
+    dens = _density(state.values, sys.E.on_grid(state.grid.axes))
     ref = float(dens.max()) if ref_density is None else float(ref_density)
-    if ref <= 0.0:
-        return None
-    extent = _support_extent(dens, threshold**2 * ref)
-    if extent is None:
-        return None
-    return [
-        (float(ax[lo]), float(ax[hi]))
-        for ax, (lo, hi) in zip(state.grid.axes, extent)
-    ]
+    found = _support_extent(state.grid, dens, ref, threshold)
+    return None if found is None else found[1]
 
 
 def _node_margin(extent, shape) -> int:
@@ -360,15 +346,40 @@ def _midpoint_step(op: DiscreteOperator, values: np.ndarray, dt: float) -> np.nd
 _STEPPERS = {"rk4": _rk4_step, "midpoint": _midpoint_step}
 
 
-def _plan_steps(sys, grid, T, cfl, dt):
+def _evolution(sys, state0, T, cfl, threshold, method, order, dt):
+    """Check, plan and assemble one run; returns (op, dt, steps, states).
+
+    states yields (i, t, values): the initial state (i = 0), then the state
+    after each of the steps, raising InstabilityError on a non-finite one.
+    """
+    if method not in _STEPPERS:
+        raise ValueError(f"method must be one of {sorted(_STEPPERS)}")
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"support threshold must be in (0, 1), got {threshold}")
+    _check_grid(sys, state0.grid, order)
+    # plan first: the velocity samples behind the CFL step are freed before assembly
     if not T > 0:
         raise ValueError("final time must be positive")
     if dt is None:
-        dt = cfl_dt(sys, grid, cfl)
+        dt = cfl_dt(sys, state0.grid, cfl)
     elif not dt > 0:
         raise ValueError("dt must be positive")
     steps = max(1, int(math.ceil(T / dt - 1e-12)))
-    return T / steps, steps
+    dt = T / steps
+    op = DiscreteOperator(sys, state0.grid, order)
+
+    def states():
+        step_fn = _STEPPERS[method]
+        values = state0.values
+        yield 0, state0.t, values
+        for i in range(1, steps + 1):
+            values = step_fn(op, values, dt)
+            t = state0.t + i * dt
+            if not np.all(np.isfinite(values)):
+                raise InstabilityError(i, t, f"retry with a smaller cfl, e.g. {0.5 * cfl:g}")
+            yield i, t, values
+
+    return op, dt, steps, states()
 
 
 def integrate(sys: CoefficientSystem, state0: WaveState, T: float, cfl: float = 0.4,
@@ -381,43 +392,32 @@ def integrate(sys: CoefficientSystem, state0: WaveState, T: float, cfl: float = 
     support box comes within four nodes of the grid edge is flagged
     boundary-contaminated: zero exterior values then act as a hard wall.
     """
-    if method not in _STEPPERS:
-        raise ValueError(f"method must be one of {sorted(_STEPPERS)}")
-    if not 0.0 < support_threshold < 1.0:
-        raise ValueError(f"support threshold must be in (0, 1), got {support_threshold}")
-    _check_grid(sys, state0.grid, order)
-    # plan first: the velocity samples behind the CFL step are freed before assembly
-    dt, steps = _plan_steps(sys, state0.grid, T, cfl, dt)
-    op = _get_operator(sys, state0.grid, order)
+    grid = state0.grid
+    op, dt, steps, states = _evolution(sys, state0, T, cfl, support_threshold,
+                                       method, order, dt)
     stride = max(1, steps // LOG_ROWS) if log_every is None else max(1, int(log_every))
-    step_fn = _STEPPERS[method]
-    weights = state0.grid.trapezoid_weights()
-    shape = state0.grid.shape
-
-    dens = op.density(state0.values)
-    ref = float(dens.max())
-    log = EvolutionLog(
-        d=state0.grid.d, dt=dt, steps=steps, method=method, order=order,
-        sampled_every=stride, support_threshold=support_threshold, ref_density=ref,
-    )
-
-    def record(t, values, dens, initial=False):
+    weights = grid.trapezoid_weights()
+    for i, t, values in states:
+        if i % stride and i != steps:
+            continue
+        dens = op.density(values)
+        if i == 0:
+            log = EvolutionLog(
+                d=grid.d, dt=dt, steps=steps, method=method, order=order,
+                sampled_every=stride, support_threshold=support_threshold,
+                ref_density=float(dens.max()),
+            )
         en = float((weights * dens).sum())
-        extent = (
-            _support_extent(dens, support_threshold**2 * ref) if ref > 0 else None
-        )
-        if extent is None:
-            log.append(t, en, None, math.nan, np.abs(values).max(initial=0.0))
-            return
-        box = [
-            (float(ax[lo]), float(ax[hi]))
-            for ax, (lo, hi) in zip(state0.grid.axes, extent)
-        ]
-        margin = _physical_margin(extent, state0.grid)
-        log.append(t, en, box, margin, np.abs(values).max(initial=0.0))
-        if _node_margin(extent, shape) < EDGE_MARGIN_NODES and not log.contaminated:
+        peak = np.abs(values).max(initial=0.0)
+        found = _support_extent(grid, dens, log.ref_density, support_threshold)
+        if found is None:
+            log.append(t, en, None, math.nan, peak)
+            continue
+        extent, box = found
+        log.append(t, en, box, _physical_margin(extent, grid), peak)
+        if _node_margin(extent, grid.shape) < EDGE_MARGIN_NODES and not log.contaminated:
             log.contaminated = True
-            if initial:
+            if i == 0:
                 warnings.warn(
                     f"initial support is within {EDGE_MARGIN_NODES} nodes of "
                     "the grid edge; boundary truncation may contaminate the run"
@@ -427,21 +427,7 @@ def integrate(sys: CoefficientSystem, state0: WaveState, T: float, cfl: float = 
                     f"support box within {EDGE_MARGIN_NODES} nodes of the grid "
                     f"edge at t={t:.6g}; run flagged boundary-contaminated"
                 )
-
-    record(state0.t, state0.values, dens, initial=True)
-
-    values = state0.values
-    t = state0.t
-    for i in range(1, steps + 1):
-        values = step_fn(op, values, dt)
-        t = state0.t + i * dt
-        if not np.all(np.isfinite(values)):
-            raise InstabilityError(
-                i, t, f"retry with a smaller cfl, e.g. {0.5 * cfl:g}"
-            )
-        if i % stride == 0 or i == steps:
-            record(t, values, op.density(values))
-    return WaveState(state0.grid, values, t), log
+    return WaveState(grid, values, t), log
 
 
 def arrival_time(sys: CoefficientSystem, state0: WaveState, T: float, probes,
@@ -450,49 +436,30 @@ def arrival_time(sys: CoefficientSystem, state0: WaveState, T: float, probes,
     """First time each probe node's energy density exceeds the threshold cut.
 
     Probes are node index tuples; the cut is threshold^2 times the initial
-    peak density, matching the support-box convention.  Entries stay +inf for
-    probes never reached by time T.
+    peak density, matching the support-box convention.  Probes reached at the
+    start report ``state0.t``; entries stay +inf for probes never reached by
+    time T.
     """
-    if method not in _STEPPERS:
-        raise ValueError(f"method must be one of {sorted(_STEPPERS)}")
+    grid = state0.grid
     probes = [tuple(int(i) for i in p) for p in probes]
     for p in probes:
-        if len(p) != state0.grid.d:
-            raise ValueError(f"probe {p} does not index a {state0.grid.d}-d grid")
-    _check_grid(sys, state0.grid, order)
-    # plan first: the velocity samples behind the CFL step are freed before assembly
-    dt, steps = _plan_steps(sys, state0.grid, T, cfl, dt)
-    op = _get_operator(sys, state0.grid, order)
-    step_fn = _STEPPERS[method]
-
-    ref = float(op.density(state0.values).max())
-    if ref <= 0.0:
-        return np.full(len(probes), math.inf)
-    cutoff = threshold**2 * ref
-    E_at = [op.E_samples[p] for p in probes]
-
-    def probe_density(values, i):
-        psi = values[probes[i]]
-        return float(np.real(np.conj(psi) @ (E_at[i] @ psi)))
-
+        if len(p) != grid.d:
+            raise ValueError(f"probe {p} does not index a {grid.d}-d grid")
+        if not all(0 <= i < n for i, n in zip(p, grid.shape)):
+            raise ValueError(f"probe {p} lies outside the grid of shape {grid.shape}")
+    op, _, _, states = _evolution(sys, state0, T, cfl, threshold, method, order, dt)
+    at = tuple(np.array(probes, dtype=np.intp).reshape(len(probes), grid.d).T)
+    E_at = op.E_samples[at]
     out = np.full(len(probes), math.inf)
-    for i in range(len(probes)):
-        if probe_density(state0.values, i) >= cutoff:
-            out[i] = 0.0
-    values = state0.values
-    for step in range(1, steps + 1):
-        if np.all(np.isfinite(out)):
+    for i, t, values in states:
+        if i == 0:
+            ref = float(op.density(values).max())
+            if ref <= 0.0:
+                break
+            cutoff = threshold**2 * ref
+        out[np.isinf(out) & (_density(values[at], E_at) >= cutoff)] = t
+        if not np.isinf(out).any():
             break
-        values = step_fn(op, values, dt)
-        if not np.all(np.isfinite(values)):
-            raise InstabilityError(
-                step, state0.t + step * dt,
-                f"retry with a smaller cfl, e.g. {0.5 * cfl:g}",
-            )
-        t = state0.t + step * dt
-        for i in range(len(probes)):
-            if math.isinf(out[i]) and probe_density(values, i) >= cutoff:
-                out[i] = t
     return out
 
 
@@ -510,6 +477,11 @@ def component_divergence(state: WaveState, components, order: int = 2) -> np.nda
         )
     out = np.zeros(state.grid.shape, dtype=np.complex128)
     for j, c in enumerate(components):
-        coeffs = [w / state.grid.spacing[j] for w in _DIFF_COEFFS[order]]
-        out += _central_diff(state.values[..., c], j, coeffs)
+        v = state.values[..., c]
+        dv = np.zeros(state.grid.shape, dtype=np.complex128)
+        for lo, hi, w in _stencil_pairs(state.grid.d, j, order):
+            cm = w / state.grid.spacing[j]
+            dv[lo] += cm * v[hi]
+            dv[hi] -= cm * v[lo]
+        out += dv
     return out

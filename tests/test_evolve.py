@@ -1,16 +1,31 @@
+import gc
 import math
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import wavemetric as wm
 from wavemetric import evolve as ev
 from wavemetric.errors import InstabilityError, ValidationError
-from wavemetric.evolve import _central_diff
+
+
+def _central_diff(values: np.ndarray, axis: int, coeffs) -> np.ndarray:
+    """Antisymmetric central difference with zero exterior values."""
+    out = np.zeros_like(values)
+    for m, c in enumerate(coeffs, start=1):
+        fwd = [slice(None)] * values.ndim
+        bwd = [slice(None)] * values.ndim
+        fwd[axis] = slice(m, None)
+        bwd[axis] = slice(None, -m)
+        out[tuple(bwd)] += c * values[tuple(fwd)]
+        out[tuple(fwd)] -= c * values[tuple(bwd)]
+    return out
 
 
 def unit_telegraph():
@@ -152,6 +167,33 @@ def test_operator_matches_reference_formula(case, order):
     got = ev.DiscreteOperator(sysm, grid, order).apply(psi)
     want = reference_apply(sysm, grid, order, psi)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_weighted_operator_is_hermitian(case, order):
+    # blockdiag(E) Op = -(i/2) sum_j (A^j D_j + D_j A^j) + V, boundary rows included
+    sysm, shape = REFERENCE_CASES[case]
+    grid = wm.Grid(sysm.domain, shape)
+    op = ev.DiscreteOperator(sysm, grid, order)
+    E = np.broadcast_to(sysm.E.on_grid(grid.axes), shape + (sysm.k, sysm.k))
+    H = sparse.block_diag(E.reshape(-1, sysm.k, sysm.k), format="csr") @ op.matrix
+    assert abs(H - H.conj().T).max() <= 1e-13 * abs(H).max()
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_component_divergence_matches_oracle(order):
+    sysm = wm.maxwell_isotropic("1", "1", domain=_box(3))
+    grid = wm.Grid(sysm.domain, (8, 9, 10))
+    rng = np.random.default_rng(41)
+    psi = rng.standard_normal((8, 9, 10, 6)) + 1j * rng.standard_normal((8, 9, 10, 6))
+    for comps in ([0, 1, 2], [5, 3, 4]):
+        want = sum(
+            _central_diff(psi[..., c], j, [w / grid.spacing[j] for w in ev._DIFF_COEFFS[order]])
+            for j, c in enumerate(comps)
+        )
+        got = ev.component_divergence(ev.WaveState(grid, psi), comps, order=order)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_import_and_apply_without_numba():
@@ -417,6 +459,55 @@ def test_arrival_times():
     assert arr[0] == 0.0
     assert 0.185 <= arr[1] <= 0.2  # front leads the center by the tail halfwidth
     assert math.isinf(arr[2])
+
+
+def test_arrival_rejects_probes_outside_the_grid():
+    sysm = unit_telegraph()
+    grid = wm.Grid(sysm.domain, (256,))
+    pulse = ev.gaussian_state(grid, [1.0, 0.0], [0.5], 0.05)
+    for probe in [(-1,), (999,)]:
+        with pytest.raises(ValueError, match=rf"probe \({probe[0]},\).*shape \(256,\)"):
+            ev.arrival_time(sysm, pulse, 0.1, [(128,), probe])
+
+
+def test_arrival_rejects_bad_threshold():
+    sysm = unit_telegraph()
+    grid = wm.Grid(sysm.domain, (64,))
+    pulse = ev.gaussian_state(grid, [1.0, 0.0], [0.5], 0.05)
+    for threshold in (0.0, 2.0):
+        with pytest.raises(ValueError, match=r"support threshold must be in \(0, 1\)"):
+            ev.arrival_time(sysm, pulse, 0.1, [(32,)], threshold=threshold)
+
+
+def test_arrival_reports_start_time_for_probes_reached_at_start():
+    sysm = unit_telegraph()
+    grid = wm.Grid(sysm.domain, (255,))
+    pulse = ev.gaussian_state(grid, [1.0, 0.0], [0.5], 0.05, t=1.0)
+    arr = ev.arrival_time(sysm, pulse, 0.2, [grid.nearest_node([0.5]), grid.nearest_node([0.9])])
+    assert arr[0] == 1.0
+    assert 1.05 < arr[1] < 1.15  # the front reaches 0.9 at about t0 + 0.4 - 0.30
+
+
+@pytest.mark.parametrize("run", [
+    lambda sysm, pulse: ev.integrate(sysm, pulse, 0.05),
+    lambda sysm, pulse: ev.arrival_time(sysm, pulse, 0.05, [(32,), (40,)]),
+    lambda sysm, pulse: ev.apply_operator(sysm, pulse),
+], ids=["integrate", "arrival_time", "apply_operator"])
+def test_no_operator_outlives_its_run(monkeypatch, run):
+    refs = []
+    init = ev.DiscreteOperator.__init__
+
+    def tracked(self, *args, **kwargs):
+        refs.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ev.DiscreteOperator, "__init__", tracked)
+    sysm = unit_telegraph()
+    grid = wm.Grid(sysm.domain, (64,))
+    run(sysm, ev.gaussian_state(grid, [1.0, 0.0], [0.5], 0.05))
+    gc.collect()
+    assert len(refs) == 1
+    assert refs[0]() is None
 
 
 def test_arrival_never_earlier_than_eikonal_bound():
