@@ -56,6 +56,7 @@ from .systems import (
     CoefficientSystem,
     ConstMatrixField,
     ExprMatrixField,
+    canonicalize,
     dirac_free,
     elastic,
     elastic_isotropic,
@@ -461,12 +462,13 @@ def _probe_point(scn: Scenario) -> np.ndarray:
 
 def _axis_speed(sys: CoefficientSystem, criterion: str):
     """Scalar speed profile along the (1-D) axis per the criterion flag."""
+    can = canonicalize(sys)
     if criterion == "velocity":
         def s(x: float) -> float:
-            return math.sqrt(max(float(velocity_matrix(sys, [x])[0, 0]), 0.0))
+            return math.sqrt(max(float(velocity_matrix(can, [x])[0, 0]), 0.0))
     else:
         def s(x: float) -> float:
-            return char_speed(sys, [x], [1.0])
+            return char_speed(can, [x], [1.0])
     return s
 
 

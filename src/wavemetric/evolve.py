@@ -116,6 +116,10 @@ def _check_grid(sys: CoefficientSystem, grid: Grid, order: int) -> None:
             "evolution requires an interior grid (Grid(..., interior=True)); "
             "closure grids place nodes on the window edge"
         )
+    _check_order(order)
+
+
+def _check_order(order: int) -> None:
     if order not in _DIFF_COEFFS:
         raise ValueError(f"difference order must be one of {sorted(_DIFF_COEFFS)}")
 
@@ -470,11 +474,17 @@ def component_divergence(state: WaveState, components, order: int = 2) -> np.nda
     electromagnetic state): built from the same antisymmetric differences as
     the evolution operator, so divergence-free data stays divergence-free.
     """
+    _check_order(order)
     components = [int(c) for c in components]
     if len(components) != state.grid.d:
         raise ValueError(
             f"need one component per axis ({state.grid.d}), got {len(components)}"
         )
+    for c in components:
+        if not 0 <= c < state.k:
+            raise ValueError(
+                f"component {c} is outside 0..{state.k - 1} for a {state.k}-component state"
+            )
     out = np.zeros(state.grid.shape, dtype=np.complex128)
     for j, c in enumerate(components):
         v = state.values[..., c]

@@ -3,16 +3,20 @@
 A system is the data (Omega, k, E, A^1..A^d, V): an open box domain (possibly
 unbounded, possibly with an excluded ball), a state dimension, an SPD weight
 matrix field E, Hermitian coefficient fields A^j, and a Hermitian zero-order
-field V.  Matrix fields evaluate pointwise and on tensor grids; entries are
-either constants or expressions in the coordinates x, y, z.
+field V.  Entries are either constants or expressions in the coordinates
+x, y, z.  Each matrix field has one batched evaluator, ``sample(coords)``;
+points and tensor grids both go through it and agree bit for bit.
 
 The canonical transform re-expresses a system with weight E in an equivalent
 E = identity form: the state is multiplied pointwise by E^{1/2}, the first
 order coefficients become E^{-1/2} A^j E^{-1/2}, and a zero-order Hermitian
-term built from the gradient of E^{-1/2} appears.  Gradients come from an
-analytic evaluator when supplied, otherwise from central finite differences
-with step 1e-5 (scaled by axis extent), shrunk with a warning near the
-boundary.
+term built from the gradient of E^{-1/2} appears.  E^{-1/2} comes from one
+batched eigendecomposition; a sample that is not Hermitian positive definite
+raises the positioned error ``spd_inv_sqrt`` gives at that point.  Gradients
+come from an analytic evaluator when supplied, otherwise from central finite
+differences with step 1e-5 (scaled by axis extent), shrunk per sample near a
+bounded side with one warning per evaluation; a sample on or outside the
+boundary raises ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import dsl
 from .errors import MatrixError, ValidationError
-from .matkernel import HermitianMatrix, at_point, spd_inv_sqrt
+from .matkernel import HERMITIAN_RTOL, SINGULAR_RTOL, HermitianMatrix, at_point, spd_inv_sqrt
 from .sampling import halton_unit
 
 __all__ = [
@@ -156,25 +160,42 @@ class BoxDomain:
 
 # --- matrix fields ---------------------------------------------------------
 
+def _shape(coords) -> tuple[int, ...]:
+    return np.broadcast_shapes(*(np.shape(c) for c in coords))
+
+
+def _point_at(coords, mask: np.ndarray) -> np.ndarray:
+    """Coordinates of the first sample (C order) where the mask holds."""
+    mask = np.broadcast_to(mask, _shape(coords))
+    idx = np.unravel_index(int(np.argmax(mask)), mask.shape)
+    return np.array([np.broadcast_to(c, mask.shape)[idx] for c in coords])
+
+
 class MatrixField:
-    """Base: a k-by-k matrix-valued function of position."""
+    """Base: a k-by-k matrix-valued function of position.
+
+    Every field has one evaluator, ``sample(coords)``: it takes one coordinate
+    array per axis, the arrays broadcasting together (scalars for one point, a
+    sparse meshgrid for a tensor grid), and returns an array that broadcasts
+    to their shape + (k, k).  ``__call__`` (one point) and ``on_grid`` (a
+    tensor grid) are thin wrappers on it, so a point and a grid node get the
+    same arithmetic and agree bit for bit.
+    """
 
     k: int
 
-    def __call__(self, x) -> np.ndarray:
+    def sample(self, coords: tuple) -> np.ndarray:
         raise NotImplementedError
 
+    def __call__(self, x) -> np.ndarray:
+        """The matrix at one point."""
+        return self.sample(tuple(np.atleast_1d(np.asarray(x, dtype=float))))
+
     def on_grid(self, axes: tuple[np.ndarray, ...]) -> np.ndarray:
-        """Evaluate on a tensor grid; default is a pointwise loop."""
-        shape = tuple(len(ax) for ax in axes)
-        probe = self(np.array([ax[0] for ax in axes]))
-        out = np.empty(shape + (self.k, self.k), dtype=probe.dtype)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        coords = np.stack([m.ravel() for m in mesh], axis=-1)
-        flat = out.reshape(-1, self.k, self.k)
-        for i, x in enumerate(coords):
-            flat[i] = self(x)
-        return out
+        """The matrices on the tensor grid of the axes, shape grid + (k, k)."""
+        full = tuple(len(ax) for ax in axes) + (self.k, self.k)
+        out = self.sample(tuple(np.meshgrid(*axes, indexing="ij", sparse=True)))
+        return out if out.shape == full else np.broadcast_to(out, full).copy()
 
 
 class ConstMatrixField(MatrixField):
@@ -187,12 +208,8 @@ class ConstMatrixField(MatrixField):
         self.mat.setflags(write=False)
         self.k = mat.shape[0]
 
-    def __call__(self, x) -> np.ndarray:
+    def sample(self, coords) -> np.ndarray:
         return self.mat
-
-    def on_grid(self, axes) -> np.ndarray:
-        shape = tuple(len(ax) for ax in axes)
-        return np.broadcast_to(self.mat, shape + (self.k, self.k)).copy()
 
     @property
     def is_identity(self) -> bool:
@@ -232,55 +249,57 @@ class ExprMatrixField(MatrixField):
             self.sources.append(srow)
         self.dtype = np.complex128 if complex_const else np.float64
 
-    def __call__(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty((self.k, self.k), dtype=self.dtype)
+    def sample(self, coords) -> np.ndarray:
+        out = np.empty(_shape(coords) + (self.k, self.k), dtype=self.dtype)
         for i in range(self.k):
             for j in range(self.k):
                 cell = self.entries[i][j]
                 if isinstance(cell, dsl.Expr):
-                    out[i, j] = dsl.eval_expr(cell, x, source=self.sources[i][j])
-                else:
-                    out[i, j] = cell
-        return out
-
-    def on_grid(self, axes) -> np.ndarray:
-        shape = tuple(len(ax) for ax in axes)
-        mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-        env = dict(zip(dsl.VARIABLES, mesh))
-        out = np.zeros(shape + (self.k, self.k), dtype=self.dtype)
-        for i in range(self.k):
-            for j in range(self.k):
-                cell = self.entries[i][j]
-                if isinstance(cell, dsl.Expr):
-                    val = dsl.eval_expr(cell, env, source=self.sources[i][j])
-                    out[..., i, j] = np.broadcast_to(val, shape)
-                else:
-                    out[..., i, j] = cell
+                    cell = dsl.eval_expr(cell, coords, source=self.sources[i][j])
+                out[..., i, j] = cell
         return out
 
 
 class FuncMatrixField(MatrixField):
-    """Wraps an arbitrary callable point -> matrix (pointwise evaluation only)."""
+    """Wraps an arbitrary callable point -> matrix.
+
+    The callable sees one point at a time, so ``sample`` loops over the
+    points; it is the only field that does.
+    """
 
     def __init__(self, fn, k: int):
         self.fn = fn
         self.k = int(k)
 
-    def __call__(self, x) -> np.ndarray:
-        out = np.asarray(self.fn(np.asarray(x, dtype=float)))
-        if out.shape != (self.k, self.k):
-            raise MatrixError(f"field callable returned shape {out.shape}, wanted {(self.k, self.k)}")
-        return out
+    def sample(self, coords) -> np.ndarray:
+        points = np.stack(np.broadcast_arrays(*coords), axis=-1)
+        mats = [np.asarray(self.fn(x)) for x in points.reshape(-1, len(coords))]
+        for out in mats:
+            if out.shape != (self.k, self.k):
+                raise MatrixError(
+                    f"field callable returned shape {out.shape}, wanted {(self.k, self.k)}"
+                )
+        return np.stack(mats).reshape(points.shape[:-1] + (self.k, self.k))
 
 
-def _batched_inv_sqrt(mats: np.ndarray, what: str) -> np.ndarray:
+def _inv_sqrt(E: MatrixField, coords) -> np.ndarray:
+    """E^{-1/2} at every sample.
+
+    A sample that is not Hermitian, not positive definite or numerically
+    singular raises the error ``spd_inv_sqrt`` gives for it at that point.
+    """
+    mats = E.sample(coords)
     w, u = np.linalg.eigh(mats)
-    if not np.all(np.isfinite(w)):
-        raise MatrixError(f"non-finite eigenvalues while inverting {what}")
-    floor = 1e-14 * np.maximum(w[..., -1], 1e-300)
-    if np.any(w[..., 0] < floor):
-        raise MatrixError(f"{what} is numerically singular on the grid")
+    bad = ~(w[..., 0] >= SINGULAR_RTOL * np.maximum(w[..., -1], 1e-300))
+    adjoint = mats.swapaxes(-1, -2).conj()
+    if (mats != adjoint).any():  # the norms matter only where E is not exactly Hermitian
+        scale = np.maximum(np.linalg.norm(mats, axis=(-2, -1)), 1e-300)
+        bad |= np.linalg.norm(mats - adjoint, axis=(-2, -1)) > HERMITIAN_RTOL * scale
+    if bad.any():
+        x = _point_at(coords, bad)
+        first = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        at_point(spd_inv_sqrt, mats[first], "E", x)
+        raise MatrixError(f"non-finite eigenvalues while inverting E (E at {x})")
     return np.einsum("...ij,...j,...kj->...ik", u, w**-0.5, u.conj())
 
 
@@ -293,28 +312,12 @@ class _ElasticWeightField(MatrixField):
         self.stiffness = stiffness
         self.k = 9
 
-    def _rho(self, x) -> float:
-        return dsl.eval_expr(self.rho_expr, np.atleast_1d(x), source=self.rho_source)
-
-    def __call__(self, x) -> np.ndarray:
-        C = self.stiffness(x)
-        out = np.zeros((9, 9))
-        out[:6, :6] = self._rho(x) * np.linalg.inv(C)
-        out[6:, 6:] = np.eye(3)
-        return out
-
-    def on_grid(self, axes) -> np.ndarray:
-        shape = tuple(len(ax) for ax in axes)
-        Cg = self.stiffness.on_grid(axes)
-        mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-        rho = np.broadcast_to(
-            dsl.eval_expr(self.rho_expr, dict(zip(dsl.VARIABLES, mesh)), source=self.rho_source),
-            shape,
-        )
-        out = np.zeros(shape + (9, 9))
-        out[..., :6, :6] = rho[..., None, None] * np.linalg.inv(Cg)
-        for i in range(3):
-            out[..., 6 + i, 6 + i] = 1.0
+    def sample(self, coords) -> np.ndarray:
+        C = self.stiffness.sample(coords)
+        rho = np.asarray(dsl.eval_expr(self.rho_expr, coords, source=self.rho_source))
+        out = np.zeros(_shape(coords) + (9, 9))
+        out[..., :6, :6] = rho[..., None, None] * np.linalg.inv(C)
+        out[..., 6:, 6:] = np.eye(3)
         return out
 
 
@@ -326,61 +329,10 @@ class _CanonicalAField(MatrixField):
         self.A = A
         self.k = A.k
 
-    def __call__(self, x) -> np.ndarray:
-        R = at_point(spd_inv_sqrt, self.E(x), "E", x)
-        out = R @ self.A(x) @ R
-        return 0.5 * (out + out.conj().T)
-
-    def on_grid(self, axes) -> np.ndarray:
-        R = _batched_inv_sqrt(self.E.on_grid(axes), "E")
-        A = self.A.on_grid(axes)
-        out = R @ A @ R
-        return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
-
-
-def _fd_steps(domain: BoxDomain) -> np.ndarray:
-    steps = np.empty(domain.d)
-    for j in range(domain.d):
-        ext = domain.extent(j)
-        steps[j] = FD_STEP_BASE * max(1.0, ext if math.isfinite(ext) else 1.0)
-    return steps
-
-
-def _inv_sqrt_gradients(E: MatrixField, domain: BoxDomain, E_grad, x) -> list[np.ndarray]:
-    """d/dx_j of E^{-1/2} at a point, analytic when available, else central FD."""
-    x = np.asarray(x, dtype=float)
-    if E_grad is not None:
-        return [np.asarray(g(x)) for g in E_grad]
-    steps = _fd_steps(domain)
-    grads = []
-    for j in range(domain.d):
-        h = steps[j]
-        room = []
-        if not domain.unbounded_lower[j]:
-            room.append(x[j] - domain.lower[j])
-        if not domain.unbounded_upper[j]:
-            room.append(domain.upper[j] - x[j])
-        margin = min(room) if room else math.inf
-        if h >= margin:
-            h = 0.5 * margin
-            warnings.warn(
-                f"finite-difference step shrunk to {h:.3e} near the boundary "
-                f"(axis {j}, point {x})",
-                stacklevel=3,
-            )
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        Rp = at_point(spd_inv_sqrt, E(xp), "E", xp)
-        Rm = at_point(spd_inv_sqrt, E(xm), "E", xm)
-        grads.append((Rp - Rm) / (2.0 * h))
-    return grads
-
-
-def _trim_complex(mat: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(mat) and not np.any(mat.imag):
-        return mat.real.copy()
-    return mat
+    def sample(self, coords) -> np.ndarray:
+        R = _inv_sqrt(self.E, coords)
+        out = R @ self.A.sample(coords) @ R
+        return 0.5 * (out + out.swapaxes(-1, -2).conj())
 
 
 class _CanonicalVField(MatrixField):
@@ -394,48 +346,51 @@ class _CanonicalVField(MatrixField):
         self.E_grad = E_grad
         self.k = V.k
 
-    def _v0_from(self, R, grads, A_vals) -> np.ndarray:
-        k = self.k
-        v0 = np.zeros((k, k), dtype=np.complex128)
-        for A, G in zip(A_vals, grads):
-            v0 += -0.5j * (R @ A @ G - G @ A @ R)
-        return v0
+    def _gradients(self, coords) -> list[np.ndarray]:
+        """d/dx_j of E^{-1/2}, analytic when available, else central differences.
 
-    def __call__(self, x) -> np.ndarray:
-        R = at_point(spd_inv_sqrt, self.E(x), "E", x)
-        grads = _inv_sqrt_gradients(self.E, self.domain, self.E_grad, x)
-        A_vals = [A(x) for A in self.A_fields]
-        out = self._v0_from(R, grads, A_vals) + R @ self.V(x) @ R
-        out = 0.5 * (out + out.conj().T)
-        return _trim_complex(out)
+        Where a bounded side is nearer than the step, the step becomes half
+        the room left; one warning names the smallest such step.
+        """
+        if self.E_grad is not None:
+            return [g.sample(coords) for g in self.E_grad]
+        dom, grads, shrunk = self.domain, [], []
+        for j, x in enumerate(coords):
+            ext = dom.extent(j)
+            step = FD_STEP_BASE * max(1.0, ext if math.isfinite(ext) else 1.0)
+            lo = -math.inf if dom.unbounded_lower[j] else dom.lower[j]
+            hi = math.inf if dom.unbounded_upper[j] else dom.upper[j]
+            room = np.minimum(x - lo, hi - x)
+            if not np.all(room > 0):
+                raise ValidationError(
+                    f"no room for a finite-difference step at point "
+                    f"{_point_at(coords, ~(room > 0))} (axis {j}): it is not inside the domain"
+                )
+            h = np.where(step >= room, 0.5 * room, step)
+            if step >= np.min(room):
+                shrunk.append((h.min(), j, _point_at(coords, h == h.min())))
+            plus, minus = list(coords), list(coords)
+            plus[j], minus[j] = x + h, x - h
+            diff = _inv_sqrt(self.E, tuple(plus)) - _inv_sqrt(self.E, tuple(minus))
+            grads.append(diff / (2.0 * h)[..., None, None])
+        if shrunk:
+            h, j, x = min(shrunk, key=lambda item: item[0])
+            warnings.warn(
+                f"finite-difference step shrunk to {h:.3e} near the boundary "
+                f"(axis {j}, point {x})",
+                stacklevel=4,
+            )
+        return grads
 
-    def on_grid(self, axes) -> np.ndarray:
-        steps = _fd_steps(self.domain)
-        margins = [
-            min(ax[0] - lo, hi - ax[-1])
-            for ax, lo, hi in zip(axes, self.domain.lower, self.domain.upper)
-        ]
-        if self.E_grad is None and any(h >= m for h, m in zip(steps, margins)):
-            return super().on_grid(axes)  # per-point fallback handles shrinking
-        R = _batched_inv_sqrt(self.E.on_grid(axes), "E")
-        shape = R.shape[:-2]
-        out = np.zeros(shape + (self.k, self.k), dtype=np.complex128)
-        for j, A in enumerate(self.A_fields):
-            if self.E_grad is not None:
-                G = self.E_grad[j].on_grid(axes)
-            else:
-                h = steps[j]
-                ax_p = list(axes)
-                ax_m = list(axes)
-                ax_p[j] = axes[j] + h
-                ax_m[j] = axes[j] - h
-                G = (_batched_inv_sqrt(self.E.on_grid(tuple(ax_p)), "E")
-                     - _batched_inv_sqrt(self.E.on_grid(tuple(ax_m)), "E")) / (2.0 * h)
-            Aj = A.on_grid(axes)
+    def sample(self, coords) -> np.ndarray:
+        R = _inv_sqrt(self.E, coords)
+        out = np.zeros(_shape(coords) + (self.k, self.k), dtype=np.complex128)
+        for A, G in zip(self.A_fields, self._gradients(coords)):
+            Aj = A.sample(coords)
             out += -0.5j * (R @ Aj @ G - G @ Aj @ R)
-        out += R @ self.V.on_grid(axes) @ R
-        out = 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
-        return _trim_complex(out)
+        out += R @ self.V.sample(coords) @ R
+        out = 0.5 * (out + out.swapaxes(-1, -2).conj())
+        return out if out.imag.any() else out.real.copy()
 
 
 # --- the system ------------------------------------------------------------
@@ -660,10 +615,6 @@ def _parse_scalar(src) -> tuple[dsl.Expr, str]:
     return dsl.parse(src), src
 
 
-def _expr_grid(expr_rows) -> list[list]:
-    return [[cell for cell in row] for row in expr_rows]
-
-
 def _positivity_probe(domain, name, exprs_with_src, count=8):
     """Cheap construction-time check that scalar coefficients are positive."""
     pts = _sample_points(domain, count)
@@ -680,6 +631,12 @@ def _spd_probe(domain, name, fld: MatrixField, count=8):
     pts = _sample_points(domain, count)
     for x in pts:
         m = fld(x)
+        defect, (i, j) = _herm_defect(m)
+        if defect > HERMITIAN_RTOL:
+            raise ValidationError(
+                f"{name} must be Hermitian: entries ({i},{j}) and ({j},{i}) differ "
+                f"by {defect:.3e} relative at sampled point {x}"
+            )
         w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
         if w[0] <= 0:
             raise ValidationError(
@@ -771,7 +728,7 @@ def maxwell_isotropic(eps="1", mu="1", domain: BoxDomain | None = None) -> Coeff
 
 
 def maxwell_anisotropic(eps, mu, domain: BoxDomain | None = None) -> CoefficientSystem:
-    """eps and mu are 3x3 tables of expressions/constants (must be symmetric)."""
+    """eps and mu are symmetric 3x3 tables of expressions/constants (checked when built)."""
     domain = domain or BoxDomain((0.0,) * 3, (1.0,) * 3)
     eps_field = [[_parse_scalar(c)[0] for c in row] for row in eps]
     mu_field = [[_parse_scalar(c)[0] for c in row] for row in mu]

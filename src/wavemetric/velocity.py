@@ -65,23 +65,22 @@ def _check_inside(sys: CoefficientSystem, x) -> np.ndarray:
     return x
 
 
-def _canonical_coeffs(can: CoefficientSystem, x) -> list[np.ndarray]:
-    return [A(x) for A in can.A]
+def _traces(B: list[np.ndarray]) -> np.ndarray:
+    """Tr(B^j B^l) over the trailing (k, k) axes: shape S + (d, d) for samples S + (k, k)."""
+    d = len(B)
+    M = np.empty(np.broadcast_shapes(*(b.shape[:-2] for b in B)) + (d, d))
+    for j in range(d):
+        for l in range(j, d):
+            t = np.einsum("...ab,...ba->...", B[j], B[l]).real
+            M[..., j, l] = t
+            M[..., l, j] = t
+    return M
 
 
 def velocity_matrix(sys: CoefficientSystem, x) -> np.ndarray:
     """The d-by-d matrix of traces Tr(B^j B^l) of canonical coefficients."""
     x = _check_inside(sys, x)
-    can = canonicalize(sys)
-    B = _canonical_coeffs(can, x)
-    d = sys.d
-    M = np.empty((d, d))
-    for j in range(d):
-        for l in range(j, d):
-            t = float(np.trace(B[j] @ B[l]).real)
-            M[j, l] = t
-            M[l, j] = t
-    return M
+    return _traces([A(x) for A in canonicalize(sys).A])
 
 
 def _structured_maxwell(sys: CoefficientSystem, x) -> np.ndarray:
@@ -154,8 +153,7 @@ def char_speed(sys: CoefficientSystem, x, n) -> float:
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
     n = n / norm
-    can = canonicalize(sys)
-    B = _canonical_coeffs(can, x)
+    B = [A(x) for A in canonicalize(sys).A]
     sym = sum(c * b for c, b in zip(n, B))
     return op_norm(sym)
 
@@ -176,14 +174,13 @@ def chernoff_c(sys: CoefficientSystem, x) -> SpeedBracket:
     per-axis coefficient-norm maximum.
     """
     x = _check_inside(sys, x)
-    can = canonicalize(sys)
-    B = _canonical_coeffs(can, x)
+    B = [A(x) for A in canonicalize(sys).A]
     d = sys.d
     lower = 0.0
     for n in unit_directions(d):
         sym = sum(c * b for c, b in zip(n, B))
         lower = max(lower, op_norm(sym))
-    M = velocity_matrix(can, x)
+    M = _traces(B)
     lam_max = float(np.linalg.eigvalsh(M)[-1])
     r = max(op_norm(b) for b in B)
     upper = min(math.sqrt(max(lam_max, 0.0)), math.sqrt(d) * r)
@@ -289,17 +286,7 @@ class VelocityField:
 
     @classmethod
     def from_system(cls, sys: CoefficientSystem, grid: Grid) -> "VelocityField":
-        can = canonicalize(sys)
-        axes = grid.axes
-        B = [A.on_grid(axes) for A in can.A]
-        d = grid.d
-        M = np.empty(grid.shape + (d, d))
-        for j in range(d):
-            for l in range(j, d):
-                t = np.einsum("...ab,...ba->...", B[j], B[l]).real
-                M[..., j, l] = t
-                M[..., l, j] = t
-        return cls(grid, M)
+        return cls(grid, _traces([A.on_grid(grid.axes) for A in canonicalize(sys).A]))
 
     @property
     def d(self) -> int:

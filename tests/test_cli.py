@@ -206,6 +206,18 @@ def test_bad_expression_reports_position(tmp_path, capsys):
     assert str(p) in err and "position" in err
 
 
+def test_asymmetric_permittivity_exits_2(tmp_path, capsys):
+    eps = [["1", "0.5", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    raw = family_scenario("maxwell_anisotropic", {"eps": eps, "mu": _EYE3}, 2)
+    raw["output"]["dir"] = str(tmp_path / "out")
+    p = write_scenario(tmp_path, raw)
+    assert cli.main(["analyze", str(p)]) == 2
+    assert capsys.readouterr().err == (
+        f"{p}: permittivity must be Hermitian: entries (1,2) and (2,1) differ by "
+        "2.774e-01 relative at sampled point [0.5        0.33333333]\n"
+    )
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert cli.main(["analyze", str(tmp_path / "nope.json")]) == 2
 

@@ -196,6 +196,19 @@ def test_component_divergence_matches_oracle(order):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("comps, order, message", [
+    ([0, 1, 2], 3, "difference order must be one of [2, 4]"),
+    ([0, 7, 2], 2, "component 7 is outside 0..5 for a 6-component state"),
+    ([-1, 1, 2], 2, "component -1 is outside 0..5 for a 6-component state"),
+], ids=["order", "component-above", "component-negative"])
+def test_component_divergence_rejects_bad_arguments(comps, order, message):
+    grid = wm.Grid(_box(3), (8, 8, 8))
+    st = ev.WaveState(grid, np.zeros((8, 8, 8, 6), dtype=complex))
+    with pytest.raises(ValueError) as info:
+        ev.component_divergence(st, comps, order=order)
+    assert str(info.value) == message
+
+
 def test_import_and_apply_without_numba():
     code = (
         "import sys; sys.modules['numba'] = None\n"

@@ -52,14 +52,33 @@ def test_infinite_bound_requires_flag():
 
 # -- field evaluation -------------------------------------------------------
 
-def test_expr_field_grid_matches_pointwise():
-    fld = wm.ExprMatrixField([["exp(x)", "x*y"], ["x*y", "1 + y^2"]])
-    axes = (np.linspace(0.1, 0.9, 8), np.linspace(0.2, 0.8, 9))
-    grid = fld.on_grid(axes)
-    assert grid.shape == (8, 9, 2, 2)
+UNIT_BOX_2 = wm.BoxDomain((0.0, 0.0), (1.0, 1.0))
+AXES_2 = (np.linspace(0.1, 0.9, 8), np.linspace(0.2, 0.8, 9))
+
+
+def maxwell_anisotropic_variable():
+    eps = [["2 + x", "0.3*y", 0], ["0.3*y", "1 + y^2", "0.1*x"], [0, "0.1*x", "1.5"]]
+    mu = [["1 + 0.5*x*y", 0, 0], [0, 1, "0.2"], [0, "0.2", "1 + x"]]
+    return wm.maxwell_anisotropic(eps, mu, domain=UNIT_BOX_2)
+
+
+def elastic_isotropic_variable():
+    return wm.elastic_isotropic(rho="1 + x", K="2 + sin(3*y)", mu="1 + 0.5*x*y",
+                                domain=UNIT_BOX_2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: wm.ExprMatrixField([["exp(x)", "x*y"], ["x*y", "1 + y^2"]]),
+    lambda: maxwell_anisotropic_variable().E,
+    lambda: elastic_isotropic_variable().E,
+], ids=["expr", "maxwell_anisotropic", "elastic_isotropic"])
+def test_expr_field_grid_matches_pointwise(make):
+    fld = make()
+    grid = fld.on_grid(AXES_2)
+    assert grid.shape == (8, 9, fld.k, fld.k)
     for i in (0, 3, 7):
         for j in (0, 4, 8):
-            assert np.allclose(grid[i, j], fld(np.array([axes[0][i], axes[1][j]])))
+            assert np.array_equal(grid[i, j], fld(np.array([AXES_2[0][i], AXES_2[1][j]])))
 
 
 def test_const_field_identity_flag():
@@ -249,16 +268,50 @@ def test_gradient_step_shrinks_near_boundary():
     assert any("shrunk" in str(w.message) for w in rec)
 
 
-def test_canonical_grid_matches_pointwise():
-    dom = wm.BoxDomain((0.0,), (2.0,))
-    can = wm.canonicalize(wm.telegraph(L="exp(2*x)", C="1 + 0.5*x", domain=dom))
+@pytest.mark.parametrize("make, shape", [
+    (lambda: wm.telegraph(L="exp(2*x)", C="1 + 0.5*x", domain=wm.BoxDomain((0.0,), (2.0,))),
+     (16,)),
+    (maxwell_anisotropic_variable, (8, 9)),
+    (elastic_isotropic_variable, (8, 9)),
+], ids=["telegraph", "maxwell_anisotropic", "elastic_isotropic"])
+def test_canonical_grid_matches_pointwise(make, shape):
+    sysm = make()
+    can = wm.canonicalize(sysm)
+    g = wm.Grid(sysm.domain, shape)
+    fields = [can.V] + list(can.A)
+    samples = [f.on_grid(g.axes) for f in fields]
+    for index in [(0,) * g.d, tuple(n // 2 for n in shape), tuple(n - 1 for n in shape)]:
+        x = g.node_coords(index)
+        for f, s in zip(fields, samples):
+            assert np.array_equal(s[index], f(x))
+
+
+def test_closure_grid_gradient_raises_positioned_error():
+    dom = wm.BoxDomain((0.0,), (1.0,))
+    can = wm.canonicalize(wm.telegraph(L="1 + x", C="1", domain=dom))
+    g = wm.Grid(dom, (16,), interior=False)
+    with pytest.raises(ValidationError) as info:
+        can.V.on_grid(g.axes)
+    assert str(info.value) == (
+        "no room for a finite-difference step at point [0.] (axis 0): it is not "
+        "inside the domain"
+    )
+
+
+def test_grid_near_edge_shrinks_steps_with_one_warning():
+    dom = wm.BoxDomain((0.0,), (1e-4,))
+    can = wm.canonicalize(wm.telegraph(L="exp(2000*x)", C="1", domain=dom))
     g = wm.Grid(dom, (16,))
-    Vg = can.V.on_grid(g.axes)
-    Ag = can.A[0].on_grid(g.axes)
-    for i in (0, 7, 15):
-        x = np.array([g.axes[0][i]])
-        assert np.allclose(Vg[i], can.V(x), atol=1e-11)
-        assert np.allclose(Ag[i], can.A[0](x), atol=1e-12)
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        Vg = can.V.on_grid(g.axes)
+    assert len(rec) == 1
+    assert str(rec[0].message).startswith("finite-difference step shrunk to 2.941e-06")
+    assert np.abs(Vg).max() > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for i, x in enumerate(g.axes[0]):
+            assert np.array_equal(Vg[i], can.V([x]))
 
 
 # L = x - 0.05 is positive at every point the construction probe samples, but
@@ -269,6 +322,8 @@ _NON_SPD = "matrix is not positive definite: smallest eigenvalue "
 @pytest.mark.parametrize("call, error, message", [
     (lambda can: can.A[0]([0.03]), MatrixError,
      _NON_SPD + "-2.000000e-02 (E at [0.03])"),
+    (lambda can: can.A[0].on_grid((np.array([0.5, 0.03]),)), MatrixError,
+     _NON_SPD + "-2.000000e-02 (E at [0.03])"),
     (lambda can: can.A[0](np.array([0.05000000000000001])), SingularMatrixError,
      "numerically singular E: eigenvalue 6.938894e-18 below 1e-14 of norm "
      "1.000000e+00 (E at [0.05])"),
@@ -276,7 +331,7 @@ _NON_SPD = "matrix is not positive definite: smallest eigenvalue "
      _NON_SPD + "0.000000e+00 (E at [0.05])"),
     (lambda can: can.V(np.array([0.050005])), MatrixError,
      _NON_SPD + "-5.000000e-06 (E at [0.049995])"),
-], ids=["A", "A-singular", "V", "V-gradient"])
+], ids=["A", "A-grid", "A-singular", "V", "V-gradient"])
 def test_canonical_point_error_names_the_point(call, error, message):
     can = wm.canonicalize(wm.telegraph(L="x - 0.05", C="1"))
     with pytest.raises(error) as info:
