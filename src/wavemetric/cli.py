@@ -30,6 +30,7 @@ import numpy as np
 from . import velocity as vel
 from . import verify as verify_mod
 from .errors import (
+    DomainEvalError,
     ExpressionError,
     ScenarioError,
     ValidationError,
@@ -461,40 +462,28 @@ def _probe_point(scn: Scenario) -> np.ndarray:
 
 
 def _axis_speed(sys: CoefficientSystem, criterion: str):
-    """Scalar speed profile along the (1-D) axis per the criterion flag."""
+    """Speed profile along the (1-D) axis per the criterion flag, at an array of points."""
     can = canonicalize(sys)
     if criterion == "velocity":
-        def s(x: float) -> float:
-            return math.sqrt(max(float(velocity_matrix(can, [x])[0, 0]), 0.0))
-    else:
-        def s(x: float) -> float:
-            return char_speed(can, [x], [1.0])
-    return s
+        return lambda x: np.sqrt(np.maximum(velocity_matrix(can, x[..., None])[..., 0, 0], 0.0))
+    return lambda x: char_speed(can, x[..., None], [1.0])
 
 
 def _ray_routes(scn: Scenario) -> list[CompletenessVerdict]:
-    sys_obj = scn.system
-    dom = sys_obj.domain
+    dom = scn.system.domain
     crit = scn.analysis["criterion"]
-    cutoffs = scn.analysis["cutoffs"]
-    speed = _axis_speed(sys_obj, crit)
+    speed = _axis_speed(scn.system, crit)
     anchor = 0.5 * (dom.lower[0] + dom.upper[0])
-    out = []
-    if not dom.unbounded_lower[0]:
-        v = ray_completeness(
-            lambda t: speed(anchor - t), 0.0, anchor - dom.lower[0],
-            n_cutoffs=cutoffs, criterion=f"ray-quadrature/{crit}",
-            extra_parameters={"route": "lower end of axis 1"},
+    ends = (("lower", dom.unbounded_lower[0], dom.lower[0], -1.0),
+            ("upper", dom.unbounded_upper[0], dom.upper[0], 1.0))
+    return [
+        ray_completeness(
+            lambda t, sign=sign: speed(anchor + sign * t), 0.0, abs(end - anchor),
+            n_cutoffs=scn.analysis["cutoffs"], criterion=f"ray-quadrature/{crit}",
+            extra_parameters={"route": f"{name} end of axis 1"},
         )
-        out.append(v)
-    if not dom.unbounded_upper[0]:
-        v = ray_completeness(
-            lambda t: speed(anchor + t), 0.0, dom.upper[0] - anchor,
-            n_cutoffs=cutoffs, criterion=f"ray-quadrature/{crit}",
-            extra_parameters={"route": "upper end of axis 1"},
-        )
-        out.append(v)
-    return out
+        for name, unbounded, end, sign in ends if not unbounded
+    ]
 
 
 def _radial_route(scn: Scenario) -> CompletenessVerdict:
@@ -512,15 +501,14 @@ def _radial_route(scn: Scenario) -> CompletenessVerdict:
     env = vel.radial_envelope(sys_obj, radii, center=center)
     floor = 1e-12 * max(float(env.max()), 1e-300)
     env = np.maximum(env, floor)
-    verdict = ray_completeness(
-        lambda t: float(np.interp(t, radii, env)),
+    return ray_completeness(
+        lambda t: np.interp(t, radii, env),
         r0, math.inf,
         n_cutoffs=min(scn.analysis["cutoffs"], RADIAL_OCTAVES),
         criterion="radial-envelope",
         extra_parameters={"route": "radial growth toward infinity",
                           "sampled_radii": [float(radii[0]), float(radii[-1])]},
     )
-    return verdict
 
 
 def _boundary_route(scn: Scenario, fld: VelocityField,
@@ -811,7 +799,7 @@ def main(argv=None) -> int:
     path = Path(args.scenario)
     try:
         scn = Scenario.from_file(path)
-    except (ScenarioError, ExpressionError, ValidationError, OSError) as exc:
+    except (ScenarioError, ExpressionError, DomainEvalError, ValidationError, OSError) as exc:
         print(f"{path}: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
     try:

@@ -274,6 +274,19 @@ def _coord_env(coords) -> dict:
     return env
 
 
+def point_where(coords, mask) -> np.ndarray:
+    """Coordinates of the first sample (C order) where the mask holds; the
+    coordinate scalars or arrays and the mask broadcast together."""
+    shape = np.broadcast_shapes(np.shape(mask), *(np.shape(c) for c in coords))
+    idx = np.unravel_index(int(np.argmax(np.broadcast_to(mask, shape))), shape)
+    return np.array([np.broadcast_to(c, shape)[idx] for c in coords], dtype=float)
+
+
+def _point(env: dict, mask=True) -> dict:
+    """The first sample where the mask holds, as plain floats by coordinate name."""
+    return dict(zip(env, point_where(tuple(env.values()), mask).tolist()))
+
+
 def _fragment(e: Expr, src: str) -> str:
     lo, hi = e.span
     if src and hi > lo:
@@ -281,27 +294,27 @@ def _fragment(e: Expr, src: str) -> str:
     return to_text(e)
 
 
-def _check_domain(cond, message: str, e: Expr, src: str, point):
+def _check_domain(cond, message: str, e: Expr, src: str, env: dict):
     if np.any(cond):
-        raise DomainEvalError(message, point=point, fragment=_fragment(e, src))
+        raise DomainEvalError(message, point=_point(env, cond), fragment=_fragment(e, src))
 
 
-def _eval(e: Expr, env: dict, src: str, point):
+def _eval(e: Expr, env: dict, src: str):
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
         if e.name not in env:
             raise DomainEvalError(
                 f"coordinate {e.name!r} not supplied",
-                point=point,
+                point=_point(env),
                 fragment=_fragment(e, src),
             )
         return env[e.name]
     if isinstance(e, Neg):
-        return -_eval(e.arg, env, src, point)
+        return -_eval(e.arg, env, src)
     if isinstance(e, Bin):
-        a = _eval(e.lhs, env, src, point)
-        b = _eval(e.rhs, env, src, point)
+        a = _eval(e.lhs, env, src)
+        b = _eval(e.rhs, env, src)
         if e.op == "+":
             return a + b
         if e.op == "-":
@@ -310,22 +323,22 @@ def _eval(e: Expr, env: dict, src: str, point):
             return a * b
         if e.op == "/":
             return np.divide(a, b)
-        return _eval_pow(a, b, e, src, point)
+        return _eval_pow(a, b, e, src, env)
     if isinstance(e, Call):
-        args = [_eval(a, env, src, point) for a in e.args]
+        args = [_eval(a, env, src) for a in e.args]
         fn = e.fn
         if fn == "log":
             _check_domain(
-                np.asarray(args[0]) <= 0, "log of a non-positive value", e, src, point
+                np.asarray(args[0]) <= 0, "log of a non-positive value", e, src, env
             )
             return np.log(args[0])
         if fn == "sqrt":
             _check_domain(
-                np.asarray(args[0]) < 0, "sqrt of a negative value", e, src, point
+                np.asarray(args[0]) < 0, "sqrt of a negative value", e, src, env
             )
             return np.sqrt(args[0])
         if fn == "pow":
-            return _eval_pow(args[0], args[1], e, src, point)
+            return _eval_pow(args[0], args[1], e, src, env)
         if fn == "min":
             return np.minimum(args[0], args[1])
         if fn == "max":
@@ -334,12 +347,12 @@ def _eval(e: Expr, env: dict, src: str, point):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _eval_pow(a, b, e: Expr, src: str, point):
+def _eval_pow(a, b, e: Expr, src: str, env: dict):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     _check_domain(
-        (a < 0) & (b != np.round(b)), "fractional power of a negative base", e, src, point
+        (a < 0) & (b != np.round(b)), "fractional power of a negative base", e, src, env
     )
-    _check_domain((a == 0) & (b < 0), "zero base with a negative exponent", e, src, point)
+    _check_domain((a == 0) & (b < 0), "zero base with a negative exponent", e, src, env)
     return np.power(a, b)
 
 
@@ -347,12 +360,12 @@ def eval_expr(e: Expr, coords, *, source: str = ""):
     """Evaluate at a point (mapping name->value or sequence bound to x, y, z).
 
     Coordinate values may be scalars or numpy arrays (broadcast together).
-    Returns a float for scalar input, an ndarray otherwise.
+    Returns a float for scalar input, an ndarray otherwise.  A domain error
+    names the first offending sample in C order.
     """
     env = _coord_env(coords)
-    point = {k: (v if np.ndim(v) == 0 else "<array>") for k, v in env.items()}
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _eval(e, env, source, point)
+        out = _eval(e, env, source)
     if np.ndim(out) == 0:
         return float(out)
     return np.asarray(out, dtype=float)

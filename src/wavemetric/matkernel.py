@@ -32,6 +32,23 @@ def _norm_floor(value: float) -> float:
     return max(float(value), _FLOOR)
 
 
+def _hermitian_part(a: np.ndarray, where: str = "") -> np.ndarray:
+    """0.5 (a + a^H) of a square matrix or a stack (..., k, k); raises for the first
+    matrix whose Hermitian defect exceeds ``HERMITIAN_RTOL`` of its Frobenius norm."""
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise MatrixError(f"expected a square matrix, got shape {a.shape}{where}")
+    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
+    adj = a.swapaxes(-1, -2).conj()
+    defect = np.linalg.norm(a - adj, axis=(-2, -1))
+    bad = defect > HERMITIAN_RTOL * np.maximum(np.linalg.norm(a, axis=(-2, -1)), _FLOOR)
+    if bad.any():
+        raise MatrixError(
+            f"matrix is not Hermitian: defect {float(np.extract(bad, defect)[0]):.3e} "
+            f"exceeds {HERMITIAN_RTOL:.0e} relative{where}"
+        )
+    return 0.5 * (a + adj)
+
+
 class HermitianMatrix:
     """A validated Hermitian matrix.
 
@@ -43,18 +60,9 @@ class HermitianMatrix:
 
     def __init__(self, entries, *, where: str = ""):
         a = np.asarray(entries)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        if a.ndim > 2:
             raise MatrixError(f"expected a square matrix, got shape {a.shape}{where}")
-        dtype = np.complex128 if np.iscomplexobj(a) else np.float64
-        a = a.astype(dtype, copy=True)
-        defect = float(np.linalg.norm(a - a.conj().T))
-        scale = _norm_floor(np.linalg.norm(a))
-        if defect > HERMITIAN_RTOL * scale:
-            raise MatrixError(
-                f"matrix is not Hermitian: defect {defect:.3e} exceeds "
-                f"{HERMITIAN_RTOL:.0e} relative{where}"
-            )
-        self.mat = 0.5 * (a + a.conj().T)
+        self.mat = _hermitian_part(a, where)
 
     @property
     def k(self) -> int:
@@ -84,10 +92,8 @@ class SPDMatrix(HermitianMatrix):
             )
 
 
-def _as_hermitian(h, where: str = "") -> np.ndarray:
-    if isinstance(h, HermitianMatrix):
-        return h.mat
-    return HermitianMatrix(h, where=where).mat
+def _as_hermitian(h) -> np.ndarray:
+    return h.mat if isinstance(h, HermitianMatrix) else _hermitian_part(np.asarray(h))
 
 
 def eig_herm(h) -> tuple[np.ndarray, np.ndarray]:
@@ -104,11 +110,15 @@ def eig_herm(h) -> tuple[np.ndarray, np.ndarray]:
     return w, u
 
 
-def op_norm(h) -> float:
-    """Operator (spectral) norm of a Hermitian matrix: max |eigenvalue|."""
-    a = _as_hermitian(h)
-    w = np.linalg.eigvalsh(a)
-    return float(max(abs(w[0]), abs(w[-1])))
+def op_norm(h):
+    """Operator (spectral) norm of a Hermitian matrix: max |eigenvalue|.
+
+    A stack (..., k, k) gives one norm per matrix, each checked as the
+    HermitianMatrix constructor checks one.
+    """
+    w = np.linalg.eigvalsh(_as_hermitian(h))
+    norm = np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def _spd_power(s, exponent: float, where: str) -> np.ndarray:

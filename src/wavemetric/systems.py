@@ -121,21 +121,20 @@ class BoxDomain:
             return True
         return not (all(self.unbounded_lower) and all(self.unbounded_upper))
 
-    def contains(self, x, strict: bool = True) -> bool:
+    def contains(self, x, strict: bool = True):
+        """Whether the point x (d,) lies in the domain; a stack (..., d) gives a mask."""
         x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1], dtype=bool)
         for j in range(self.d):
             if not self.unbounded_lower[j]:
-                if x[j] < self.lower[j] or (strict and x[j] == self.lower[j]):
-                    return False
+                out |= (x[..., j] < self.lower[j]) | (strict & (x[..., j] == self.lower[j]))
             if not self.unbounded_upper[j]:
-                if x[j] > self.upper[j] or (strict and x[j] == self.upper[j]):
-                    return False
+                out |= (x[..., j] > self.upper[j]) | (strict & (x[..., j] == self.upper[j]))
         if self.excluded_ball is not None:
             center, radius = self.excluded_ball
-            r = float(np.linalg.norm(x - np.asarray(center)))
-            if r < radius or (strict and r == radius):
-                return False
-        return True
+            r = np.linalg.norm(x - np.asarray(center), axis=-1)
+            out |= (r < radius) | (strict & (r == radius))
+        return bool(~out) if out.ndim == 0 else ~out
 
     def boundary_distance(self, x) -> float:
         """Distance to the true boundary (bounded sides and excluded ball)."""
@@ -162,13 +161,6 @@ class BoxDomain:
 
 def _shape(coords) -> tuple[int, ...]:
     return np.broadcast_shapes(*(np.shape(c) for c in coords))
-
-
-def _point_at(coords, mask: np.ndarray) -> np.ndarray:
-    """Coordinates of the first sample (C order) where the mask holds."""
-    mask = np.broadcast_to(mask, _shape(coords))
-    idx = np.unravel_index(int(np.argmax(mask)), mask.shape)
-    return np.array([np.broadcast_to(c, mask.shape)[idx] for c in coords])
 
 
 class MatrixField:
@@ -296,7 +288,7 @@ def _inv_sqrt(E: MatrixField, coords) -> np.ndarray:
         scale = np.maximum(np.linalg.norm(mats, axis=(-2, -1)), 1e-300)
         bad |= np.linalg.norm(mats - adjoint, axis=(-2, -1)) > HERMITIAN_RTOL * scale
     if bad.any():
-        x = _point_at(coords, bad)
+        x = dsl.point_where(coords, bad)
         first = np.unravel_index(int(np.argmax(bad)), bad.shape)
         at_point(spd_inv_sqrt, mats[first], "E", x)
         raise MatrixError(f"non-finite eigenvalues while inverting E (E at {x})")
@@ -362,13 +354,12 @@ class _CanonicalVField(MatrixField):
             hi = math.inf if dom.unbounded_upper[j] else dom.upper[j]
             room = np.minimum(x - lo, hi - x)
             if not np.all(room > 0):
-                raise ValidationError(
-                    f"no room for a finite-difference step at point "
-                    f"{_point_at(coords, ~(room > 0))} (axis {j}): it is not inside the domain"
-                )
+                at = dsl.point_where(coords, ~(room > 0))
+                raise ValidationError(f"no room for a finite-difference step at point {at} "
+                                      f"(axis {j}): it is not inside the domain")
             h = np.where(step >= room, 0.5 * room, step)
             if step >= np.min(room):
-                shrunk.append((h.min(), j, _point_at(coords, h == h.min())))
+                shrunk.append((h.min(), j, dsl.point_where(coords, h == h.min())))
             plus, minus = list(coords), list(coords)
             plus[j], minus[j] = x + h, x - h
             diff = _inv_sqrt(self.E, tuple(plus)) - _inv_sqrt(self.E, tuple(minus))
@@ -516,23 +507,13 @@ class ValidationReport:
 
 def _sample_points(domain: BoxDomain, count: int) -> np.ndarray:
     lower = np.asarray(domain.lower)
-    extent = np.asarray(domain.upper) - lower
-    pts = []
-    budget = 8 * count + 64
-    taken = 0
-    u_all = halton_unit(budget, domain.d)
-    for u in u_all:
-        x = lower + u * extent
-        if domain.contains(x, strict=True):
-            pts.append(x)
-            taken += 1
-            if taken == count:
-                break
-    if taken < count:
+    pts = lower + halton_unit(8 * count + 64, domain.d) * (np.asarray(domain.upper) - lower)
+    pts = pts[domain.contains(pts, strict=True)][:count]
+    if len(pts) < count:
         raise ValidationError(
             f"could not draw {count} interior sample points (domain mostly excluded?)"
         )
-    return np.asarray(pts)
+    return pts
 
 
 def _herm_defect(mat: np.ndarray) -> tuple[float, tuple[int, int]]:

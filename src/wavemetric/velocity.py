@@ -59,10 +59,20 @@ MAX_SLACK_DOUBLINGS = 3
 
 
 def _check_inside(sys: CoefficientSystem, x) -> np.ndarray:
+    """One point (d,) or a stack (..., d) of points, each strictly inside the domain."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not sys.domain.contains(x, strict=True):
-        raise ValueError(f"point {x} is not inside the domain")
+    outside = ~np.asarray(sys.domain.contains(x, strict=True))
+    if outside.any():
+        raise ValueError(f"point {x[outside][0]} is not inside the domain")
     return x
+
+
+def _canonical_A(sys: CoefficientSystem, x) -> list[np.ndarray]:
+    """The canonical coefficients B^j at a point (d,) or a stack (..., d), each (..., k, k)."""
+    x = _check_inside(sys, x)
+    coords = tuple(np.moveaxis(x, -1, 0))
+    shape = x.shape[:-1] + (sys.k, sys.k)
+    return [np.broadcast_to(A.sample(coords), shape) for A in canonicalize(sys).A]
 
 
 def _traces(B: list[np.ndarray]) -> np.ndarray:
@@ -78,9 +88,8 @@ def _traces(B: list[np.ndarray]) -> np.ndarray:
 
 
 def velocity_matrix(sys: CoefficientSystem, x) -> np.ndarray:
-    """The d-by-d matrix of traces Tr(B^j B^l) of canonical coefficients."""
-    x = _check_inside(sys, x)
-    return _traces([A(x) for A in canonicalize(sys).A])
+    """The d-by-d matrix of traces Tr(B^j B^l) of canonical coefficients (..., d, d)."""
+    return _traces(_canonical_A(sys, x))
 
 
 def _structured_maxwell(sys: CoefficientSystem, x) -> np.ndarray:
@@ -146,23 +155,19 @@ def velocity_matrix_structured(sys: CoefficientSystem, x) -> np.ndarray:
 
 
 def char_speed(sys: CoefficientSystem, x, n) -> float:
-    """Largest characteristic speed in direction n (normalized internally)."""
-    x = _check_inside(sys, x)
+    """Largest characteristic speed in direction n (normalized internally), per point."""
+    B = _canonical_A(sys, x)
     n = np.atleast_1d(np.asarray(n, dtype=float))
     norm = float(np.linalg.norm(n))
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
     n = n / norm
-    B = [A(x) for A in canonicalize(sys).A]
-    sym = sum(c * b for c, b in zip(n, B))
-    return op_norm(sym)
+    return op_norm(sum(c * b for c, b in zip(n, B)))
 
 
 def fattorini_r(sys: CoefficientSystem, x) -> float:
     """Maximum over axes of the operator norm of the canonical coefficients."""
-    x = _check_inside(sys, x)
-    can = canonicalize(sys)
-    return max(op_norm(A(x)) for A in can.A)
+    return max(op_norm(b) for b in _canonical_A(sys, x))
 
 
 def chernoff_c(sys: CoefficientSystem, x) -> SpeedBracket:
@@ -173,8 +178,7 @@ def chernoff_c(sys: CoefficientSystem, x) -> SpeedBracket:
     sqrt(largest eigenvalue of the velocity matrix) and sqrt(d) times the
     per-axis coefficient-norm maximum.
     """
-    x = _check_inside(sys, x)
-    B = [A(x) for A in canonicalize(sys).A]
+    B = _canonical_A(sys, x)
     d = sys.d
     lower = 0.0
     for n in unit_directions(d):
@@ -217,11 +221,14 @@ def radial_envelope(sys: CoefficientSystem, radii, center=None) -> np.ndarray:
     out = np.empty(len(radii))
     running = 0.0
     for i, r in enumerate(radii):
-        seen = False
-        for u in dirs:
-            x = center + r * u
-            if not sys.domain.contains(x, strict=True):
-                continue
+        shell = center + r * dirs
+        shell = shell[sys.domain.contains(shell, strict=True)]
+        if not len(shell):
+            raise ValueError(
+                f"no admissible sample on the sphere of radius {r} "
+                "(inside the excluded region?)"
+            )
+        for x in shell:
             if constant:
                 if cached is None:
                     cached = chernoff_c(sys, x).upper
@@ -229,12 +236,6 @@ def radial_envelope(sys: CoefficientSystem, radii, center=None) -> np.ndarray:
             else:
                 value = chernoff_c(sys, x).upper
             running = max(running, value)
-            seen = True
-        if not seen:
-            raise ValueError(
-                f"no admissible sample on the sphere of radius {r} "
-                "(inside the excluded region?)"
-            )
         out[i] = running
     return out
 

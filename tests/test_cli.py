@@ -218,6 +218,20 @@ def test_asymmetric_permittivity_exits_2(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("name,params,d,point", [
+    ("telegraph", {"L": "log(x - 0.5)"}, 1, "{'x': 0.5}"),
+    ("maxwell_isotropic", {"eps": "log(x - 0.5)"}, 2, "{'x': 0.5, 'y': 0.3333333333333333}"),
+])
+def test_expression_domain_error_at_build_exits_2(tmp_path, capsys, name, params, d, point):
+    raw = family_scenario(name, params, d)
+    raw["output"]["dir"] = str(tmp_path / "out")
+    p = write_scenario(tmp_path, raw)
+    assert cli.main(["analyze", str(p)]) == 2
+    assert capsys.readouterr().err == (
+        f"{p}: log of a non-positive value in 'log(x - 0.5)' at point {point}\n"
+    )
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert cli.main(["analyze", str(tmp_path / "nope.json")]) == 2
 
@@ -317,6 +331,23 @@ def test_analyze_half_line_notes_unprobed_infinity(tmp_path):
     assert len(verdict["routes"]) == 1  # only the finite lower end
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert "unbounded axes was not probed" in summary
+
+
+@pytest.mark.parametrize("crit,c", [("velocity", np.sqrt(2.0)), ("symbol-norm", 1.0)])
+def test_analyze_ray_partial_integrals_match_closed_form(tmp_path, crit, c):
+    # speed c*sin(pi*x): the traversal time from 1/2 to 1/2 + T (or 1/2 - T)
+    # is ln tan(pi*(1/2 + T)/2) / (pi*c)
+    p = telegraph_scenario(tmp_path, L="1/sin(pi*x)", C="1/sin(pi*x)", nodes=64,
+                           analysis={"criterion": crit})
+    assert cli.main(["analyze", str(p)]) == 0
+    routes = json.loads((tmp_path / "out" / "verdict.json").read_text())["routes"]
+    assert [r["parameters"]["route"] for r in routes] == [
+        "lower end of axis 1", "upper end of axis 1"]
+    for route in routes:
+        T = np.asarray(route["cutoffs"])
+        assert len(T) == 24
+        want = np.log(np.tan(np.pi * (0.5 + T) / 2.0)) / (np.pi * c)
+        np.testing.assert_allclose(route["integrals"], want, rtol=1e-9, atol=0.0)
 
 
 def test_analyze_criterion_flag_agrees_on_classification(tmp_path):

@@ -146,8 +146,9 @@ def test_division_by_zero_is_ieee():
 
 def test_array_domain_error():
     expr = dsl.parse("sqrt(x)")
-    with pytest.raises(DomainEvalError):
+    with pytest.raises(DomainEvalError) as info:
         dsl.eval_expr(expr, {"x": np.array([1.0, -1.0])}, source="sqrt(x)")
+    assert info.value.point == {"x": -1.0}
 
 
 # -- printing round trip -----------------------------------------------------

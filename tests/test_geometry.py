@@ -450,11 +450,30 @@ def test_ray_rejects_multivariate_speed():
 
 def test_ray_quadrature_trouble_is_inconclusive():
     def wild(t):
-        return abs(math.sin(1.0 / (1.0000001 - t))) + 1e-12
+        return abs(np.sin(1.0 / (1.0000001 - t))) + 1e-12
 
     v = geo.ray_completeness(wild, 0.0, 1.0)
     assert v.classification == "inconclusive"
     assert "diagnostic" in v.parameters
+
+
+def test_ray_dsl_error_names_a_point():
+    with pytest.raises(DomainEvalError, match="log of a non-positive value") as info:
+        geo.ray_completeness("log(x - 0.5)", 0.0, 1.0)
+    assert 0.0 < info.value.point["x"] <= 0.5
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+def test_ray_speed_is_evaluated_in_batches(p):
+    seen = []
+
+    def speed(t):
+        seen.append(t)
+        return (1.0 - t) ** p
+
+    geo.ray_completeness(speed, 0.0, 1.0)
+    assert all(isinstance(t, np.ndarray) for t in seen)
+    assert 0 < len(seen) <= 20
 
 
 def test_verdict_json_round_trip():
