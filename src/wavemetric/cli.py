@@ -50,6 +50,7 @@ from .geometry import (
     metric_from_velocity,
     node_boundary_distances,
     ray_completeness,
+    stencil_offsets,
 )
 from .grids import Grid
 from .systems import (
@@ -511,7 +512,16 @@ def _radial_route(scn: Scenario) -> CompletenessVerdict:
     )
 
 
-def _boundary_route(scn: Scenario, fld: VelocityField,
+def _stencil(scn: Scenario) -> int | None:
+    """analysis.stencil, checked against the lattice stencils of the grid's dimension."""
+    try:
+        stencil_offsets(scn.grid.d, scn.analysis["stencil"])
+    except ValueError as exc:
+        raise ScenarioError(f"analysis.stencil: {exc}") from None
+    return scn.analysis["stencil"]
+
+
+def _boundary_route(scn: Scenario, fld: VelocityField, stencil: int | None,
                     notes: list[str]) -> CompletenessVerdict:
     grid = scn.grid
     with warnings.catch_warnings(record=True) as caught:
@@ -531,9 +541,7 @@ def _boundary_route(scn: Scenario, fld: VelocityField,
         )
     margins = np.geomspace(m0, m1, BOUNDARY_MARGIN_COUNT)
     probe = _probe_point(scn)
-    _, verdict = boundary_distance_probe(
-        metric, probe, margins, stencil=scn.analysis["stencil"]
-    )
+    _, verdict = boundary_distance_probe(metric, probe, margins, stencil=stencil)
     verdict.parameters["route"] = "distance to the domain boundary"
     return verdict
 
@@ -569,9 +577,11 @@ _SUFFICIENCY_NOTE = (
 def cmd_analyze(scn: Scenario, seed: int = DEFAULT_SEED,
                 strict: bool = False) -> int:
     """Velocity field, majorant, completeness probes, verdict, summary."""
-    out = scn.ensure_output_dir()
     sys_obj = scn.system
     dom = sys_obj.domain
+    rays = dom.d == 1 and dom.excluded_ball is None
+    stencil = _stencil(scn) if dom.has_finite_boundary() and not rays else None
+    out = scn.ensure_output_dir()
     notes: list[str] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -584,17 +594,11 @@ def cmd_analyze(scn: Scenario, seed: int = DEFAULT_SEED,
     if dom.fully_unbounded:
         routes.append(_radial_route(scn))
     if dom.has_finite_boundary():
-        if dom.d == 1 and dom.excluded_ball is None:
+        if rays:
             routes.extend(_ray_routes(scn))
         else:
-            routes.append(_boundary_route(scn, fld, notes))
-    bounded_axes = sum(
-        (not lo) or (not hi)
-        for lo, hi in zip(dom.unbounded_lower, dom.unbounded_upper)
-    )
-    if 0 < bounded_axes and not dom.fully_unbounded and any(
-        lo or hi for lo, hi in zip(dom.unbounded_lower, dom.unbounded_upper)
-    ):
+            routes.append(_boundary_route(scn, fld, stencil, notes))
+    if not dom.fully_unbounded and any(dom.unbounded_lower + dom.unbounded_upper):
         notes.append(
             "escape toward infinity along the unbounded axes was not probed; "
             "the verdict covers the finite boundary only"
@@ -603,8 +607,7 @@ def cmd_analyze(scn: Scenario, seed: int = DEFAULT_SEED,
     overall = combine_classifications([v.classification for v in routes])
     deciders = [v for v in routes if v.classification == overall]
 
-    lam = np.linalg.eigvalsh(fld.M_samples)[..., -1]
-    speed_hi = math.sqrt(max(float(lam.max()), 0.0))
+    speed_hi = math.sqrt(max(float(fld.lam_max.max()), 0.0))
     payload = {
         "classification": overall,
         "criterion": "weakest-route",
@@ -681,17 +684,17 @@ def _window_text(dom: BoxDomain) -> str:
 def cmd_distance(scn: Scenario, mode: str = "geodesic",
                  seed: int = DEFAULT_SEED) -> int:
     """Geodesic distance or first-arrival time from a source node."""
+    stencil = _stencil(scn)
     out = scn.ensure_output_dir()
     src = scn.grid.nearest_node(_probe_point(scn))
     if mode == "geodesic":
         fld = majorant(VelocityField.from_system(scn.system, scn.grid),
                        scn.analysis["delta"])
         metric = metric_from_velocity(fld)
-        dist = lattice_geodesic(metric, [src], stencil=scn.analysis["stencil"])
+        dist = lattice_geodesic(metric, [src], stencil=stencil)
     elif mode == "arrival":
         fld = VelocityField.from_system(scn.system, scn.grid)
-        dist = eikonal_arrival(scn.grid, fld, [src],
-                               stencil=scn.analysis["stencil"])
+        dist = eikonal_arrival(scn.grid, fld, [src], stencil=stencil)
     else:
         raise ScenarioError(f"unknown distance mode {mode!r}")
     dist.to_csv(out / "distance.csv")

@@ -30,7 +30,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConvergenceError, InstabilityError, ValidationError
 from .grids import Grid, write_csv
@@ -146,6 +145,7 @@ class DiscreteOperator:
     """
 
     def __init__(self, sys: CoefficientSystem, grid: Grid, order: int = 2):
+        from scipy import sparse  # the only user; keeps it off start-up
         _check_grid(sys, grid, order)
         self.sys = sys
         self.grid = grid
@@ -216,8 +216,7 @@ def cfl_dt(sys: CoefficientSystem, grid: Grid, cfl: float) -> float:
     """Time step cfl * min(h) / max node speed, the speed from the velocity matrix."""
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl must be in (0, 1], got {cfl}")
-    fld = VelocityField.from_system(sys, grid)
-    lam = float(np.linalg.eigvalsh(fld.M_samples)[..., -1].max())
+    lam = float(VelocityField.from_system(sys, grid).lam_max.max())
     if lam <= 0.0:
         raise ValueError(
             "velocity matrix vanishes on the whole grid; no propagation speed "

@@ -24,8 +24,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import dijkstra
 
 from . import dsl
 from .errors import DomainEvalError, MajorantError, UnsupportedSystemError, ValidationError
@@ -242,6 +240,7 @@ def _lattice_graph(grid, offsets, mode, mats, speed, passable):
     <= 0).  A slot without an edge holds a +inf self-loop, so indptr is a
     plain arange and the arrays need no compaction copy.
     """
+    from scipy.sparse import csr_array  # loaded only when a graph is built
     shape = grid.shape
     n = grid.node_count
     size = len(offsets)
@@ -288,6 +287,7 @@ def _run_dijkstra(grid, offsets, mode, mats, speed, passable, src) -> np.ndarray
 
     Sources start at 0 even when impassable; unreached nodes stay +inf.
     """
+    from scipy.sparse.csgraph import dijkstra  # loaded only when a graph is searched
     graph = _lattice_graph(grid, offsets, mode, mats, speed, passable)
     dist = dijkstra(graph, directed=True, indices=src, min_only=True)
     return dist.reshape(grid.shape)
@@ -326,10 +326,9 @@ def eikonal_arrival(grid: Grid, speed, sources, *, stencil: int | None = None) -
     if isinstance(speed, VelocityField):
         if speed.grid is not grid and speed.grid.shape != grid.shape:
             raise ValueError("velocity field grid does not match")
-        M = speed.M_samples
-        scale = np.sqrt(np.maximum(np.linalg.eigvalsh(M)[..., -1], 0.0))
+        scale = np.sqrt(np.maximum(speed.lam_max, 0.0))
         passable = passable & (scale >= 1e-12 * float(scale.max()))
-        mode, mats, sp = ANISO_TIME, M, None
+        mode, mats, sp = ANISO_TIME, speed.M_samples, None
     else:
         s = np.asarray(speed, dtype=float)
         if s.shape != grid.shape:

@@ -11,7 +11,9 @@ fixed direction, the direction-free maximum over the unit sphere (returned
 as a certified lower/upper bracket, since the true supremum of a matrix norm
 over directions has no closed form when the coefficients do not commute),
 the per-axis coefficient-norm maximum, and a radial growth envelope for
-unbounded domains.
+unbounded domains.  Each pointwise function takes a point (d,) or a stack
+(..., d); all of them, the envelope and the grid field read the canonical
+coefficients through one batched sampler.
 
 ``majorant`` produces a node-wise upper bound that is smooth at the grid
 scale: the sampled matrix is mollified with a separable binomial kernel,
@@ -22,6 +24,8 @@ the field degenerates.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import warnings
 from collections import namedtuple
@@ -29,11 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dsl
 from .errors import MajorantError, UnsupportedSystemError, ValidationError
 from .grids import Grid, write_csv
 from .matkernel import at_point, op_norm, spd_inv_sqrt, spd_sqrt
 from .sampling import unit_directions
-from .systems import CoefficientSystem, canonicalize
+from .systems import CURL_GENERATORS, STRAIN_GENERATORS, CoefficientSystem, canonicalize
 
 __all__ = [
     "SpeedBracket",
@@ -67,12 +72,25 @@ def _check_inside(sys: CoefficientSystem, x) -> np.ndarray:
     return x
 
 
-def _canonical_A(sys: CoefficientSystem, x) -> list[np.ndarray]:
-    """The canonical coefficients B^j at a point (d,) or a stack (..., d), each (..., k, k)."""
+def _canonical_A(sys: CoefficientSystem, coords) -> list[np.ndarray]:
+    """The canonical B^j at coords, one array per axis, each at the shape its field gives.
+
+    A constant B^j stays one (k, k) matrix, so a constant system is evaluated once.
+    """
+    return [A.sample(coords) for A in canonicalize(sys).A]
+
+
+def _sample_inside(sys: CoefficientSystem, x) -> tuple[tuple[int, ...], list[np.ndarray]]:
+    """The shape S of a point (d,) or a stack S + (d,) inside the domain, and B^j there."""
     x = _check_inside(sys, x)
-    coords = tuple(np.moveaxis(x, -1, 0))
-    shape = x.shape[:-1] + (sys.k, sys.k)
-    return [np.broadcast_to(A.sample(coords), shape) for A in canonicalize(sys).A]
+    return x.shape[:-1], _canonical_A(sys, tuple(np.moveaxis(x, -1, 0)))
+
+
+def _at_points(value, shape: tuple[int, ...]):
+    """value as a full array of the given shape; a float when the shape is ()."""
+    value = np.asarray(value)
+    value = value if value.shape == shape else np.broadcast_to(value, shape).copy()
+    return float(value) if not shape else value
 
 
 def _traces(B: list[np.ndarray]) -> np.ndarray:
@@ -81,52 +99,39 @@ def _traces(B: list[np.ndarray]) -> np.ndarray:
     M = np.empty(np.broadcast_shapes(*(b.shape[:-2] for b in B)) + (d, d))
     for j in range(d):
         for l in range(j, d):
-            t = np.einsum("...ab,...ba->...", B[j], B[l]).real
-            M[..., j, l] = t
-            M[..., l, j] = t
+            M[..., j, l] = M[..., l, j] = np.einsum("...ab,...ba->...", B[j], B[l]).real
     return M
 
 
 def velocity_matrix(sys: CoefficientSystem, x) -> np.ndarray:
     """The d-by-d matrix of traces Tr(B^j B^l) of canonical coefficients (..., d, d)."""
-    return _traces(_canonical_A(sys, x))
+    shape, B = _sample_inside(sys, x)
+    return _at_points(_traces(B), shape + (sys.d, sys.d))
+
+
+def _block_traces(blocks: list[np.ndarray], scale) -> np.ndarray:
+    """scale * Tr(X_j X_l^T) over the closed-form blocks X_j of a built-in family."""
+    d = len(blocks)
+    M = np.empty((d, d))
+    for j in range(d):
+        for l in range(j, d):
+            M[j, l] = M[l, j] = scale * float(np.trace(blocks[j] @ blocks[l].T))
+    return M
 
 
 def _structured_maxwell(sys: CoefficientSystem, x) -> np.ndarray:
-    from .systems import CURL_GENERATORS
-
     eps = sys.parts["eps"](x)
     mu = sys.parts["mu"](x)
     re = at_point(spd_inv_sqrt, eps, "permittivity", x)
     rm = at_point(spd_inv_sqrt, mu, "permeability", x)
-    d = sys.d
-    blocks = [re @ CURL_GENERATORS[j] @ rm for j in range(d)]
-    M = np.empty((d, d))
-    for j in range(d):
-        for l in range(j, d):
-            t = 2.0 * float(np.trace(blocks[j] @ blocks[l].T))
-            M[j, l] = t
-            M[l, j] = t
-    return M
+    return _block_traces([re @ CURL_GENERATORS[j] @ rm for j in range(sys.d)], 2.0)
 
 
 def _structured_elastic(sys: CoefficientSystem, x) -> np.ndarray:
-    from . import dsl
-    from .systems import STRAIN_GENERATORS
-
     rho_expr, rho_src = sys.parts["rho"]
     rho = dsl.eval_expr(rho_expr, np.atleast_1d(x), source=rho_src)
-    C = sys.parts["stiffness"](x)
-    half = at_point(spd_sqrt, C, "stiffness", x)
-    d = sys.d
-    blocks = [half @ STRAIN_GENERATORS[j] for j in range(d)]
-    M = np.empty((d, d))
-    for j in range(d):
-        for l in range(j, d):
-            t = (2.0 / rho) * float(np.trace(blocks[j] @ blocks[l].T))
-            M[j, l] = t
-            M[l, j] = t
-    return M
+    half = at_point(spd_sqrt, sys.parts["stiffness"](x), "stiffness", x)
+    return _block_traces([half @ STRAIN_GENERATORS[j] for j in range(sys.d)], 2.0 / rho)
 
 
 def velocity_matrix_structured(sys: CoefficientSystem, x) -> np.ndarray:
@@ -137,12 +142,7 @@ def velocity_matrix_structured(sys: CoefficientSystem, x) -> np.ndarray:
     """
     x = _check_inside(sys, x)
     if sys.kind == "telegraph":
-        from . import dsl
-
-        Le, Ls = sys.parts["L"]
-        Ce, Cs = sys.parts["C"]
-        L = dsl.eval_expr(Le, x, source=Ls)
-        C = dsl.eval_expr(Ce, x, source=Cs)
+        L, C = (dsl.eval_expr(e, x, source=src) for e, src in (sys.parts["L"], sys.parts["C"]))
         return np.array([[2.0 / (L * C)]])
     if sys.kind == "maxwell":
         return _structured_maxwell(sys, x)
@@ -156,18 +156,30 @@ def velocity_matrix_structured(sys: CoefficientSystem, x) -> np.ndarray:
 
 def char_speed(sys: CoefficientSystem, x, n) -> float:
     """Largest characteristic speed in direction n (normalized internally), per point."""
-    B = _canonical_A(sys, x)
+    shape, B = _sample_inside(sys, x)
     n = np.atleast_1d(np.asarray(n, dtype=float))
     norm = float(np.linalg.norm(n))
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
     n = n / norm
-    return op_norm(sum(c * b for c, b in zip(n, B)))
+    return _at_points(op_norm(sum(c * b for c, b in zip(n, B))), shape)
+
+
+def _axis_norm_max(B: list[np.ndarray]):
+    """max_j ||B^j|| per sample."""
+    return functools.reduce(np.maximum, (op_norm(b) for b in B))
+
+
+def _speed_upper(B: list[np.ndarray]):
+    """min(sqrt(lambda_max(M)), sqrt(d) max_j ||B^j||) per sample, M = Tr(B^j B^l)."""
+    lam_max = np.linalg.eigvalsh(_traces(B))[..., -1]
+    return np.minimum(np.sqrt(np.maximum(lam_max, 0.0)), math.sqrt(len(B)) * _axis_norm_max(B))
 
 
 def fattorini_r(sys: CoefficientSystem, x) -> float:
-    """Maximum over axes of the operator norm of the canonical coefficients."""
-    return max(op_norm(b) for b in _canonical_A(sys, x))
+    """Maximum over axes of the operator norm of the canonical coefficients, per point."""
+    shape, B = _sample_inside(sys, x)
+    return _at_points(_axis_norm_max(B), shape)
 
 
 def chernoff_c(sys: CoefficientSystem, x) -> SpeedBracket:
@@ -176,20 +188,15 @@ def chernoff_c(sys: CoefficientSystem, x) -> SpeedBracket:
     The lower end samples the unit sphere (both signs in 1-D, 128 angles in
     2-D, 256 near-uniform points in 3-D); the upper end is the smaller of
     sqrt(largest eigenvalue of the velocity matrix) and sqrt(d) times the
-    per-axis coefficient-norm maximum.
+    per-axis coefficient-norm maximum.  A stack (..., d) gives one pair per point.
     """
-    B = _canonical_A(sys, x)
-    d = sys.d
-    lower = 0.0
-    for n in unit_directions(d):
-        sym = sum(c * b for c, b in zip(n, B))
-        lower = max(lower, op_norm(sym))
-    M = _traces(B)
-    lam_max = float(np.linalg.eigvalsh(M)[-1])
-    r = max(op_norm(b) for b in B)
-    upper = min(math.sqrt(max(lam_max, 0.0)), math.sqrt(d) * r)
-    upper = max(upper, lower)  # guard against rounding at the crossover
-    return SpeedBracket(lower, upper)
+    shape, B = _sample_inside(sys, x)
+    # every direction at once: the symbols have shape (..., directions, k, k)
+    dirs = unit_directions(sys.d)
+    sym = sum(c[:, None, None] * b[..., None, :, :] for c, b in zip(dirs.T, B))
+    lower = op_norm(sym).max(axis=-1)
+    upper = np.maximum(_speed_upper(B), lower)  # guard against rounding at the crossover
+    return SpeedBracket(_at_points(lower, shape), _at_points(upper, shape))
 
 
 def radial_envelope(sys: CoefficientSystem, radii, center=None) -> np.ndarray:
@@ -197,7 +204,8 @@ def radial_envelope(sys: CoefficientSystem, radii, center=None) -> np.ndarray:
 
     Only meaningful on fully unbounded domains (the growth of speeds toward
     infinity is what the envelope feeds into); shells may skip points inside
-    an excluded ball.
+    an excluded ball.  The bound, the upper end of ``chernoff_c``, is read at
+    every admissible shell point in one batched call.
     """
     if not sys.domain.fully_unbounded:
         raise UnsupportedSystemError(
@@ -209,35 +217,19 @@ def radial_envelope(sys: CoefficientSystem, radii, center=None) -> np.ndarray:
         raise ValueError("radii must be a non-empty 1-D sequence")
     if np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be positive and strictly increasing")
-    d = sys.d
-    center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
-    dirs = unit_directions(d)
-    from .systems import ConstMatrixField
-
-    constant = isinstance(sys.E, ConstMatrixField) and all(
-        isinstance(A, ConstMatrixField) for A in sys.A
-    )
-    cached = None
-    out = np.empty(len(radii))
-    running = 0.0
-    for i, r in enumerate(radii):
-        shell = center + r * dirs
-        shell = shell[sys.domain.contains(shell, strict=True)]
-        if not len(shell):
-            raise ValueError(
-                f"no admissible sample on the sphere of radius {r} "
-                "(inside the excluded region?)"
-            )
-        for x in shell:
-            if constant:
-                if cached is None:
-                    cached = chernoff_c(sys, x).upper
-                value = cached
-            else:
-                value = chernoff_c(sys, x).upper
-            running = max(running, value)
-        out[i] = running
-    return out
+    center = np.zeros(sys.d) if center is None else np.asarray(center, dtype=float)
+    shells = center + radii[:, None, None] * unit_directions(sys.d)
+    inside = sys.domain.contains(shells, strict=True)
+    empty = ~inside.any(axis=1)
+    if empty.any():
+        raise ValueError(
+            f"no admissible sample on the sphere of radius {radii[empty][0]} "
+            "(inside the excluded region?)"
+        )
+    shape, B = _sample_inside(sys, shells[inside])
+    shell_max = np.zeros(len(radii))
+    np.maximum.at(shell_max, np.nonzero(inside)[0], _at_points(_speed_upper(B), shape))
+    return np.maximum.accumulate(shell_max)
 
 
 # --- sampled field on a grid ------------------------------------------------
@@ -252,13 +244,15 @@ class VelocityField:
 
     ``M_samples`` has shape grid.shape + (d, d).  Construction validates
     symmetry, positive semi-definiteness to a relative tolerance, and (when
-    present) that the majorant dominates the samples node-wise.
+    present) that the majorant dominates the samples node-wise.  ``lam_max``
+    keeps each node's largest eigenvalue of M, its squared speed bound.
     """
 
     grid: Grid
     M_samples: np.ndarray
     majorant_samples: np.ndarray | None = None
     delta: float | None = None
+    lam_max: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.grid.d
@@ -278,6 +272,7 @@ class VelocityField:
                 f"{float(w[..., 0].min()):.3e} vs scale {scale:.3e}"
             )
         self.M_samples = M
+        self.lam_max = w[..., -1].copy()
         if self.majorant_samples is not None:
             H = np.asarray(self.majorant_samples, dtype=float)
             if H.shape != want:
@@ -287,7 +282,9 @@ class VelocityField:
 
     @classmethod
     def from_system(cls, sys: CoefficientSystem, grid: Grid) -> "VelocityField":
-        return cls(grid, _traces([A.on_grid(grid.axes) for A in canonicalize(sys).A]))
+        coords = tuple(np.meshgrid(*grid.axes, indexing="ij", sparse=True))
+        M = _traces(_canonical_A(sys, coords))
+        return cls(grid, _at_points(M, grid.shape + (grid.d, grid.d)))
 
     @property
     def d(self) -> int:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -36,12 +37,13 @@ def test_cli_start_up_does_not_import_scipy_stats():
         "print(wm.validate_system(wm.telegraph('1 + x', '2')).ok)\n"
         "print('scipy.stats' in sys.modules)\n"
         "print('scipy.integrate' in sys.modules)\n"
+        "print('scipy.sparse' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.split() == ["True", "False", "False"]
+    assert out.stdout.split() == ["True", "False", "False", "False"]
 
 
 # -- scenario parsing --------------------------------------------------------
@@ -318,6 +320,26 @@ def test_analyze_dirac_demo(tmp_path):
     assert "sufficient condition" in summary
 
 
+def test_analyze_unbounded_nonconstant_maxwell_is_fast(tmp_path):
+    # the radial envelope samples every shell point in one batched call
+    data = {
+        "system": {"name": "maxwell_isotropic",
+                   "params": {"eps": "1 + 0.1*sin(x)", "mu": "1"}},
+        "domain": {"lower": [-2.0] * 3, "upper": [2.0] * 3,
+                   "unbounded": ["both"] * 3},
+        "grid": {"nodes": [12, 12, 12]},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    p = write_scenario(tmp_path, data)
+    start = time.perf_counter()
+    assert cli.main(["analyze", str(p)]) == 0
+    assert time.perf_counter() - start < 20.0
+    verdict = json.loads((tmp_path / "out" / "verdict.json").read_text())
+    (radial,) = verdict["routes"]
+    assert radial["parameters"]["route"] == "radial growth toward infinity"
+    assert radial["classification"] == "certified-divergent"
+
+
 def test_analyze_half_line_notes_unprobed_infinity(tmp_path):
     data = {
         "system": {"name": "telegraph", "params": {"L": "1", "C": "1"}},
@@ -419,6 +441,22 @@ def test_distance_modes_and_ordering(tmp_path):
     # the majorant inflates speeds, so metric distance trails arrival time
     assert np.all(geo_vals <= arr_vals + 1e-12)
     assert geo_vals[64] == 0.0
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["distance", "--mode", "geodesic"],
+                                     ["distance", "--mode", "arrival"]])
+@pytest.mark.parametrize("d,stencil,allowed", [(2, 26, "(8, 16)"), (3, 16, "(26,)")])
+def test_unavailable_stencil_exits_2_before_any_output(tmp_path, capsys, command, d,
+                                                       stencil, allowed):
+    data = family_scenario("maxwell_isotropic", {}, d)
+    data["analysis"] = {"stencil": stencil}
+    data["output"]["dir"] = str(tmp_path / "out")
+    p = write_scenario(tmp_path, data)
+    assert cli.main([command[0], str(p)] + command[1:]) == 2
+    err = capsys.readouterr().err
+    assert f"analysis.stencil: stencil {stencil} not available in {d}-D" in err
+    assert allowed in err
+    assert not (tmp_path / "out").exists()
 
 
 # -- simulate ----------------------------------------------------------------

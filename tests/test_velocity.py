@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -13,6 +14,7 @@ from wavemetric.errors import (
     ValidationError,
 )
 from wavemetric.matkernel import op_norm
+from wavemetric.sampling import unit_directions
 
 
 UNIT_BOX_3 = wm.BoxDomain((0.0,) * 3, (1.0,) * 3)
@@ -180,6 +182,26 @@ def test_chernoff_maxwell_bracket():
     assert br.upper == pytest.approx(math.sqrt(3.0), rel=1e-10)
 
 
+FREE_SPACE_3 = wm.BoxDomain((-2.0,) * 3, (2.0,) * 3, unbounded_lower=(True,) * 3,
+                            unbounded_upper=(True,) * 3)
+
+
+@pytest.mark.parametrize("sysm", [
+    wm.maxwell_isotropic(eps="1 + 0.1*sin(x)", mu="1 + 0.2*y*z", domain=FREE_SPACE_3),
+    wm.dirac_free(),
+], ids=["maxwell", "dirac"])
+def test_speed_brackets_on_a_stack_equal_pointwise_calls(sysm):
+    pts = np.random.default_rng(35).uniform(0.5, 1.5, (5, 3))
+    br = vel.chernoff_c(sysm, pts)
+    r = vel.fattorini_r(sysm, pts)
+    assert br.lower.shape == br.upper.shape == r.shape == (5,)
+    for i, x in enumerate(pts):
+        one = vel.chernoff_c(sysm, x)
+        assert isinstance(one.lower, float) and isinstance(one.upper, float)
+        assert (br.lower[i], br.upper[i]) == (one.lower, one.upper)
+        assert r[i] == vel.fattorini_r(sysm, x)
+
+
 # -- invariants on random data ----------------------------------------------
 
 SYSTEMS_AND_POINTS = [
@@ -310,6 +332,37 @@ def test_radial_envelope_dirac_skips_excluded_ball():
     assert np.all(b > 0)
     with pytest.raises(ValueError, match="no admissible sample"):
         vel.radial_envelope(wm.dirac_free(radius=0.5), [0.3, 1.0])
+
+
+class CountingField(wm.MatrixField):
+    """Delegates to another field and counts the ``sample`` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.k = inner.k
+        self.calls = 0
+
+    def sample(self, coords):
+        self.calls += 1
+        return self.inner.sample(coords)
+
+
+def test_radial_envelope_samples_all_shells_at_once():
+    base = wm.maxwell_isotropic(eps="1 + 0.1*sin(x)", mu="1", domain=FREE_SPACE_3)
+    E = CountingField(base.E)
+    sysm = dataclasses.replace(base, E=E)
+    radii = 0.5 * 2.0 ** (np.arange(8) / 4)
+    env = vel.radial_envelope(sysm, radii)
+    assert E.calls <= sysm.d
+    # the same bound, point by point, with its running maximum over the shells
+    running, ref = 0.0, []
+    for r in radii:
+        for x in r * unit_directions(3):
+            lam = np.linalg.eigvalsh(vel.velocity_matrix(base, x))[-1]
+            bound = min(math.sqrt(max(lam, 0.0)), math.sqrt(3.0) * vel.fattorini_r(base, x))
+            running = max(running, bound)
+        ref.append(running)
+    np.testing.assert_allclose(env, ref, rtol=1e-15, atol=0.0)
 
 
 # -- sampled fields and majorants -------------------------------------------
