@@ -9,6 +9,12 @@ edge, so energy is conserved up to time-integration error; runs whose support
 box approaches within four nodes of the edge are flagged
 "boundary-contaminated".
 
+The assembled matrix is the generator G = -i Op itself, so a time step
+multiplies by G and nothing else.  G is real (float64) when E and A are real
+and V is zero or purely imaginary, which holds for every built-in family
+except Dirac, its canonical forms included; a real state then steps in
+float64, at half the memory and flops.
+
 Integrators: classic RK4 (default; tiny 5th-order-per-step energy drift) and
 implicit midpoint behind a flag (conserves the energy quadratic form to
 fixed-point tolerance, at the cost of an inner iteration).
@@ -129,19 +135,22 @@ def _density(values: np.ndarray, E: np.ndarray) -> np.ndarray:
 
 
 class DiscreteOperator:
-    """The discrete weighted operator, assembled once as a sparse matrix.
+    """The discrete weighted operator, assembled once as its generator G = -i Op.
 
     Building one is the expensive part (field sampling, weight inversion,
-    assembly); ``apply`` is then one sparse matrix-vector product, cheap
-    enough to call thousands of times per run.
+    assembly); ``derivative`` (G v) and ``apply`` (Op v = i G v) are then one
+    sparse matrix-vector product each, cheap enough to call thousands of
+    times per run.
 
-    Row (n, a) of the matrix holds, for each axis j and stencil offset m with
-    weight c_m / h_j, the neighbour blocks
+    Row (n, a) of ``generator`` holds, for each axis j and stencil offset m
+    with weight c_m / h_j, the neighbour blocks
 
-        E^{-1}(n) (-/+ i c_m / (2 h_j)) (A^j(n) + A^j(n +/- m e_j))
+        E^{-1}(n) (-/+ c_m / (2 h_j)) (A^j(n) + A^j(n +/- m e_j))
 
-    and the diagonal block E^{-1}(n) V(n); neighbours outside the grid are
-    zero exterior values and have no entry.
+    and the diagonal block -i E^{-1}(n) V(n); neighbours outside the grid are
+    zero exterior values and have no entry.  Entries whose imaginary parts
+    are all zero are stored as float64.  ``matrix`` is Op, derived from G
+    when read.
     """
 
     def __init__(self, sys: CoefficientSystem, grid: Grid, order: int = 2):
@@ -174,27 +183,38 @@ class DiscreteOperator:
 
         everywhere = (slice(None),) * d
         if not (isinstance(sys.V, ConstMatrixField) and not sys.V.mat.any()):
-            add_block(everywhere, everywhere, sys.V.on_grid(grid.axes), 1.0)
+            add_block(everywhere, everywhere, sys.V.on_grid(grid.axes), -1j)
         for j, (A, h) in enumerate(zip(sys.A, grid.spacing)):
             a = A.mat if isinstance(A, ConstMatrixField) else A.on_grid(grid.axes)
             a = np.broadcast_to(a, grid.shape + (k, k))
             for lo, hi, c in _stencil_pairs(d, j, order):
                 a_sum = a[lo] + a[hi]
-                scale = -0.5j * (c / h)
+                scale = -0.5 * (c / h)
                 add_block(lo, hi, a_sum, scale)
                 add_block(hi, lo, a_sum, -scale)
             del a, a_sum  # free this axis's samples before sampling the next
         rows = np.concatenate(rows)
         cols = np.concatenate(cols)
-        vals = np.concatenate(vals).astype(np.complex128, copy=False)
-        self.matrix = sparse.csr_array((vals, (rows, cols)), shape=(idx.size, idx.size))
+        vals = np.concatenate(vals)
+        if np.iscomplexobj(vals) and not vals.imag.any():
+            vals = vals.real
+        self.generator = sparse.csr_array((vals, (rows, cols)), shape=(idx.size, idx.size))
+
+    @property
+    def matrix(self):
+        """The weighted operator Op = i G as a complex sparse matrix."""
+        return 1j * self.generator
+
+    def derivative(self, values: np.ndarray) -> np.ndarray:
+        """G v = -i Op v: the time derivative of a state array, in its dtype when G is real."""
+        return (self.generator @ values.reshape(-1)).reshape(values.shape)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """The discrete weighted operator applied to a state array."""
         want = self.grid.shape + (self.sys.k,)
         if values.shape != want:
             raise ValidationError(f"state values must have shape {want}, got {values.shape}")
-        return (self.matrix @ values.reshape(-1)).reshape(want)
+        return 1j * self.derivative(values)
 
     def density(self, values: np.ndarray) -> np.ndarray:
         """Pointwise energy density <psi, E psi>, one value per node."""
@@ -323,19 +343,19 @@ class EvolutionLog:
 
 
 def _rk4_step(op: DiscreteOperator, values: np.ndarray, dt: float) -> np.ndarray:
-    k1 = -1j * op.apply(values)
-    k2 = -1j * op.apply(values + (0.5 * dt) * k1)
-    k3 = -1j * op.apply(values + (0.5 * dt) * k2)
-    k4 = -1j * op.apply(values + dt * k3)
+    k1 = op.derivative(values)
+    k2 = op.derivative(values + (0.5 * dt) * k1)
+    k3 = op.derivative(values + (0.5 * dt) * k2)
+    k4 = op.derivative(values + dt * k3)
     return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _midpoint_step(op: DiscreteOperator, values: np.ndarray, dt: float) -> np.ndarray:
-    y = values + dt * (-1j * op.apply(values))
+    y = values + dt * op.derivative(values)
     scale = float(np.abs(values).max())
     tol = MIDPOINT_TOL * max(1.0, scale)
     for _ in range(MIDPOINT_MAX_ITER):
-        y_new = values + dt * (-1j * op.apply(0.5 * (values + y)))
+        y_new = values + dt * op.derivative(0.5 * (values + y))
         gap = float(np.abs(y_new - y).max())
         y = y_new
         if gap <= tol:
@@ -354,6 +374,8 @@ def _evolution(sys, state0, T, cfl, threshold, method, order, dt):
 
     states yields (i, t, values): the initial state (i = 0), then the state
     after each of the steps, raising InstabilityError on a non-finite one.
+    The values are float64 when the generator and the initial state are both
+    real, complex128 otherwise.
     """
     if method not in _STEPPERS:
         raise ValueError(f"method must be one of {sorted(_STEPPERS)}")
@@ -374,6 +396,8 @@ def _evolution(sys, state0, T, cfl, threshold, method, order, dt):
     def states():
         step_fn = _STEPPERS[method]
         values = state0.values
+        if op.generator.dtype.kind == "f" and not values.imag.any():
+            values = values.real.copy()
         yield 0, state0.t, values
         for i in range(1, steps + 1):
             values = step_fn(op, values, dt)

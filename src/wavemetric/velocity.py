@@ -24,6 +24,7 @@ the field degenerates.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import math
@@ -291,10 +292,15 @@ class VelocityField:
         return self.grid.d
 
 
+def _domination_gap(H: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Node-wise smallest eigenvalue of H - M and the tolerance it may fall short by."""
+    gap = np.linalg.eigvalsh(H - M)[..., 0]
+    return gap, MAJORANT_RTOL * np.maximum(_node_norms(H), 1e-300)
+
+
 def _check_dominates(H: np.ndarray, M: np.ndarray) -> float:
     """Raise unless H - M is PSD node-wise (to tolerance); return worst margin."""
-    gap = np.linalg.eigvalsh(H - M)[..., 0]
-    tol = MAJORANT_RTOL * np.maximum(_node_norms(H), 1e-300)
+    gap, tol = _domination_gap(H, M)
     worst = float((gap + tol).min())
     if worst < 0.0:
         idx = np.unravel_index(int(np.argmin(gap + tol)), gap.shape)
@@ -329,7 +335,8 @@ def majorant(field: VelocityField, delta: float) -> VelocityField:
     """Attach a smooth node-wise upper bound (1+delta)*(mollified M) + eps*I.
 
     If domination fails at some node the slack is doubled, up to three times;
-    the slack that finally worked is recorded on the returned field.
+    the slack that finally worked is recorded on the returned field, a copy
+    of ``field`` whose already validated M is not checked again.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"slack must lie in (0, 1), got {delta}")
@@ -348,10 +355,11 @@ def majorant(field: VelocityField, delta: float) -> VelocityField:
     cur = float(delta)
     for _ in range(MAX_SLACK_DOUBLINGS + 1):
         H = (1.0 + cur) * smooth + eps * eye
-        gap = np.linalg.eigvalsh(H - M)[..., 0]
-        tol = MAJORANT_RTOL * np.maximum(_node_norms(H), 1e-300)
+        gap, tol = _domination_gap(H, M)
         if float((gap + tol).min()) >= 0.0:
-            return VelocityField(field.grid, M, majorant_samples=H, delta=cur)
+            out = copy.copy(field)
+            out.majorant_samples, out.delta = H, cur
+            return out
         cur *= 2.0
     raise MajorantError(
         f"no majorant after raising slack to {cur / 2:g}: the sampled field "

@@ -182,6 +182,21 @@ def test_weighted_operator_is_hermitian(case, order):
 
 
 @pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_generator_is_real_except_for_dirac(case, order):
+    # G = -i Op is real for real E and A with V zero or purely imaginary
+    sysm, shape = REFERENCE_CASES[case]
+    grid = wm.Grid(sysm.domain, shape)
+    G = ev.DiscreteOperator(sysm, grid, order).generator
+    assert G.dtype == (np.complex128 if case == "massive-dirac-3d" else np.float64)
+    rng = np.random.default_rng(22)
+    psi = rng.standard_normal(shape + (sysm.k,)) + 1j * rng.standard_normal(shape + (sysm.k,))
+    got = ((1j * G) @ psi.reshape(-1)).reshape(psi.shape)
+    want = reference_apply(sysm, grid, order, psi)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("order", [2, 4])
 def test_component_divergence_matches_oracle(order):
     sysm = wm.maxwell_isotropic("1", "1", domain=_box(3))
     grid = wm.Grid(sysm.domain, (8, 9, 10))
@@ -375,6 +390,40 @@ def test_energy_drift_and_positive_entries():
     assert all(e > 0 for e in log.energies)
     assert abs(log.energies[-1] / log.energies[0] - 1.0) <= 1e-6
     assert fin.t == pytest.approx(0.5, rel=1e-12)
+
+
+def power_law_telegraph():
+    coeff = "sin(pi*x)^(-2.0)"
+    sysm = wm.telegraph(coeff, coeff)
+    return sysm, wm.Grid(sysm.domain, (2048,))
+
+
+@pytest.mark.parametrize("method", ["rk4", "midpoint"])
+def test_imaginary_pulse_evolves_as_i_times_real_pulse(method):
+    # a real generator steps a real pulse in float64 and an imaginary one in
+    # complex128; both runs must agree bit for bit up to the factor i
+    sysm, grid = power_law_telegraph()
+    real, log_re = ev.integrate(sysm, ev.gaussian_state(grid, [1.0, 0.0], [0.5], 0.02),
+                                0.02, method=method)
+    imag, log_im = ev.integrate(sysm, ev.gaussian_state(grid, [1j, 0.0], [0.5], 0.02),
+                                0.02, method=method)
+    assert log_re.steps > 10
+    assert imag.values.imag.tobytes() == real.values.real.tobytes()
+    assert np.all(imag.values.real == 0.0)
+    assert log_im.energies == log_re.energies
+
+
+def test_evolution_steps_real_systems_in_float64():
+    sysm, grid = power_law_telegraph()
+    pulse = ev.gaussian_state(grid, [1.0, 0.0], [0.5], 0.02)
+    _, _, steps, states = ev._evolution(sysm, pulse, 0.002, 0.4, 1e-8, "rk4", 2, None)
+    assert [v.dtype for _, _, v in states] == [np.float64] * (steps + 1)
+
+    dirac = wm.dirac_free()
+    grid = wm.Grid(dirac.domain, (12, 12, 12))
+    pulse = ev.gaussian_state(grid, [1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0.3)
+    _, _, steps, states = ev._evolution(dirac, pulse, 0.1, 0.4, 1e-8, "rk4", 2, None)
+    assert [v.dtype for _, _, v in states] == [np.complex128] * (steps + 1)
 
 
 def test_slow_ends_profile_conserves_energy():
