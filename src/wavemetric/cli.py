@@ -10,8 +10,9 @@ settings, and an output directory.  The commands are
     simulate  energy-conserving pulse evolution -> log CSV + snapshots
     verify    run the registered numerical self-checks -> table on stdout
 
-Exit codes: 0 success, 2 malformed scenario, 3 numerical failure, 4 verdict
-inconclusive (or checks skipped) under --strict.
+Exit codes: 0 success, 2 malformed scenario (a coefficient matrix that is not
+Hermitian positive definite where it is sampled included), 3 numerical
+failure, 4 verdict inconclusive (or checks skipped) under --strict.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from . import verify as verify_mod
 from .errors import (
     DomainEvalError,
     ExpressionError,
+    MatrixError,
     ScenarioError,
     ValidationError,
     WavemetricError,
@@ -811,7 +813,7 @@ def main(argv=None) -> int:
         if args.command == "distance":
             return cmd_distance(scn, mode=args.mode, seed=args.seed)
         return cmd_simulate(scn, method=args.method, seed=args.seed)
-    except ScenarioError as exc:
+    except (ScenarioError, MatrixError) as exc:
         print(f"{path}: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
     except (WavemetricError, ValueError) as exc:

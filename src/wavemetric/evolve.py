@@ -13,7 +13,10 @@ The assembled matrix is the generator G = -i Op itself, so a time step
 multiplies by G and nothing else.  G is real (float64) when E and A are real
 and V is zero or purely imaginary, which holds for every built-in family
 except Dirac, its canonical forms included; a real state then steps in
-float64, at half the memory and flops.
+float64, at half the memory and flops, and a complex one as float64 pairs of
+its real and imaginary parts.  A weight E that is diagonal by structure
+(``E.is_diagonal``) is kept as its diagonal alone, for the assembly and for
+the energy density.
 
 Integrators: classic RK4 (default; tiny 5th-order-per-step energy drift) and
 implicit midpoint behind a flag (conserves the energy quadratic form to
@@ -39,7 +42,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InstabilityError, ValidationError
 from .grids import Grid, write_csv
-from .systems import CoefficientSystem, ConstMatrixField
+from .systems import CoefficientSystem, ConstMatrixField, MatrixField
 from .velocity import VelocityField
 
 EDGE_MARGIN_NODES = 4
@@ -129,9 +132,39 @@ def _check_order(order: int) -> None:
         raise ValueError(f"difference order must be one of {sorted(_DIFF_COEFFS)}")
 
 
+def _weight(E: MatrixField, grid: Grid) -> np.ndarray:
+    """E on the grid as ``_density`` reads it.
+
+    A diagonal E (``E.is_diagonal``) keeps only its diagonal, shape
+    grid + (k,); any other E is grid + (k, k).
+    """
+    samples = E.on_grid(grid.axes)
+    return np.diagonal(samples, axis1=-2, axis2=-1).copy() if E.is_diagonal else samples
+
+
 def _density(values: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """Pointwise energy density <psi, E psi> of a state array, one value per node."""
+    """Pointwise energy density <psi, E psi> of a state array, one value per node.
+
+    E is the weight as ``_weight`` gives it: a diagonal (one axis fewer than
+    a matrix, so as many axes as the values) contracts as
+    sum_a conj(psi_a) E_a psi_a, which gives the same bits as the full
+    contraction with the zero off-diagonal entries.
+    """
+    if E.ndim == values.ndim:
+        conj = np.conj(values) if np.iscomplexobj(values) else values
+        return np.real(np.einsum("...a,...a,...a->...", conj, E, values))
     return np.real(np.einsum("...a,...ab,...b->...", np.conj(values), E, values))
+
+
+def _positive_definite(E: np.ndarray, diagonal: bool) -> bool:
+    """Whether the weight is positive definite at every node, E as ``_weight`` gives it."""
+    if diagonal:
+        return bool(np.all(np.real(E) > 0))
+    try:
+        np.linalg.cholesky(E)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 class DiscreteOperator:
@@ -151,6 +184,13 @@ class DiscreteOperator:
     zero exterior values and have no entry.  Entries whose imaginary parts
     are all zero are stored as float64.  ``matrix`` is Op, derived from G
     when read.
+
+    A diagonal weight (``E.is_diagonal``) is inverted entry by entry and
+    ``E_samples`` keeps only its diagonal; with a constant A^j the block is
+    then written from A^j's nonzero entries alone, each times the node's
+    E^{-1} entry, with no dense per-node k-by-k block.  Any other weight is
+    checked with a batched Cholesky factorisation and inverted per node with
+    ``np.linalg.inv``.
     """
 
     def __init__(self, sys: CoefficientSystem, grid: Grid, order: int = 2):
@@ -161,30 +201,46 @@ class DiscreteOperator:
         self.order = order
         d, k = grid.d, sys.k
 
-        self.E_samples = E = sys.E.on_grid(grid.axes)
-        if not E[..., ~np.eye(k, dtype=bool)].any():
-            diag = np.real(np.einsum("...ii->...i", E))
-            if not np.all(diag > 0):
-                raise ValidationError("weight field must be positive definite on the grid")
-            einv, apply_einv = (1.0 / diag)[..., None], np.multiply
-        else:
-            einv, apply_einv = np.linalg.inv(E), np.matmul
+        self.E_samples = E = _weight(sys.E, grid)
+        diagonal = sys.E.is_diagonal
+        if not _positive_definite(E, diagonal):
+            raise ValidationError("weight field must be positive definite on the grid")
+        einv = 1.0 / np.real(E) if diagonal else np.linalg.inv(E)
 
         idx = np.arange(grid.node_count * k, dtype=np.int32).reshape(grid.shape + (k,))
         rows, cols, vals = [], [], []
 
         def add_block(dst, src, coeff, scale):
             """Entries scale * E^{-1} coeff coupling nodes idx[dst] to idx[src]."""
-            blk = apply_einv(einv[dst], coeff)
+            if diagonal:
+                blk = einv[dst][..., None] * coeff
+            else:
+                blk = einv[dst] @ coeff
             nz = blk != 0
             rows.append(np.broadcast_to(idx[dst][..., :, None], blk.shape)[nz])
             cols.append(np.broadcast_to(idx[src][..., None, :], blk.shape)[nz])
             vals.append(scale * blk[nz])
 
+        def add_constant_block(dst, src, a_sum, scale):
+            """add_block for a diagonal weight and a constant coefficient, entry by entry."""
+            for a, b in zip(*np.nonzero(a_sum)):
+                blk = einv[dst][..., a] * a_sum[a, b]
+                nz = blk != 0
+                rows.append(idx[dst][..., a][nz])
+                cols.append(idx[src][..., b][nz])
+                vals.append(scale * blk[nz])
+
         everywhere = (slice(None),) * d
         if not (isinstance(sys.V, ConstMatrixField) and not sys.V.mat.any()):
             add_block(everywhere, everywhere, sys.V.on_grid(grid.axes), -1j)
         for j, (A, h) in enumerate(zip(sys.A, grid.spacing)):
+            if diagonal and isinstance(A, ConstMatrixField):
+                a_sum = A.mat + A.mat
+                for lo, hi, c in _stencil_pairs(d, j, order):
+                    scale = -0.5 * (c / h)
+                    add_constant_block(lo, hi, a_sum, scale)
+                    add_constant_block(hi, lo, a_sum, -scale)
+                continue
             a = A.mat if isinstance(A, ConstMatrixField) else A.on_grid(grid.axes)
             a = np.broadcast_to(a, grid.shape + (k, k))
             for lo, hi, c in _stencil_pairs(d, j, order):
@@ -206,8 +262,12 @@ class DiscreteOperator:
         return 1j * self.generator
 
     def derivative(self, values: np.ndarray) -> np.ndarray:
-        """G v = -i Op v: the time derivative of a state array, in its dtype when G is real."""
-        return (self.generator @ values.reshape(-1)).reshape(values.shape)
+        """G v = -i Op v: the time derivative of a state array, in its dtype when G is real.
+
+        A real G also takes a complex state as its float64 (..., k, 2) view,
+        real and imaginary parts side by side, and steps both in one product.
+        """
+        return (self.generator @ values.reshape(self.generator.shape[1], -1)).reshape(values.shape)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """The discrete weighted operator applied to a state array."""
@@ -228,7 +288,7 @@ def apply_operator(sys: CoefficientSystem, state: WaveState, order: int = 2) -> 
 
 def energy(sys: CoefficientSystem, state: WaveState) -> float:
     """Trapezoid quadrature of the energy density <psi, E psi> over the grid."""
-    dens = _density(state.values, sys.E.on_grid(state.grid.axes))
+    dens = _density(state.values, _weight(sys.E, state.grid))
     return float((state.grid.trapezoid_weights() * dens).sum())
 
 
@@ -277,7 +337,7 @@ def support_box(sys: CoefficientSystem, state: WaveState, threshold: float = DEF
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"support threshold must be in (0, 1), got {threshold}")
-    dens = _density(state.values, sys.E.on_grid(state.grid.axes))
+    dens = _density(state.values, _weight(sys.E, state.grid))
     ref = float(dens.max()) if ref_density is None else float(ref_density)
     found = _support_extent(state.grid, dens, ref, threshold)
     return None if found is None else found[1]
@@ -375,7 +435,9 @@ def _evolution(sys, state0, T, cfl, threshold, method, order, dt):
     states yields (i, t, values): the initial state (i = 0), then the state
     after each of the steps, raising InstabilityError on a non-finite one.
     The values are float64 when the generator and the initial state are both
-    real, complex128 otherwise.
+    real, complex128 otherwise.  A complex state on a real generator steps
+    as the float64 (..., k, 2) view of its real and imaginary parts and is
+    yielded as the complex128 view of that array.
     """
     if method not in _STEPPERS:
         raise ValueError(f"method must be one of {sorted(_STEPPERS)}")
@@ -396,15 +458,19 @@ def _evolution(sys, state0, T, cfl, threshold, method, order, dt):
     def states():
         step_fn = _STEPPERS[method]
         values = state0.values
-        if op.generator.dtype.kind == "f" and not values.imag.any():
+        real_g = op.generator.dtype.kind == "f"
+        pairs = real_g and values.imag.any()
+        if pairs:  # real and imaginary parts side by side, stepped in float64
+            values = np.ascontiguousarray(values).view(np.float64).reshape(values.shape + (2,))
+        elif real_g:
             values = values.real.copy()
-        yield 0, state0.t, values
+        yield 0, state0.t, state0.values if pairs else values
         for i in range(1, steps + 1):
             values = step_fn(op, values, dt)
             t = state0.t + i * dt
             if not np.all(np.isfinite(values)):
                 raise InstabilityError(i, t, f"retry with a smaller cfl, e.g. {0.5 * cfl:g}")
-            yield i, t, values
+            yield i, t, values.view(np.complex128)[..., 0] if pairs else values
 
     return op, dt, steps, states()
 

@@ -7,16 +7,22 @@ field V.  Entries are either constants or expressions in the coordinates
 x, y, z.  Each matrix field has one batched evaluator, ``sample(coords)``;
 points and tensor grids both go through it and agree bit for bit.
 
+Every field also answers, from its structure alone, whether it is diagonal
+(``is_diagonal``): a constant field whose off-diagonal entries are all zero,
+or an expression field whose off-diagonal cells are all the literal 0.
+
 The canonical transform re-expresses a system with weight E in an equivalent
 E = identity form: the state is multiplied pointwise by E^{1/2}, the first
 order coefficients become E^{-1/2} A^j E^{-1/2}, and a zero-order Hermitian
-term built from the gradient of E^{-1/2} appears.  E^{-1/2} comes from one
-batched eigendecomposition; a sample that is not Hermitian positive definite
-raises the positioned error ``spd_inv_sqrt`` gives at that point.  Gradients
-come from an analytic evaluator when supplied, otherwise from central finite
-differences with step 1e-5 (scaled by axis extent), shrunk per sample near a
-bounded side with one warning per evaluation; a sample on or outside the
-boundary raises ``ValidationError``.
+term built from the gradient of E^{-1/2} appears.  ``canonical_A`` samples
+and inverts E once for all the B^j.  E^{-1/2} is diag(E)^{-1/2} for a
+diagonal E and comes from one batched eigendecomposition otherwise; a sample
+that is not Hermitian positive definite raises the positioned error
+``spd_inv_sqrt`` gives at that point, a non-finite one its own positioned
+error.  Gradients come from an analytic evaluator when supplied, otherwise
+from central finite differences with step 1e-5 (scaled by axis extent),
+shrunk per sample near a bounded side with one warning per evaluation; a
+sample on or outside the boundary raises ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ __all__ = [
     "eval_coeffs",
     "symbol",
     "canonicalize",
+    "canonical_A",
     "zero_order_term",
     "validate_system",
     "telegraph",
@@ -172,9 +179,14 @@ class MatrixField:
     to their shape + (k, k).  ``__call__`` (one point) and ``on_grid`` (a
     tensor grid) are thin wrappers on it, so a point and a grid node get the
     same arithmetic and agree bit for bit.
+
+    ``is_diagonal`` is true only when the field's structure makes every
+    off-diagonal entry zero at every point; a field whose callable or
+    formula happens to give a diagonal matrix still answers no.
     """
 
     k: int
+    is_diagonal: bool = False
 
     def sample(self, coords: tuple) -> np.ndarray:
         raise NotImplementedError
@@ -199,6 +211,7 @@ class ConstMatrixField(MatrixField):
         self.mat = mat.astype(dtype)
         self.mat.setflags(write=False)
         self.k = mat.shape[0]
+        self.is_diagonal = not self.mat[~np.eye(self.k, dtype=bool)].any()
 
     def sample(self, coords) -> np.ndarray:
         return self.mat
@@ -206,6 +219,13 @@ class ConstMatrixField(MatrixField):
     @property
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.mat, np.eye(self.k)))
+
+
+def _is_literal_zero(cell) -> bool:
+    """Whether an expression-field cell is the constant 0, as a number or a literal."""
+    if isinstance(cell, dsl.Num):
+        cell = cell.value
+    return isinstance(cell, (float, complex)) and cell == 0
 
 
 class ExprMatrixField(MatrixField):
@@ -240,6 +260,9 @@ class ExprMatrixField(MatrixField):
             self.entries.append(erow)
             self.sources.append(srow)
         self.dtype = np.complex128 if complex_const else np.float64
+        self.is_diagonal = all(
+            _is_literal_zero(self.entries[i][j]) for i in range(k) for j in range(k) if i != j
+        )
 
     def sample(self, coords) -> np.ndarray:
         out = np.empty(_shape(coords) + (self.k, self.k), dtype=self.dtype)
@@ -274,25 +297,83 @@ class FuncMatrixField(MatrixField):
         return np.stack(mats).reshape(points.shape[:-1] + (self.k, self.k))
 
 
-def _inv_sqrt(E: MatrixField, coords) -> np.ndarray:
-    """E^{-1/2} at every sample.
+def _raise_where_bad(mats: np.ndarray, bad: np.ndarray, coords) -> None:
+    """Raise the positioned error for the first sample (C order) flagged bad, if any.
 
-    A sample that is not Hermitian, not positive definite or numerically
-    singular raises the error ``spd_inv_sqrt`` gives for it at that point.
+    A finite sample gets the error ``spd_inv_sqrt`` gives for it at that
+    point; a non-finite one a ``MatrixError`` naming the point.
+    """
+    if not bad.any():
+        return
+    x = dsl.point_where(coords, bad)
+    first = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    if np.isfinite(mats[first]).all():
+        at_point(spd_inv_sqrt, mats[first], "E", x)
+    raise MatrixError(f"non-finite eigenvalues while inverting E (E at {x})")
+
+
+def _inv_sqrt_diagonal(E: MatrixField, coords) -> np.ndarray:
+    """diag(E)^{-1/2} at every sample, shape S + (k,), for a diagonal E.
+
+    The checks are those of ``_inv_sqrt`` with the eigenvalues read off the
+    diagonal, so the same samples fail with the same errors.
     """
     mats = E.sample(coords)
+    diag = np.diagonal(mats, axis1=-2, axis2=-1)
+    _raise_where_bad(mats, ~np.isfinite(diag).all(axis=-1), coords)
+    w = diag.real
+    bad = ~(w.min(axis=-1) >= SINGULAR_RTOL * np.maximum(w.max(axis=-1), 1e-300))
+    if np.iscomplexobj(diag) and diag.imag.any():
+        scale = np.maximum(np.linalg.norm(diag, axis=-1), 1e-300)
+        bad |= np.linalg.norm(diag - diag.conj(), axis=-1) > HERMITIAN_RTOL * scale
+    _raise_where_bad(mats, bad, coords)
+    return (w**-0.5).astype(mats.dtype, copy=False)
+
+
+def _inv_sqrt(E: MatrixField, coords) -> np.ndarray:
+    """E^{-1/2} at every sample, shape S + (k, k).
+
+    A diagonal E (``E.is_diagonal``) gets diag(E)^{-1/2} written onto the
+    diagonal and no eigendecomposition; any other E one batched ``eigh``.
+    Either way a sample that is not Hermitian, not positive definite or
+    numerically singular raises the error ``spd_inv_sqrt`` gives for it at
+    that point, and a non-finite sample raises a positioned ``MatrixError``.
+    """
+    if E.is_diagonal:
+        return _inv_sqrt_diagonal(E, coords)[..., :, None] * np.eye(E.k)
+    mats = E.sample(coords)
+    _raise_where_bad(mats, ~np.isfinite(mats).all(axis=(-2, -1)), coords)
     w, u = np.linalg.eigh(mats)
     bad = ~(w[..., 0] >= SINGULAR_RTOL * np.maximum(w[..., -1], 1e-300))
     adjoint = mats.swapaxes(-1, -2).conj()
     if (mats != adjoint).any():  # the norms matter only where E is not exactly Hermitian
         scale = np.maximum(np.linalg.norm(mats, axis=(-2, -1)), 1e-300)
         bad |= np.linalg.norm(mats - adjoint, axis=(-2, -1)) > HERMITIAN_RTOL * scale
-    if bad.any():
-        x = dsl.point_where(coords, bad)
-        first = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        at_point(spd_inv_sqrt, mats[first], "E", x)
-        raise MatrixError(f"non-finite eigenvalues while inverting E (E at {x})")
+    _raise_where_bad(mats, bad, coords)
     return np.einsum("...ij,...j,...kj->...ik", u, w**-0.5, u.conj())
+
+
+def _sandwiches(E: MatrixField, A_fields, coords) -> list[np.ndarray]:
+    """E^{-1/2} A^j E^{-1/2}, Hermitian part, for every field, E sampled and inverted once.
+
+    A diagonal E scales each A^j by r = diag(E)^{-1/2} on both sides, so no
+    k-by-k E^{-1/2} stack is formed.
+    """
+    diagonal = E.is_diagonal
+    R = _inv_sqrt_diagonal(E, coords) if diagonal else _inv_sqrt(E, coords)
+    out = []
+    for A in A_fields:
+        a = A.sample(coords)
+        if diagonal:
+            b = R[..., :, None] * a
+            b *= R[..., None, :]
+        else:
+            b = R @ a @ R
+        bt = b.swapaxes(-1, -2)
+        b = b + (bt.conj() if np.iscomplexobj(bt) else bt)
+        b *= 0.5
+        out.append(b)
+    return out
 
 
 class _ElasticWeightField(MatrixField):
@@ -322,9 +403,7 @@ class _CanonicalAField(MatrixField):
         self.k = A.k
 
     def sample(self, coords) -> np.ndarray:
-        R = _inv_sqrt(self.E, coords)
-        out = R @ self.A.sample(coords) @ R
-        return 0.5 * (out + out.swapaxes(-1, -2).conj())
+        return _sandwiches(self.E, (self.A,), coords)[0]
 
 
 class _CanonicalVField(MatrixField):
@@ -457,6 +536,22 @@ def zero_order_term(sys: CoefficientSystem, x) -> np.ndarray:
     return fld(x)
 
 
+def _is_canonical(sys: CoefficientSystem) -> bool:
+    """Flagged canonical, or a constant identity weight."""
+    return sys.canonical or (isinstance(sys.E, ConstMatrixField) and sys.E.is_identity)
+
+
+def canonical_A(sys: CoefficientSystem, coords) -> list[np.ndarray]:
+    """The canonical B^j of sys at coords, one array per axis, each at the shape its field gives.
+
+    The same matrices as sampling ``canonicalize(sys).A``, but E is sampled
+    and inverted once for all axes.  A constant B^j stays one (k, k) matrix.
+    """
+    if _is_canonical(sys):
+        return [A.sample(coords) for A in sys.A]
+    return _sandwiches(sys.E, sys.A, coords)
+
+
 def canonicalize(sys: CoefficientSystem) -> CoefficientSystem:
     """Equivalent system with identity weight.
 
@@ -465,7 +560,7 @@ def canonicalize(sys: CoefficientSystem) -> CoefficientSystem:
     """
     if sys.canonical:
         return sys
-    if isinstance(sys.E, ConstMatrixField) and sys.E.is_identity:
+    if _is_canonical(sys):
         return replace(sys, canonical=True)
     label = f"{sys.label} (canonical)" if sys.label else "canonical"
     return CoefficientSystem(

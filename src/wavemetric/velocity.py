@@ -39,7 +39,7 @@ from .errors import MajorantError, UnsupportedSystemError, ValidationError
 from .grids import Grid, write_csv
 from .matkernel import at_point, op_norm, spd_inv_sqrt, spd_sqrt
 from .sampling import unit_directions
-from .systems import CURL_GENERATORS, STRAIN_GENERATORS, CoefficientSystem, canonicalize
+from .systems import CURL_GENERATORS, STRAIN_GENERATORS, CoefficientSystem, canonical_A
 
 __all__ = [
     "SpeedBracket",
@@ -73,18 +73,10 @@ def _check_inside(sys: CoefficientSystem, x) -> np.ndarray:
     return x
 
 
-def _canonical_A(sys: CoefficientSystem, coords) -> list[np.ndarray]:
-    """The canonical B^j at coords, one array per axis, each at the shape its field gives.
-
-    A constant B^j stays one (k, k) matrix, so a constant system is evaluated once.
-    """
-    return [A.sample(coords) for A in canonicalize(sys).A]
-
-
 def _sample_inside(sys: CoefficientSystem, x) -> tuple[tuple[int, ...], list[np.ndarray]]:
     """The shape S of a point (d,) or a stack S + (d,) inside the domain, and B^j there."""
     x = _check_inside(sys, x)
-    return x.shape[:-1], _canonical_A(sys, tuple(np.moveaxis(x, -1, 0)))
+    return x.shape[:-1], canonical_A(sys, tuple(np.moveaxis(x, -1, 0)))
 
 
 def _at_points(value, shape: tuple[int, ...]):
@@ -284,7 +276,7 @@ class VelocityField:
     @classmethod
     def from_system(cls, sys: CoefficientSystem, grid: Grid) -> "VelocityField":
         coords = tuple(np.meshgrid(*grid.axes, indexing="ij", sparse=True))
-        M = _traces(_canonical_A(sys, coords))
+        M = _traces(canonical_A(sys, coords))
         return cls(grid, _at_points(M, grid.shape + (grid.d, grid.d)))
 
     @property

@@ -220,6 +220,19 @@ def test_asymmetric_permittivity_exits_2(tmp_path, capsys):
     )
 
 
+def test_weight_failing_at_a_grid_node_exits_2(tmp_path, capsys):
+    # eps = x - 0.05 passes the construction probe but not the node at x = 1/33
+    raw = family_scenario("maxwell_isotropic", {"eps": "x - 0.05"}, 2)
+    raw["grid"]["nodes"] = [32, 32]
+    raw["output"]["dir"] = str(tmp_path / "out")
+    p = write_scenario(tmp_path, raw)
+    assert cli.main(["analyze", str(p)]) == 2
+    assert capsys.readouterr().err == (
+        f"{p}: matrix is not positive definite: smallest eigenvalue -1.969697e-02 "
+        "(E at [0.03030303 0.03030303])\n"
+    )
+
+
 @pytest.mark.parametrize("name,params,d,point", [
     ("telegraph", {"L": "log(x - 0.5)"}, 1, "{'x': 0.5}"),
     ("maxwell_isotropic", {"eps": "log(x - 0.5)"}, 2, "{'x': 0.5, 'y': 0.3333333333333333}"),

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import os
@@ -12,6 +13,7 @@ from scipy import sparse
 
 import wavemetric as wm
 from wavemetric import evolve as ev
+from wavemetric import systems
 from wavemetric.errors import InstabilityError, ValidationError
 
 
@@ -194,6 +196,65 @@ def test_generator_is_real_except_for_dirac(case, order):
     got = ((1j * G) @ psi.reshape(-1)).reshape(psi.shape)
     want = reference_apply(sysm, grid, order, psi)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def hide_structure(sysm):
+    """The same system with E behind a callable, so it is not known to be diagonal."""
+    return dataclasses.replace(sysm, E=wm.FuncMatrixField(sysm.E, sysm.k))
+
+
+# diagonal weights, compared with the same weight taken through the general path
+STRUCTURE_CASES = {
+    "telegraph-256": (wm.telegraph("1 + 0.5*x", "2 - x"), (256,)),
+    "maxwell-32x32": (wm.maxwell_isotropic("1 + x*y", "2 - x", domain=_box(2)), (32, 32)),
+    "maxwell-8x8x8": (wm.maxwell_isotropic("1 + x*y", "2 - z", domain=_box(3)), (8, 8, 8)),
+}
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES) + sorted(STRUCTURE_CASES))
+def test_generator_does_not_depend_on_knowing_the_weight_is_diagonal(case, order):
+    sysm, shape = {**REFERENCE_CASES, **STRUCTURE_CASES}[case]
+    grid = wm.Grid(sysm.domain, shape)
+    got = ev.DiscreteOperator(sysm, grid, order).generator
+    want = ev.DiscreteOperator(hide_structure(sysm), grid, order).generator
+    assert got.dtype == want.dtype
+    for part in ("indptr", "indices", "data"):
+        assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURE_CASES))
+def test_diagonal_weight_samples_match_the_general_path(case):
+    sysm, shape = STRUCTURE_CASES[case]
+    hidden = hide_structure(sysm)
+    assert sysm.E.is_diagonal and not hidden.E.is_diagonal
+    grid = wm.Grid(sysm.domain, shape)
+    coords = tuple(np.meshgrid(*grid.axes, indexing="ij", sparse=True))
+    R = systems._inv_sqrt(sysm.E, coords)
+    assert R.tobytes() == systems._inv_sqrt(hidden.E, coords).tobytes()
+    for B, want in zip(systems.canonical_A(sysm, coords), systems.canonical_A(hidden, coords)):
+        # equal values; a zero entry may differ in sign, since the matrix
+        # products of the general path sum from +0
+        assert B.dtype == want.dtype and np.array_equal(B, want)
+    M = wm.VelocityField.from_system(sysm, grid).M_samples
+    assert M.tobytes() == wm.VelocityField.from_system(hidden, grid).M_samples.tobytes()
+    op, ref = ev.DiscreteOperator(sysm, grid), ev.DiscreteOperator(hidden, grid)
+    assert op.E_samples.shape == shape + (sysm.k,)
+    rng = np.random.default_rng(23)
+    real = rng.standard_normal(shape + (sysm.k,))
+    for values in (real, real + 1j * rng.standard_normal(real.shape)):
+        assert op.density(values).tobytes() == ref.density(values).tobytes()
+        state = ev.WaveState(grid, values)
+        assert ev.energy(sysm, state) == ev.energy(hidden, state)
+
+
+def test_weight_must_be_positive_on_the_grid():
+    # eps = x - 0.05 passes the construction probe but not the node at x = 1/33
+    sysm = wm.maxwell_isotropic("x - 0.05", "1", domain=_box(2))
+    assert sysm.E.is_diagonal
+    for s in (sysm, hide_structure(sysm)):
+        with pytest.raises(ValidationError, match="weight field must be positive definite on the grid"):
+            ev.DiscreteOperator(s, wm.Grid(sysm.domain, (32, 32)))
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -411,6 +472,25 @@ def test_imaginary_pulse_evolves_as_i_times_real_pulse(method):
     assert imag.values.imag.tobytes() == real.values.real.tobytes()
     assert np.all(imag.values.real == 0.0)
     assert log_im.energies == log_re.energies
+
+
+def test_complex_pulse_on_a_real_system_steps_in_float64(monkeypatch):
+    # the real and imaginary parts step side by side as float64 pairs and
+    # evolve exactly as two separate real runs
+    sysm, grid = power_law_telegraph()
+
+    def run(components):
+        return ev.integrate(sysm, ev.gaussian_state(grid, components, [0.5], 0.02), 0.02)[0]
+
+    re, im = run([1.0, 0.0]), run([0.0, 1.0])
+    seen = []
+    derivative = ev.DiscreteOperator.derivative
+    monkeypatch.setattr(ev.DiscreteOperator, "derivative",
+                        lambda op, v: seen.append(v.dtype) or derivative(op, v))
+    both = run([1.0, 1j])
+    assert len(seen) > 40 and set(seen) == {np.dtype(np.float64)}
+    assert both.values.real.tobytes() == re.values.real.tobytes()
+    assert both.values.imag.tobytes() == im.values.real.tobytes()
 
 
 def test_evolution_steps_real_systems_in_float64():

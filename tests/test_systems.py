@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -84,6 +85,30 @@ def test_expr_field_grid_matches_pointwise(make):
 def test_const_field_identity_flag():
     assert wm.ConstMatrixField(np.eye(3)).is_identity
     assert not wm.ConstMatrixField(2 * np.eye(3)).is_identity
+
+
+_EYE_TABLE = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("make, diagonal", [
+    (lambda: wm.telegraph("1 + x", "2").E, True),
+    (lambda: wm.maxwell_isotropic("1 + x*y", "2", domain=UNIT_BOX_2).E, True),
+    (lambda: wm.maxwell_anisotropic(_EYE_TABLE, [["2", 0, 0], [0, "1 + x", "0"], [0, "0", 1]],
+                                    domain=UNIT_BOX_2).E, True),
+    (lambda: maxwell_anisotropic_variable().E, False),
+    (lambda: wm.elastic_isotropic().E, False),
+    (lambda: wm.dirac_free().E, True),
+    (lambda: wm.ConstMatrixField(np.diag([2.0, 3.0])), True),
+    (lambda: wm.ConstMatrixField([[2.0, 0.5], [0.5, 3.0]]), False),
+    (lambda: wm.ExprMatrixField([["1 + x", "0*x"], ["0*x", "1"]]), False),
+    (lambda: wm.FuncMatrixField(lambda x: np.eye(2), 2), False),
+], ids=["telegraph", "maxwell_isotropic", "maxwell_anisotropic-diagonal-tables",
+        "maxwell_anisotropic-off-diagonal", "elastic_isotropic", "dirac_free", "const-diagonal",
+        "const-full", "expr-zero-expression", "func"])
+def test_diagonal_answer_comes_from_structure(make, diagonal):
+    # only constant zeros and literal-0 cells count; a formula or callable
+    # that happens to vanish off the diagonal does not
+    assert make().is_diagonal is diagonal
 
 
 def test_eval_coeffs_rejects_exterior_point():
@@ -338,6 +363,34 @@ def test_canonical_point_error_names_the_point(call, error, message):
         call(can)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def hide_structure(sysm):
+    """The same system with E behind a callable, so it is not known to be diagonal."""
+    return dataclasses.replace(sysm, E=wm.FuncMatrixField(sysm.E, sysm.k))
+
+
+# The 2-D counterparts of the cases above, on a Maxwell weight diag(eps, eps,
+# eps, 1, 1, 1): the diagonal path must fail where the eigendecomposition
+# path fails, with the same message.  Every construction probe point has
+# x > 0.05, so both weights build.
+@pytest.mark.parametrize("eps, x, error, message", [
+    ("x - 0.05", 0.03, MatrixError, _NON_SPD + "-2.000000e-02 (E at [0.03 0.5 ])"),
+    ("x - 0.05", 0.05000000000000001, SingularMatrixError,
+     "numerically singular E: eigenvalue 6.938894e-18 below 1e-14 of norm "
+     "1.000000e+00 (E at [0.05 0.5 ])"),
+    ("1/(x - 0.05)", 0.05, MatrixError,
+     "non-finite eigenvalues while inverting E (E at [0.05 0.5 ])"),
+], ids=["non-spd", "singular", "non-finite"])
+def test_diagonal_weight_point_error_names_the_point(eps, x, error, message):
+    sysm = wm.maxwell_isotropic(eps, "1", domain=UNIT_BOX_2)
+    assert sysm.E.is_diagonal
+    axes = (np.array([0.5, x]), np.array([0.5]))
+    for s in (sysm, hide_structure(sysm)):
+        with pytest.raises(error) as info:
+            wm.canonicalize(s).A[0].on_grid(axes)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 # -- validation -------------------------------------------------------------

@@ -378,6 +378,20 @@ def test_field_from_system_matches_pointwise():
         assert np.allclose(fld.M_samples[idx], vel.velocity_matrix(sysm, x), atol=1e-10)
 
 
+def test_diagonal_weight_field_needs_no_eigendecomposition(monkeypatch):
+    dom = wm.BoxDomain((0.0,) * 2, (1.0,) * 2)
+    sysm = wm.maxwell_isotropic(eps="1 + 0.4*sin(6*x)*cos(4*y)", mu="1", domain=dom)
+    grid = wm.Grid(dom, (16, 16))
+    want = vel.VelocityField.from_system(sysm, grid).M_samples
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called for a diagonal weight")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    assert sysm.E.is_diagonal
+    assert vel.VelocityField.from_system(sysm, grid).M_samples.tobytes() == want.tobytes()
+
+
 def test_field_rejects_indefinite_samples():
     dom = wm.BoxDomain((0.0,), (1.0,))
     grid = wm.Grid(dom, (8,))
