@@ -60,7 +60,6 @@ from .systems import (
     CoefficientSystem,
     ConstMatrixField,
     ExprMatrixField,
-    canonicalize,
     dirac_free,
     elastic,
     elastic_isotropic,
@@ -466,10 +465,9 @@ def _probe_point(scn: Scenario) -> np.ndarray:
 
 def _axis_speed(sys: CoefficientSystem, criterion: str):
     """Speed profile along the (1-D) axis per the criterion flag, at an array of points."""
-    can = canonicalize(sys)
     if criterion == "velocity":
-        return lambda x: np.sqrt(np.maximum(velocity_matrix(can, x[..., None])[..., 0, 0], 0.0))
-    return lambda x: char_speed(can, x[..., None], [1.0])
+        return lambda x: np.sqrt(np.maximum(velocity_matrix(sys, x[..., None])[..., 0, 0], 0.0))
+    return lambda x: char_speed(sys, x[..., None], [1.0])
 
 
 def _ray_routes(scn: Scenario) -> list[CompletenessVerdict]:
@@ -683,8 +681,7 @@ def _window_text(dom: BoxDomain) -> str:
 
 # --- distance ---------------------------------------------------------------
 
-def cmd_distance(scn: Scenario, mode: str = "geodesic",
-                 seed: int = DEFAULT_SEED) -> int:
+def cmd_distance(scn: Scenario, mode: str = "geodesic") -> int:
     """Geodesic distance or first-arrival time from a source node."""
     stencil = _stencil(scn)
     out = scn.ensure_output_dir()
@@ -710,8 +707,7 @@ def cmd_distance(scn: Scenario, mode: str = "geodesic",
 
 # --- simulate ---------------------------------------------------------------
 
-def cmd_simulate(scn: Scenario, method: str = "rk4",
-                 seed: int = DEFAULT_SEED) -> int:
+def cmd_simulate(scn: Scenario, method: str = "rk4") -> int:
     """Integrate the pulse from the scenario and write log plus snapshots."""
     sim = scn.simulate
     if sim is None:
@@ -764,7 +760,7 @@ def cmd_verify(pattern: str | None = None, strict: bool = False,
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for randomized checks (default 0x5eed)")
+                        help="seed of verify's draws, recorded by analyze (default 0x5eed)")
     p = argparse.ArgumentParser(
         prog="wavemetric",
         description="velocity-matrix completeness analysis and wave evolution",
@@ -777,14 +773,12 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--strict", action="store_true",
                     help="exit 4 when the verdict is inconclusive")
 
-    pd = sub.add_parser("distance", parents=[common],
-                        help="distance or arrival field CSV")
+    pd = sub.add_parser("distance", help="distance or arrival field CSV")
     pd.add_argument("scenario", help="scenario JSON file")
     pd.add_argument("--mode", choices=("geodesic", "arrival"),
                     default="geodesic")
 
-    ps = sub.add_parser("simulate", parents=[common],
-                        help="pulse evolution log and snapshots")
+    ps = sub.add_parser("simulate", help="pulse evolution log and snapshots")
     ps.add_argument("scenario", help="scenario JSON file")
     ps.add_argument("--method", choices=("rk4", "midpoint"), default="rk4")
 
@@ -811,8 +805,8 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return cmd_analyze(scn, seed=args.seed, strict=args.strict)
         if args.command == "distance":
-            return cmd_distance(scn, mode=args.mode, seed=args.seed)
-        return cmd_simulate(scn, method=args.method, seed=args.seed)
+            return cmd_distance(scn, mode=args.mode)
+        return cmd_simulate(scn, method=args.method)
     except (ScenarioError, MatrixError) as exc:
         print(f"{path}: {exc}", file=sys.stderr)
         return EXIT_SCENARIO

@@ -1,10 +1,13 @@
 """Dense Hermitian/SPD helpers for the small per-point coefficient matrices.
 
-Everything here operates on k-by-k matrices with k rarely above 9, so the
-eigendecompositions are delegated to LAPACK via ``numpy.linalg``; the wrappers
-add the validation and relative-tolerance conventions the rest of the package
-relies on.  All tolerances are relative to the norm of the input, with an
-absolute floor of 1e-300 so zero matrices compare cleanly.
+Each function takes one k-by-k matrix or a stack (..., k, k), k rarely above
+9, and delegates the eigendecompositions to LAPACK via ``numpy.linalg``,
+adding the validation and relative-tolerance conventions the rest of the
+package relies on.  ``spd_sqrt`` and ``spd_inv_sqrt`` share one SPD power
+kernel, so a point and every sample of a grid get the same arithmetic and
+agree bit for bit; a stack raises for its first failing sample in C order.
+All tolerances are relative to the norm of the input, with an absolute floor
+of 1e-300 so zero matrices compare cleanly.
 """
 
 from __future__ import annotations
@@ -28,25 +31,77 @@ SINGULAR_RTOL = 1e-14
 _FLOOR = 1e-300
 
 
-def _norm_floor(value: float) -> float:
-    return max(float(value), _FLOOR)
-
-
-def _hermitian_part(a: np.ndarray, where: str = "") -> np.ndarray:
-    """0.5 (a + a^H) of a square matrix or a stack (..., k, k); raises for the first
-    matrix whose Hermitian defect exceeds ``HERMITIAN_RTOL`` of its Frobenius norm."""
+def _square(a, where: str) -> np.ndarray:
+    """a as float64 or complex128, checked to be a square matrix or a stack of them."""
+    a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise MatrixError(f"expected a square matrix, got shape {a.shape}{where}")
-    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
-    adj = a.swapaxes(-1, -2).conj()
-    defect = np.linalg.norm(a - adj, axis=(-2, -1))
-    bad = defect > HERMITIAN_RTOL * np.maximum(np.linalg.norm(a, axis=(-2, -1)), _FLOOR)
+    return a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
+
+
+def _hermitian_split(a: np.ndarray, axes=(-2, -1)):
+    """Per matrix: 0.5 (a + a^H), the defect ||a - a^H|| and whether it exceeds
+    ``HERMITIAN_RTOL`` of ||a||.  With ``axes=-1`` a holds the diagonals of
+    diagonal matrices.  An exactly Hermitian a is its own part: no norms."""
+    adj = a if axes == -1 else a.swapaxes(-1, -2)
+    adj = adj.conj() if np.iscomplexobj(a) else adj
+    if adj is a or not (a != adj).any():  # a real diagonal is Hermitian as it stands
+        return a, None, np.zeros(a.shape[:-1] if axes == -1 else a.shape[:-2], dtype=bool)
+    defect = np.linalg.norm(a - adj, axis=axes)
+    bad = defect > HERMITIAN_RTOL * np.maximum(np.linalg.norm(a, axis=axes), _FLOOR)
+    return 0.5 * (a + adj), defect, bad
+
+
+def _not_hermitian(defect, where: str) -> MatrixError:
+    return MatrixError(f"matrix is not Hermitian: defect {float(defect):.3e} "
+                       f"exceeds {HERMITIAN_RTOL:.0e} relative{where}")
+
+
+def _hermitian_part(a, where: str = "") -> np.ndarray:
+    """0.5 (a + a^H) of a square matrix or a stack (..., k, k); raises for the first
+    matrix whose Hermitian defect exceeds ``HERMITIAN_RTOL`` of its Frobenius norm."""
+    h, defect, bad = _hermitian_split(_square(a, where))
     if bad.any():
-        raise MatrixError(
-            f"matrix is not Hermitian: defect {float(np.extract(bad, defect)[0]):.3e} "
-            f"exceeds {HERMITIAN_RTOL:.0e} relative{where}"
-        )
-    return 0.5 * (a + adj)
+        raise _not_hermitian(np.extract(bad, defect)[0], where)
+    return h
+
+
+def _spd_eigen(s, where, diagonal: bool = False, doing: str = "decomposing"):
+    """Eigenvalues w and eigenvectors u of the Hermitian part of each matrix of s.
+
+    For ``diagonal`` matrices w is the diagonal and u is None.  A sample that
+    is non-finite, not Hermitian, not positive definite or numerically
+    singular fails; the first in C order raises, its message ending in
+    ``where``: a string, or a callable taking the mask of failing samples.
+    """
+    a = _square(s, where if isinstance(where, str) else "")
+    if diagonal:
+        a = np.diagonal(a, axis1=-2, axis2=-1)
+    axes = -1 if diagonal else (-2, -1)
+    finite = np.isfinite(a).all(axis=axes)
+    if not finite.all():  # stand-ins keep the arithmetic finite; the mask still fails them
+        a = np.where(np.expand_dims(finite, axes), a, 1.0 if diagonal else np.eye(a.shape[-1]))
+    h, defect, skew = _hermitian_split(a, axes)
+    if diagonal:
+        w, u = h.real, None
+        lo, hi = w.min(axis=-1), w.max(axis=-1)
+    else:
+        w, u = np.linalg.eigh(h)
+        lo, hi = w[..., 0], w[..., -1]
+    bad = ~finite | skew | ~(lo >= SINGULAR_RTOL * np.maximum(hi, _FLOOR))
+    if bad.any():
+        first = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        where = where(bad) if callable(where) else where
+        if not finite[first]:
+            raise MatrixError(f"non-finite eigenvalues while {doing} E{where}")
+        if skew[first]:
+            raise _not_hermitian(defect[first], where)
+        if not lo[first] > 0.0:
+            raise MatrixError(f"matrix is not positive definite: smallest eigenvalue "
+                              f"{lo[first]:.6e}{where}")
+        raise SingularMatrixError(f"numerically singular E: eigenvalue {lo[first]:.6e} below "
+                                  f"{SINGULAR_RTOL:.0e} of norm {hi[first]:.6e}{where}")
+    return w, u
 
 
 class HermitianMatrix:
@@ -62,34 +117,28 @@ class HermitianMatrix:
         a = np.asarray(entries)
         if a.ndim > 2:
             raise MatrixError(f"expected a square matrix, got shape {a.shape}{where}")
-        self.mat = _hermitian_part(a, where)
+        self.mat = _hermitian_part(a, where).copy()  # never the caller's array
 
     @property
     def k(self) -> int:
         return self.mat.shape[0]
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.mat.astype(dtype)
-        return self.mat
+        return self.mat if dtype is None else self.mat.astype(dtype)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.mat!r})"
 
 
 class SPDMatrix(HermitianMatrix):
-    """Hermitian and positive definite, checked by eigendecomposition."""
+    """Hermitian, positive definite and not numerically singular, checked by
+    the one eigendecomposition that ``spd_sqrt`` and ``spd_inv_sqrt`` reuse."""
 
-    __slots__ = ()
+    __slots__ = ("eig",)
 
     def __init__(self, entries, *, where: str = ""):
         super().__init__(entries, where=where)
-        w = np.linalg.eigvalsh(self.mat)
-        if w[0] <= 0.0:
-            raise MatrixError(
-                f"matrix is not positive definite: smallest eigenvalue "
-                f"{w[0]:.6e}{where}"
-            )
+        self.eig = _spd_eigen(self.mat, where)
 
 
 def _as_hermitian(h) -> np.ndarray:
@@ -121,36 +170,37 @@ def op_norm(h):
     return float(norm) if norm.ndim == 0 else norm
 
 
-def _spd_power(s, exponent: float, where: str) -> np.ndarray:
-    a = s.mat if isinstance(s, SPDMatrix) else SPDMatrix(s, where=where).mat
-    w, u = np.linalg.eigh(a)
-    if w[0] < SINGULAR_RTOL * _norm_floor(w[-1]):
-        raise SingularMatrixError(
-            f"numerically singular E: eigenvalue {w[0]:.6e} below "
-            f"{SINGULAR_RTOL:.0e} of norm {w[-1]:.6e}{where}"
-        )
-    out = (u * np.power(w, exponent)) @ u.conj().T
-    return 0.5 * (out + out.conj().T)
+def _spd_power(s, exponent: float, where, diagonal: bool = False) -> np.ndarray:
+    """u diag(w^p) u^H, Hermitian part, per matrix; diag(s)^p, shape (..., k), if ``diagonal``."""
+    doing = "inverting" if exponent < 0 else "decomposing"
+    w, u = s.eig if isinstance(s, SPDMatrix) else _spd_eigen(s, where, diagonal, doing)
+    p = np.power(w, exponent)
+    if u is None:
+        return p.astype(np.complex128) if np.iscomplexobj(s) else p
+    out = (u * p[..., None, :]) @ u.swapaxes(-1, -2).conj()
+    return 0.5 * (out + out.swapaxes(-1, -2).conj())
 
 
-def spd_sqrt(s, *, where: str = "") -> np.ndarray:
-    """Principal square root of an SPD matrix, as a plain array."""
+def spd_sqrt(s, *, where="") -> np.ndarray:
+    """Principal square root of an SPD matrix, or of each in a stack (..., k, k).
+
+    ``where`` ends any error message: a string, or a callable taking the mask
+    of failing samples and returning one.
+    """
     return _spd_power(s, 0.5, where)
 
 
-def spd_inv_sqrt(s, *, where: str = "") -> np.ndarray:
-    """Inverse principal square root of an SPD matrix, as a plain array."""
-    return _spd_power(s, -0.5, where)
+def spd_inv_sqrt(s, *, where="", diagonal: bool = False) -> np.ndarray:
+    """Inverse principal square root of an SPD matrix, or of each in a stack.
+
+    ``where`` is as for ``spd_sqrt``.  With ``diagonal`` the matrices are
+    diagonal: the checks read the eigenvalues off the diagonal, nothing is
+    decomposed, and the result is diag(s)^{-1/2}, shape (..., k).
+    """
+    return _spd_power(s, -0.5, where, diagonal)
 
 
 def at_point(fn, mat, what: str, x) -> np.ndarray:
-    """``fn(mat)`` for a coefficient matrix sampled at the point x.
-
-    Formatting x costs more than the small eigendecomposition itself, so the
-    error context " (<what> at <x>)" is built only when ``fn`` raises: the
-    call is then repeated with it, and raises the same error with the context.
-    """
-    try:
-        return fn(mat)
-    except MatrixError:
-        return fn(mat, where=f" ({what} at {np.asarray(x)})")
+    """``fn(mat)`` for a coefficient matrix sampled at the point x; the error
+    context " (<what> at <x>)" is formatted only when ``fn`` raises."""
+    return fn(mat, where=lambda _: f" ({what} at {np.asarray(x)})")

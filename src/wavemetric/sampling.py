@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_SEED = 0x5EED
 HALTON_BASES = (2, 3, 5)
 
 

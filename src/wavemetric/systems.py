@@ -15,14 +15,15 @@ The canonical transform re-expresses a system with weight E in an equivalent
 E = identity form: the state is multiplied pointwise by E^{1/2}, the first
 order coefficients become E^{-1/2} A^j E^{-1/2}, and a zero-order Hermitian
 term built from the gradient of E^{-1/2} appears.  ``canonical_A`` samples
-and inverts E once for all the B^j.  E^{-1/2} is diag(E)^{-1/2} for a
-diagonal E and comes from one batched eigendecomposition otherwise; a sample
-that is not Hermitian positive definite raises the positioned error
-``spd_inv_sqrt`` gives at that point, a non-finite one its own positioned
-error.  Gradients come from an analytic evaluator when supplied, otherwise
-from central finite differences with step 1e-5 (scaled by axis extent),
-shrunk per sample near a bounded side with one warning per evaluation; a
-sample on or outside the boundary raises ``ValidationError``.
+and inverts E once for all the B^j.  E^{-1/2} comes from ``spd_inv_sqrt``,
+the one kernel for a point and a stack of samples (diag(E)^{-1/2} with no
+eigendecomposition for a diagonal E), so a point and a grid node agree bit
+for bit; the first sample in C order that is non-finite, not Hermitian
+positive definite or numerically singular raises the kernel's error, naming
+that sample's point.  Gradients come from an analytic evaluator when
+supplied, otherwise from central finite differences with step 1e-5 (scaled
+by axis extent), shrunk per sample near a bounded side with one warning per
+evaluation; a sample on or outside the boundary raises ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import dsl
 from .errors import MatrixError, ValidationError
-from .matkernel import HERMITIAN_RTOL, SINGULAR_RTOL, HermitianMatrix, at_point, spd_inv_sqrt
+from .matkernel import HermitianMatrix, spd_inv_sqrt
 from .sampling import halton_unit
 
 __all__ = [
@@ -297,60 +298,20 @@ class FuncMatrixField(MatrixField):
         return np.stack(mats).reshape(points.shape[:-1] + (self.k, self.k))
 
 
-def _raise_where_bad(mats: np.ndarray, bad: np.ndarray, coords) -> None:
-    """Raise the positioned error for the first sample (C order) flagged bad, if any.
+def _inv_sqrt_samples(E: MatrixField, coords) -> np.ndarray:
+    """E^{-1/2} at every sample from the kernel ``spd_inv_sqrt``, shape S + (k, k).
 
-    A finite sample gets the error ``spd_inv_sqrt`` gives for it at that
-    point; a non-finite one a ``MatrixError`` naming the point.
+    A diagonal E (``E.is_diagonal``) is not decomposed, and gives the vectors
+    diag(E)^{-1/2}, shape S + (k,).
     """
-    if not bad.any():
-        return
-    x = dsl.point_where(coords, bad)
-    first = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    if np.isfinite(mats[first]).all():
-        at_point(spd_inv_sqrt, mats[first], "E", x)
-    raise MatrixError(f"non-finite eigenvalues while inverting E (E at {x})")
-
-
-def _inv_sqrt_diagonal(E: MatrixField, coords) -> np.ndarray:
-    """diag(E)^{-1/2} at every sample, shape S + (k,), for a diagonal E.
-
-    The checks are those of ``_inv_sqrt`` with the eigenvalues read off the
-    diagonal, so the same samples fail with the same errors.
-    """
-    mats = E.sample(coords)
-    diag = np.diagonal(mats, axis1=-2, axis2=-1)
-    _raise_where_bad(mats, ~np.isfinite(diag).all(axis=-1), coords)
-    w = diag.real
-    bad = ~(w.min(axis=-1) >= SINGULAR_RTOL * np.maximum(w.max(axis=-1), 1e-300))
-    if np.iscomplexobj(diag) and diag.imag.any():
-        scale = np.maximum(np.linalg.norm(diag, axis=-1), 1e-300)
-        bad |= np.linalg.norm(diag - diag.conj(), axis=-1) > HERMITIAN_RTOL * scale
-    _raise_where_bad(mats, bad, coords)
-    return (w**-0.5).astype(mats.dtype, copy=False)
+    return spd_inv_sqrt(E.sample(coords), diagonal=E.is_diagonal,
+                        where=lambda bad: f" (E at {dsl.point_where(coords, bad)})")
 
 
 def _inv_sqrt(E: MatrixField, coords) -> np.ndarray:
-    """E^{-1/2} at every sample, shape S + (k, k).
-
-    A diagonal E (``E.is_diagonal``) gets diag(E)^{-1/2} written onto the
-    diagonal and no eigendecomposition; any other E one batched ``eigh``.
-    Either way a sample that is not Hermitian, not positive definite or
-    numerically singular raises the error ``spd_inv_sqrt`` gives for it at
-    that point, and a non-finite sample raises a positioned ``MatrixError``.
-    """
-    if E.is_diagonal:
-        return _inv_sqrt_diagonal(E, coords)[..., :, None] * np.eye(E.k)
-    mats = E.sample(coords)
-    _raise_where_bad(mats, ~np.isfinite(mats).all(axis=(-2, -1)), coords)
-    w, u = np.linalg.eigh(mats)
-    bad = ~(w[..., 0] >= SINGULAR_RTOL * np.maximum(w[..., -1], 1e-300))
-    adjoint = mats.swapaxes(-1, -2).conj()
-    if (mats != adjoint).any():  # the norms matter only where E is not exactly Hermitian
-        scale = np.maximum(np.linalg.norm(mats, axis=(-2, -1)), 1e-300)
-        bad |= np.linalg.norm(mats - adjoint, axis=(-2, -1)) > HERMITIAN_RTOL * scale
-    _raise_where_bad(mats, bad, coords)
-    return np.einsum("...ij,...j,...kj->...ik", u, w**-0.5, u.conj())
+    """E^{-1/2} at every sample, shape S + (k, k)."""
+    R = _inv_sqrt_samples(E, coords)
+    return R[..., :, None] * np.eye(E.k) if E.is_diagonal else R
 
 
 def _sandwiches(E: MatrixField, A_fields, coords) -> list[np.ndarray]:
@@ -360,7 +321,7 @@ def _sandwiches(E: MatrixField, A_fields, coords) -> list[np.ndarray]:
     k-by-k E^{-1/2} stack is formed.
     """
     diagonal = E.is_diagonal
-    R = _inv_sqrt_diagonal(E, coords) if diagonal else _inv_sqrt(E, coords)
+    R = _inv_sqrt_samples(E, coords)
     out = []
     for A in A_fields:
         a = A.sample(coords)
@@ -665,12 +626,7 @@ def validate_system(sys: CoefficientSystem, samples: int = 256) -> ValidationRep
             if cw[0] <= 0:
                 issues.append(f"stiffness not positive definite at {x}: eigenvalue {cw[0]:.3e}")
     # deduplicate while keeping order; repeated points produce identical text
-    seen = set()
-    unique = []
-    for s in issues:
-        if s not in seen:
-            seen.add(s)
-            unique.append(s)
+    unique = list(dict.fromkeys(issues))
     return ValidationReport(
         ok=not unique,
         samples=len(pts),
@@ -708,7 +664,7 @@ def _spd_probe(domain, name, fld: MatrixField, count=8):
     for x in pts:
         m = fld(x)
         defect, (i, j) = _herm_defect(m)
-        if defect > HERMITIAN_RTOL:
+        if defect > 1e-13:
             raise ValidationError(
                 f"{name} must be Hermitian: entries ({i},{j}) and ({j},{i}) differ "
                 f"by {defect:.3e} relative at sampled point {x}"

@@ -559,3 +559,12 @@ def test_seed_is_embedded(tmp_path):
     verdict = json.loads((tmp_path / "out" / "verdict.json").read_text())
     assert verdict["parameters"]["seed"] == 7
     assert "seed: 7" in (tmp_path / "out" / "summary.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["distance", "simulate"])
+def test_seed_is_a_usage_error_where_nothing_is_drawn(tmp_path, capsys, command):
+    p = telegraph_scenario(tmp_path, nodes=128)
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, str(p), "--seed", "3"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wavemetric.errors import MatrixError, SingularMatrixError
 from wavemetric.matkernel import (
@@ -119,3 +122,74 @@ def test_float_real_path_stays_real():
     w, u = eig_herm(h)
     assert w.dtype == np.float64
     assert not np.iscomplexobj(u)
+
+
+def _stack_with_two_bad_samples(first, second):
+    """A 2x3 stack of SPD matrices with ``first`` at (0, 2) and ``second`` at (1, 0)."""
+    stack = np.broadcast_to(np.diag([2.0, 3.0]), (2, 3, 2, 2)).copy()
+    stack[0, 2], stack[1, 0] = first, second
+    return stack
+
+
+def _flagged(bad):
+    return f" (samples {np.argwhere(bad).tolist()})"
+
+
+@pytest.mark.parametrize("first, second, error, message", [
+    (np.diag([1.0, -1.0]), np.diag([np.nan, 1.0]), MatrixError,
+     "matrix is not positive definite: smallest eigenvalue -1.000000e+00"),
+    (np.diag([np.inf, 1.0]), np.diag([1.0, -1.0]), MatrixError,
+     "non-finite eigenvalues while inverting E"),
+    (np.diag([1.0, 1e-16]), np.diag([1.0, -1.0]), SingularMatrixError,
+     "numerically singular E: eigenvalue 1.000000e-16 below 1e-14 of norm 1.000000e+00"),
+    (np.array([[1.0, 1.0], [0.0, 1.0]]), np.diag([1.0, 1e-16]), MatrixError,
+     "matrix is not Hermitian: defect 1.414e+00 exceeds 1e-13 relative"),
+], ids=["indefinite", "non-finite", "singular", "not-hermitian"])
+def test_stack_error_names_the_first_failing_sample(first, second, error, message):
+    stack = _stack_with_two_bad_samples(first, second)
+    with pytest.raises(error) as info:
+        spd_inv_sqrt(stack, where=_flagged)
+    assert type(info.value) is error
+    # the context sees both failing samples; the message is the first one's
+    assert str(info.value) == message + " (samples [[0, 2], [1, 0]])"
+
+
+def test_diagonal_stack_fails_as_the_general_path_fails():
+    stack = _stack_with_two_bad_samples(np.diag([1.0, 1e-16]), np.diag([np.nan, 1.0]))
+    for diagonal in (False, True):
+        with pytest.raises(SingularMatrixError) as info:
+            spd_inv_sqrt(stack, where=_flagged, diagonal=diagonal)
+        assert str(info.value).endswith("1.000000e+00 (samples [[0, 2], [1, 0]])")
+
+
+def test_diagonal_stack_gives_the_inverse_square_roots_of_the_diagonal():
+    stack = np.broadcast_to(np.diag([4.0, 9.0]), (3, 2, 2))
+    r = spd_inv_sqrt(stack, diagonal=True)
+    assert r.shape == (3, 2)
+    assert np.array_equal(r, np.broadcast_to([0.5, 1.0 / 3.0], (3, 2)))
+    assert r.tobytes() == np.diagonal(spd_inv_sqrt(stack), axis1=1, axis2=2).tobytes()
+
+
+_ENTRY = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def spd_stacks(draw):
+    """A stack of 1 to 4 real or complex SPD matrices a a^H + I, k from 1 to 9."""
+    k, n = draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    a = draw(arrays(np.float64, (n, k, k), elements=_ENTRY))
+    if draw(st.booleans()):
+        a = a + 1j * draw(arrays(np.float64, (n, k, k), elements=_ENTRY))
+    return a @ a.conj().swapaxes(-1, -2) + np.eye(k)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(spd_stacks())
+def test_stacked_powers_equal_the_per_matrix_powers(E):
+    for power in (spd_sqrt, spd_inv_sqrt):
+        stacked = power(E)
+        assert stacked.shape == E.shape
+        for i, e in enumerate(E):
+            assert power(e).tobytes() == stacked[i].tobytes()
+    S = spd_inv_sqrt(E)
+    assert np.abs(S @ S @ E - np.eye(E.shape[-1])).max() <= 1e-12

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import wavemetric as wm
+from wavemetric import systems
 from wavemetric.errors import MatrixError, SingularMatrixError, ValidationError
+from wavemetric.matkernel import spd_inv_sqrt
 from wavemetric.systems import CURL_GENERATORS, STRAIN_GENERATORS
 
 
@@ -391,6 +393,32 @@ def test_diagonal_weight_point_error_names_the_point(eps, x, error, message):
             wm.canonicalize(s).A[0].on_grid(axes)
         assert type(info.value) is error
         assert str(info.value) == message
+
+
+_CUSTOM_E = [["2 + x", "0.3*x*y", "0.1"],
+             ["0.3*x*y", "1 + y^2", "0.2*sin(x)"],
+             ["0.1", "0.2*sin(x)", "1.5 + 0.5*x"]]
+
+
+# A point and a grid node take E^{-1/2} from the same kernel, so a weight that
+# is not diagonal gets the same bits at every node either way.
+@pytest.mark.parametrize("make, shape", [
+    (lambda: wm.elastic_isotropic(rho="1 + x", K="2 + sin(3*x)", mu="1 + 0.5*x",
+                                  domain=wm.BoxDomain((0.0,), (1.0,))).E, (33,)),
+    (lambda: elastic_isotropic_variable().E, (12, 13)),
+    (lambda: wm.elastic_isotropic(rho="1 + x*z", K="2 + y", mu="1 + 0.5*x*y",
+                                  domain=UNIT_BOX_3).E, (5, 6, 7)),
+    (lambda: maxwell_anisotropic_variable().E, (16, 17)),
+    (lambda: wm.ExprMatrixField(_CUSTOM_E), (12, 11)),
+], ids=["elastic-1d", "elastic-2d", "elastic-3d", "maxwell_anisotropic", "custom"])
+def test_point_and_grid_inverse_square_roots_agree(make, shape):
+    E = make()
+    assert not E.is_diagonal
+    axes = tuple(np.linspace(0.05, 0.95, n) for n in shape)
+    R = systems._inv_sqrt(E, tuple(np.meshgrid(*axes, indexing="ij", sparse=True)))
+    for idx in np.ndindex(shape):
+        x = np.array([ax[i] for ax, i in zip(axes, idx)])
+        assert spd_inv_sqrt(E(x)).tobytes() == R[idx].tobytes(), idx
 
 
 # -- validation -------------------------------------------------------------
