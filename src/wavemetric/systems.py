@@ -579,8 +579,25 @@ def _herm_defect(mat: np.ndarray) -> tuple[float, tuple[int, int]]:
     return float(diff[ij] / scale), (int(ij[0]) + 1, int(ij[1]) + 1)
 
 
+def _kernel_hermitian_error(mat: np.ndarray) -> str | None:
+    """Why the E^{-1/2} kernel would reject mat as not Hermitian, or None.
+
+    The kernel holds the whole matrix's Frobenius defect to ``HERMITIAN_RTOL``
+    of its norm, which can fail where every entry pair passes ``_herm_defect``.
+    """
+    try:
+        HermitianMatrix(mat)
+    except MatrixError as exc:
+        return str(exc)
+    return None
+
+
 def validate_system(sys: CoefficientSystem, samples: int = 256) -> ValidationReport:
-    """Spot-check Hermiticity, positivity of E and stiffness symmetry/SPD."""
+    """Spot-check Hermiticity, positivity of E and stiffness symmetry/SPD.
+
+    E is also held to the E^{-1/2} kernel's whole-matrix Hermitian test, so a
+    weight that passes here is accepted wherever it is decomposed.
+    """
     pts = _sample_points(sys.domain, samples)
     issues: list[str] = []
     worst = 0.0
@@ -594,6 +611,8 @@ def validate_system(sys: CoefficientSystem, samples: int = 256) -> ValidationRep
         defect, pair = _herm_defect(E)
         if defect > 1e-13:
             issues.append(f"E not Hermitian at {x}: entry {pair} defect {defect:.2e}")
+        elif (reason := _kernel_hermitian_error(E)) is not None:
+            issues.append(f"E at {x}: {reason}")
         worst = max(worst, defect)
         ew = np.linalg.eigvalsh(0.5 * (E + E.conj().T))
         min_eig_E = min(min_eig_E, float(ew[0]))
@@ -659,22 +678,34 @@ def _positivity_probe(domain, name, exprs_with_src, count=8):
                 )
 
 
-def _spd_probe(domain, name, fld: MatrixField, count=8):
+def _spd_probe(domain, parts, E: MatrixField, count=8):
+    """Construction-time check of the weight E and the named fields it is built from.
+
+    Each part must be Hermitian and positive definite at the sampled points;
+    then E itself must pass the E^{-1/2} kernel at those points, whose
+    whole-matrix Hermitian test can fail where every entry pair passes, so
+    that a weight built here is accepted wherever it is decomposed.
+    """
     pts = _sample_points(domain, count)
-    for x in pts:
-        m = fld(x)
-        defect, (i, j) = _herm_defect(m)
-        if defect > 1e-13:
-            raise ValidationError(
-                f"{name} must be Hermitian: entries ({i},{j}) and ({j},{i}) differ "
-                f"by {defect:.3e} relative at sampled point {x}"
-            )
-        w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-        if w[0] <= 0:
-            raise ValidationError(
-                f"{name} must be positive definite: eigenvalue {w[0]:.6g} "
-                f"at sampled point {x}"
-            )
+    for name, fld in parts:
+        for x in pts:
+            m = fld(x)
+            defect, (i, j) = _herm_defect(m)
+            if defect > 1e-13:
+                raise ValidationError(
+                    f"{name} must be Hermitian: entries ({i},{j}) and ({j},{i}) differ "
+                    f"by {defect:.3e} relative at sampled point {x}"
+                )
+            w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+            if w[0] <= 0:
+                raise ValidationError(
+                    f"{name} must be positive definite: eigenvalue {w[0]:.6g} "
+                    f"at sampled point {x}"
+                )
+    try:
+        _inv_sqrt_samples(E, tuple(pts.T))
+    except MatrixError as exc:
+        raise ValidationError(f"weight E fails at a sampled point: {exc}") from None
 
 
 _OFFDIAG2 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -744,8 +775,8 @@ def _maxwell_system(eps_field, mu_field, domain, label) -> CoefficientSystem:
             "mu": ExprMatrixField(mu_field),
         },
     )
-    _spd_probe(domain, "permittivity", sysm.parts["eps"])
-    _spd_probe(domain, "permeability", sysm.parts["mu"])
+    _spd_probe(domain, (("permittivity", sysm.parts["eps"]),
+                        ("permeability", sysm.parts["mu"])), E)
     return sysm
 
 
@@ -795,11 +826,12 @@ def _elastic_system(rho, stiffness_rows, domain, label) -> CoefficientSystem:
     C = ExprMatrixField(stiffness_rows)
     if C.k != 6:
         raise ValueError("stiffness must be 6x6")
-    _spd_probe(domain, "stiffness", C)
+    E = _ElasticWeightField(rho_e, rho_s, C)
+    _spd_probe(domain, (("stiffness", C),), E)
     return CoefficientSystem(
         domain=domain,
         k=9,
-        E=_ElasticWeightField(rho_e, rho_s, C),
+        E=E,
         A=_elastic_A(domain.d),
         V=ConstMatrixField(np.zeros((9, 9))),
         label=label,

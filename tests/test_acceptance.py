@@ -339,6 +339,47 @@ def test_degenerate_speed_confinement_and_verdicts(tmp_path, capsys):
     assert elapsed < 180.0
 
 
+def test_degenerate_speed_peak_follows_the_characteristic():
+    # Companion to criterion 06, which gates the 1e-8 support box and stays
+    # red by design.  With L = C = 1/sin^2(pi x) the impedance sqrt(L/C) is 1,
+    # so the right-moving half of the pulse does not reflect: I + V rides
+    # dx/dt = c(x) = sin^2(pi x), that is cot(pi x(t)) = cot(pi x0) - pi t.
+    # Its energy density (I + V)^2 / (2 c(x)) peaks on that curve up to the
+    # offsets below, gated while sigma c(x) spans at least 8 nodes and the
+    # left-moving half lies more than 5 sigma behind.
+    dom = BoxDomain((0.0,), (1.0,))
+    grid = wm.Grid(dom, (2048,))
+    h, sigma, x0, order = grid.spacing[0], 0.02, 0.5, 4
+    slow = wm.telegraph("1/sin(pi*x)^2", "1/sin(pi*x)^2", domain=dom)
+    pulse = wm.gaussian_state(grid, [1.0, 0.0], [x0], sigma)
+
+    def characteristic(t):
+        return x0 + math.atan(math.pi * t) / math.pi  # cot(pi x) = -pi t, x > 1/2
+
+    # tolerance, fixed from h and the order before the first run:
+    # - reading the peak (log-parabola vertex through the top node): h/2;
+    # - the 1/c(x) factor moves the density peak ahead of the characteristic
+    #   by (sigma^2 / 2) |c c'| <= (sigma^2 / 2) 2 pi (3 sqrt(3) / 16);
+    # - order-p differences slow a mode of kh <= 1/8 by (kh)^2 / 2 (p = 2) or
+    #   (kh)^4 / 6 (p = 4) of its speed, over a distance below 1/2.
+    x_end = 1.0 - math.asin(math.sqrt(8.0 * h / sigma)) / math.pi
+    tol = (h / 2 + 0.5 * sigma**2 * 2.0 * math.pi * 3.0 * math.sqrt(3.0) / 16.0
+           + 0.5 * {2: 0.5, 4: 1.0 / 6.0}[order] * (1.0 / 8.0) ** order)
+    t_start = math.tan(math.pi * 5.0 * sigma) / math.pi
+    t_end = -1.0 / (math.pi * math.tan(math.pi * x_end))
+    x, E = grid.axes[0], slow.E.on_grid(grid.axes)
+    worst = 0.0
+    for T in np.linspace(t_start, t_end, 6):
+        state, _ = wm.integrate(slow, pulse, float(T), order=order)
+        dens = np.real(np.einsum("na,nab,nb->n", np.conj(state.values), E, state.values))
+        dens[x <= x0] = 0.0
+        m = int(np.argmax(dens))
+        lm, l0, lp = np.log(dens[m - 1:m + 2])
+        peak = x[m] + 0.5 * h * (lm - lp) / (lm - 2.0 * l0 + lp)
+        worst = max(worst, abs(peak - characteristic(float(T))))
+    assert worst <= tol, f"peak {worst / h:.3f} h off the characteristic (tolerance {tol / h:.3f} h)"
+
+
 def test_classifier_grades_power_law_family(capsys):
     t0 = time.perf_counter()
     grades = {}

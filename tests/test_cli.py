@@ -208,16 +208,22 @@ def test_bad_expression_reports_position(tmp_path, capsys):
     assert str(p) in err and "position" in err
 
 
-def test_asymmetric_permittivity_exits_2(tmp_path, capsys):
-    eps = [["1", "0.5", "0"], ["0", "1", "0"], ["0", "0", "1"]]
-    raw = family_scenario("maxwell_anisotropic", {"eps": eps, "mu": _EYE3}, 2)
+@pytest.mark.parametrize("eps, mu, message", [
+    ([["1", "0.5", "0"], ["0", "1", "0"], ["0", "0", "1"]], _EYE3,
+     "permittivity must be Hermitian: entries (1,2) and (2,1) differ by "
+     "2.774e-01 relative at sampled point [0.5        0.33333333]"),
+    # each entry pair passes; the whole weight fails the E^{-1/2} kernel's test
+    ([["1", "0.500000000000184", "0"], ["0.5", "1", "0"], ["0", "0", "1"]],
+     [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+     "weight E fails at a sampled point: matrix is not Hermitian: "
+     "defect 2.602e-13 exceeds 1e-13 relative (E at [0.5        0.33333333])"),
+], ids=["entry", "whole-weight"])
+def test_asymmetric_permittivity_exits_2(tmp_path, capsys, eps, mu, message):
+    raw = family_scenario("maxwell_anisotropic", {"eps": eps, "mu": mu}, 2)
     raw["output"]["dir"] = str(tmp_path / "out")
     p = write_scenario(tmp_path, raw)
     assert cli.main(["analyze", str(p)]) == 2
-    assert capsys.readouterr().err == (
-        f"{p}: permittivity must be Hermitian: entries (1,2) and (2,1) differ by "
-        "2.774e-01 relative at sampled point [0.5        0.33333333]\n"
-    )
+    assert capsys.readouterr().err == f"{p}: {message}\n"
 
 
 def test_weight_failing_at_a_grid_node_exits_2(tmp_path, capsys):

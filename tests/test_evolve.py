@@ -484,13 +484,78 @@ def test_complex_pulse_on_a_real_system_steps_in_float64(monkeypatch):
 
     re, im = run([1.0, 0.0]), run([0.0, 1.0])
     seen = []
-    derivative = ev.DiscreteOperator.derivative
-    monkeypatch.setattr(ev.DiscreteOperator, "derivative",
-                        lambda op, v: seen.append(v.dtype) or derivative(op, v))
+    product = ev._product
+    monkeypatch.setattr(ev, "_product", lambda m, v: seen.append(v.dtype) or product(m, v))
     both = run([1.0, 1j])
     assert len(seen) > 40 and set(seen) == {np.dtype(np.float64)}
     assert both.values.real.tobytes() == re.values.real.tobytes()
     assert both.values.imag.tobytes() == im.values.real.tobytes()
+
+
+def _rk4_stage_step(op, values, dt):
+    """Classic RK4 in stage form: the oracle for the stepper."""
+    k1 = op.derivative(values)
+    k2 = op.derivative(values + (0.5 * dt) * k1)
+    k3 = op.derivative(values + (0.5 * dt) * k2)
+    k4 = op.derivative(values + dt * k3)
+    return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _maxwell_2d():
+    return wm.maxwell_isotropic("1 + 0.4*sin(6*x + 1)*cos(4*y)", "1",
+                                domain=wm.BoxDomain((0.0, 0.0), (1.0, 1.0)))
+
+
+STEP_CASES = {
+    # system, grid shape, pulse components, pulse centre and width, order
+    "telegraph-1d-order-2": (lambda: power_law_telegraph()[0], (2048,), [1.0, 0.0], [0.5], 0.1, 2),
+    "telegraph-1d-order-4": (lambda: power_law_telegraph()[0], (2048,), [1.0, 0.0], [0.5], 0.1, 4),
+    "complex-pulse-real-1d": (lambda: power_law_telegraph()[0], (2048,), [1.0, 1j], [0.5], 0.1, 2),
+    "maxwell-2d": (_maxwell_2d, (48, 48), [0, 0, 1.0, 0, 0, 0], [0.5, 0.5], 0.1, 2),
+    "dirac-3d": (wm.dirac_free, (12, 12, 12), [1.0, 0, 0, 1j], [0.3, 0.0, -0.2], 0.4, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_rk4_step_matches_the_stage_form(case):
+    # the stepper evaluates RK4's stability polynomial (one assembled matrix
+    # in 1-D, four Horner products otherwise), which equals the stage form
+    # up to rounding
+    factory, shape, components, center, sigma, order = STEP_CASES[case]
+    sysm = factory()
+    grid = wm.Grid(sysm.domain, shape)
+    pulse = ev.gaussian_state(grid, components, center, sigma)
+    op, dt, _, states = ev._evolution(sysm, pulse, 1.0, 0.4, 1e-8, "rk4", order, None)
+    next(states)
+    _, _, stepped = next(states)
+    want = _rk4_stage_step(op, pulse.values, dt)
+    assert (op.generator.dtype == np.complex128) == (case == "dirac-3d")
+    assert np.abs(stepped - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("case, products, nnz", [
+    ("telegraph-1d-order-2", 1, 36824),
+    ("telegraph-1d-order-4", 1, 121884),
+    ("maxwell-2d", 4, None),
+])
+def test_rk4_step_products(monkeypatch, case, products, nnz):
+    # a 1-D step is one product with R(dt G), which stays banded (4.5x G's
+    # nonzeros at order 2, 7.4x at order 4); a 2-D step is four products with G
+    factory, shape, components, center, sigma, order = STEP_CASES[case]
+    sysm = factory()
+    grid = wm.Grid(sysm.domain, shape)
+    op = ev.DiscreteOperator(sysm, grid, order)
+    seen = []
+    product = ev._product
+    monkeypatch.setattr(ev, "_product", lambda m, v: seen.append(m) or product(m, v))
+    step = ev._rk4_stepper(op, ev.cfl_dt(sysm, grid, 0.4))
+    step(ev.gaussian_state(grid, components, center, sigma).values)
+    assert len(seen) == products
+    if nnz is None:
+        assert all(m is op.generator for m in seen)
+    else:
+        assert op.generator.nnz == {2: 8188, 4: 16372}[order]
+        assert seen[0].nnz == nnz
 
 
 def test_evolution_steps_real_systems_in_float64():
@@ -562,10 +627,15 @@ def test_divergence_functional_preserved():
 
 
 @pytest.mark.filterwarnings("ignore")
-def test_instability_error_reports_step():
-    sysm = unit_telegraph()
-    grid = wm.Grid(sysm.domain, (128,))
-    pulse = ev.gaussian_state(grid, [1.0, 0.0], [0.5], 0.05)
+@pytest.mark.parametrize("factory, shape, components", [
+    (unit_telegraph, (128,), [1.0, 0.0]),
+    (_maxwell_2d, (24, 24), [0, 0, 1.0, 0, 0, 0]),
+], ids=["1-d", "2-d"])
+def test_instability_error_reports_step(factory, shape, components):
+    # both step paths: the assembled 1-D step matrix and the 2-D Horner products
+    sysm = factory()
+    grid = wm.Grid(sysm.domain, shape)
+    pulse = ev.gaussian_state(grid, components, [0.5] * grid.d, 0.05)
     stable = ev.cfl_dt(sysm, grid, 0.4)
     with pytest.raises(InstabilityError, match="step .*smaller cfl"):
         ev.integrate(sysm, pulse, 50.0, dt=40 * stable)

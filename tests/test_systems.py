@@ -182,6 +182,42 @@ def test_maxwell_rejects_indefinite_permittivity():
         )
 
 
+@pytest.mark.parametrize("skew, accepted", [(1.84e-13, False), (1e-14, True)])
+def test_weight_is_built_only_if_the_kernel_accepts_it(skew, accepted):
+    # every entry pair of eps passes the per-entry test, but the whole E's
+    # Frobenius defect can still exceed what the E^{-1/2} kernel accepts
+    eps = [[1, 0.5 + skew, 0], [0.5, 1, 0], [0, 0, 1]]
+    build = lambda: wm.maxwell_anisotropic(eps, _EYE_TABLE, domain=UNIT_BOX_2)
+    if not accepted:
+        with pytest.raises(ValidationError, match="weight E fails at a sampled point: "
+                                                  "matrix is not Hermitian: defect 2.602e-13"):
+            build()
+        return
+    sysm = build()
+    assert wm.validate_system(sysm, samples=32).ok
+    grid = wm.Grid(UNIT_BOX_2, (8, 9))
+    coords = tuple(np.meshgrid(*grid.axes, indexing="ij", sparse=True))
+    assert all(np.all(np.isfinite(b)) for b in systems.canonical_A(sysm, coords))
+
+
+def test_validate_holds_the_weight_to_the_kernel_hermitian_test():
+    E = [[1.0, 0.5 + 1.3e-13], [0.5, 1.0]]
+    sysm = wm.CoefficientSystem(
+        domain=wm.BoxDomain((0.0,), (1.0,)),
+        k=2,
+        E=wm.ExprMatrixField(E),
+        A=(wm.ConstMatrixField(np.array([[0.0, 1.0], [1.0, 0.0]])),),
+        V=wm.ConstMatrixField(np.zeros((2, 2))),
+    )
+    assert systems._herm_defect(np.array(E))[0] <= 1e-13
+    rep = wm.validate_system(sysm, samples=8)
+    assert not rep.ok
+    assert rep.issues[0] == ("E at [0.5]: matrix is not Hermitian: "
+                             "defect 1.839e-13 exceeds 1e-13 relative")
+    with pytest.raises(MatrixError, match="not Hermitian"):
+        systems.canonical_A(sysm, np.array([0.5]))
+
+
 def test_elastic_isotropic_stiffness_structure():
     sysm = wm.elastic_isotropic(rho="2", K="3", mu="1.5", domain=UNIT_BOX_3)
     C = sysm.parts["stiffness"](np.array([0.5, 0.5, 0.5]))
