@@ -430,7 +430,7 @@ def _rk4_polynomial(apply, x, dt: float):
     return w
 
 
-def _rk4_stepper(op: DiscreteOperator, dt: float):
+def _rk4_propagator(op: DiscreteOperator, dt: float):
     """One RK4 step of dt as a function of the state array."""
     if op.grid.d == 1:
         # On a 1-D grid R(dt G) stays banded: on the 2048-node telegraph grid it
@@ -461,12 +461,12 @@ def _midpoint_step(op: DiscreteOperator, values: np.ndarray, dt: float) -> np.nd
     )
 
 
-def _midpoint_stepper(op: DiscreteOperator, dt: float):
+def _midpoint_propagator(op: DiscreteOperator, dt: float):
     """One implicit midpoint step of dt as a function of the state array."""
     return lambda values: _midpoint_step(op, values, dt)
 
 
-_STEPPERS = {"rk4": _rk4_stepper, "midpoint": _midpoint_stepper}
+_STEPPERS = {"rk4": _rk4_propagator, "midpoint": _midpoint_propagator}
 
 
 def _evolution(sys, state0, T, cfl, threshold, method, order, dt):

@@ -579,24 +579,12 @@ def _herm_defect(mat: np.ndarray) -> tuple[float, tuple[int, int]]:
     return float(diff[ij] / scale), (int(ij[0]) + 1, int(ij[1]) + 1)
 
 
-def _kernel_hermitian_error(mat: np.ndarray) -> str | None:
-    """Why the E^{-1/2} kernel would reject mat as not Hermitian, or None.
-
-    The kernel holds the whole matrix's Frobenius defect to ``HERMITIAN_RTOL``
-    of its norm, which can fail where every entry pair passes ``_herm_defect``.
-    """
-    try:
-        HermitianMatrix(mat)
-    except MatrixError as exc:
-        return str(exc)
-    return None
-
-
 def validate_system(sys: CoefficientSystem, samples: int = 256) -> ValidationReport:
     """Spot-check Hermiticity, positivity of E and stiffness symmetry/SPD.
 
-    E is also held to the E^{-1/2} kernel's whole-matrix Hermitian test, so a
-    weight that passes here is accepted wherever it is decomposed.
+    E is also held to the E^{-1/2} kernel's whole-matrix Hermitian test (its
+    Frobenius defect against its norm), which can fail where every entry pair
+    passes, so a weight that passes here is accepted wherever it is decomposed.
     """
     pts = _sample_points(sys.domain, samples)
     issues: list[str] = []
@@ -611,8 +599,11 @@ def validate_system(sys: CoefficientSystem, samples: int = 256) -> ValidationRep
         defect, pair = _herm_defect(E)
         if defect > 1e-13:
             issues.append(f"E not Hermitian at {x}: entry {pair} defect {defect:.2e}")
-        elif (reason := _kernel_hermitian_error(E)) is not None:
-            issues.append(f"E at {x}: {reason}")
+        else:
+            try:
+                HermitianMatrix(E)
+            except MatrixError as exc:
+                issues.append(f"E at {x}: {exc}")
         worst = max(worst, defect)
         ew = np.linalg.eigvalsh(0.5 * (E + E.conj().T))
         min_eig_E = min(min_eig_E, float(ew[0]))

@@ -548,7 +548,7 @@ def test_rk4_step_products(monkeypatch, case, products, nnz):
     seen = []
     product = ev._product
     monkeypatch.setattr(ev, "_product", lambda m, v: seen.append(m) or product(m, v))
-    step = ev._rk4_stepper(op, ev.cfl_dt(sysm, grid, 0.4))
+    step = ev._rk4_propagator(op, ev.cfl_dt(sysm, grid, 0.4))
     step(ev.gaussian_state(grid, components, center, sigma).values)
     assert len(seen) == products
     if nnz is None:
