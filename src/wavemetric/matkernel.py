@@ -3,23 +3,25 @@
 Each function takes one k-by-k matrix or a stack (..., k, k), k rarely above
 9, and delegates the eigendecompositions to LAPACK via ``numpy.linalg``,
 adding the validation and relative-tolerance conventions the rest of the
-package relies on.  ``spd_sqrt`` and ``spd_inv_sqrt`` share one SPD power
-kernel, so a point and every sample of a grid get the same arithmetic and
-agree bit for bit; a stack raises for its first failing sample in C order.
-All tolerances are relative to the norm of the input, with an absolute floor
-of 1e-300 so zero matrices compare cleanly.
+package relies on.  ``hermitian_part`` is the package's one Hermitian test
+(the Frobenius defect ||a - a^H|| against ||a||), and the SPD power kernel
+behind ``spd_sqrt`` and ``spd_inv_sqrt`` applies it too, so a coefficient
+matrix is admissible exactly when these kernels accept it.  A point and
+every sample of a grid get the same arithmetic and agree bit for bit; a
+stack raises for its first failing sample in C order.  All tolerances are
+relative to the norm of the input, with an absolute floor of 1e-300 so zero
+matrices compare cleanly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, MatrixError, SingularMatrixError
+from .errors import MatrixError, SingularMatrixError
 
 __all__ = [
     "HermitianMatrix",
-    "SPDMatrix",
-    "eig_herm",
+    "hermitian_part",
     "op_norm",
     "spd_sqrt",
     "spd_inv_sqrt",
@@ -40,39 +42,58 @@ def _square(a, where: str) -> np.ndarray:
 
 
 def _hermitian_split(a: np.ndarray, axes=(-2, -1)):
-    """Per matrix: 0.5 (a + a^H), the defect ||a - a^H|| and whether it exceeds
+    """Per matrix: 0.5 (a + a^H) and whether the defect ||a - a^H|| exceeds
     ``HERMITIAN_RTOL`` of ||a||.  With ``axes=-1`` a holds the diagonals of
     diagonal matrices.  An exactly Hermitian a is its own part: no norms."""
     adj = a if axes == -1 else a.swapaxes(-1, -2)
     adj = adj.conj() if np.iscomplexobj(a) else adj
     if adj is a or not (a != adj).any():  # a real diagonal is Hermitian as it stands
-        return a, None, np.zeros(a.shape[:-1] if axes == -1 else a.shape[:-2], dtype=bool)
+        return a, np.zeros(a.shape[:-1] if axes == -1 else a.shape[:-2], dtype=bool)
     defect = np.linalg.norm(a - adj, axis=axes)
     bad = defect > HERMITIAN_RTOL * np.maximum(np.linalg.norm(a, axis=axes), _FLOOR)
-    return 0.5 * (a + adj), defect, bad
+    return 0.5 * (a + adj), bad
 
 
-def _not_hermitian(defect, where: str) -> MatrixError:
-    return MatrixError(f"matrix is not Hermitian: defect {float(defect):.3e} "
-                       f"exceeds {HERMITIAN_RTOL:.0e} relative{where}")
+def _first(bad: np.ndarray, where):
+    """Index of the first failing sample in C order, and the error context for the mask."""
+    first = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    return first, where(bad) if callable(where) else where
 
 
-def _hermitian_part(a, where: str = "") -> np.ndarray:
-    """0.5 (a + a^H) of a square matrix or a stack (..., k, k); raises for the first
-    matrix whose Hermitian defect exceeds ``HERMITIAN_RTOL`` of its Frobenius norm."""
-    h, defect, bad = _hermitian_split(_square(a, where))
+def _not_hermitian(m: np.ndarray, where: str) -> MatrixError:
+    """The error for a matrix (k, k), or the diagonal (k,) of one, failing the Hermitian test."""
+    m = np.diag(m) if m.ndim == 1 else m
+    diff = np.abs(m - m.conj().T)
+    i, j = np.unravel_index(int(np.argmax(diff)), diff.shape)
+    rel = np.linalg.norm(diff) / max(float(np.linalg.norm(m)), _FLOOR)
+    at = (f"entry ({i + 1}, {i + 1})" if i == j
+          else f"entries ({i + 1}, {j + 1}) and ({j + 1}, {i + 1})")
+    return MatrixError(f"matrix is not Hermitian: relative defect {rel:.3e} exceeds "
+                       f"{HERMITIAN_RTOL:.0e}, largest at {at}{where}")
+
+
+def hermitian_part(a, *, where="") -> np.ndarray:
+    """0.5 (a + a^H) of a square matrix or a stack (..., k, k).
+
+    A matrix whose Frobenius defect ||a - a^H|| exceeds ``HERMITIAN_RTOL`` of
+    ||a|| fails; the first in C order raises, its message ending in ``where``:
+    a string, or a callable taking the mask of failing samples.
+    """
+    a = _square(a, where if isinstance(where, str) else "")
+    h, bad = _hermitian_split(a)
     if bad.any():
-        raise _not_hermitian(np.extract(bad, defect)[0], where)
+        first, where = _first(bad, where)
+        raise _not_hermitian(a[first], where)
     return h
 
 
-def _spd_eigen(s, where, diagonal: bool = False, doing: str = "decomposing"):
+def _spd_eigen(s, where, diagonal: bool = False):
     """Eigenvalues w and eigenvectors u of the Hermitian part of each matrix of s.
 
     For ``diagonal`` matrices w is the diagonal and u is None.  A sample that
     is non-finite, not Hermitian, not positive definite or numerically
     singular fails; the first in C order raises, its message ending in
-    ``where``: a string, or a callable taking the mask of failing samples.
+    ``where`` as for ``hermitian_part``.
     """
     a = _square(s, where if isinstance(where, str) else "")
     if diagonal:
@@ -81,7 +102,7 @@ def _spd_eigen(s, where, diagonal: bool = False, doing: str = "decomposing"):
     finite = np.isfinite(a).all(axis=axes)
     if not finite.all():  # stand-ins keep the arithmetic finite; the mask still fails them
         a = np.where(np.expand_dims(finite, axes), a, 1.0 if diagonal else np.eye(a.shape[-1]))
-    h, defect, skew = _hermitian_split(a, axes)
+    h, skew = _hermitian_split(a, axes)
     if diagonal:
         w, u = h.real, None
         lo, hi = w.min(axis=-1), w.max(axis=-1)
@@ -90,17 +111,16 @@ def _spd_eigen(s, where, diagonal: bool = False, doing: str = "decomposing"):
         lo, hi = w[..., 0], w[..., -1]
     bad = ~finite | skew | ~(lo >= SINGULAR_RTOL * np.maximum(hi, _FLOOR))
     if bad.any():
-        first = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        where = where(bad) if callable(where) else where
+        first, where = _first(bad, where)
         if not finite[first]:
-            raise MatrixError(f"non-finite eigenvalues while {doing} E{where}")
+            raise MatrixError(f"matrix has non-finite entries{where}")
         if skew[first]:
-            raise _not_hermitian(defect[first], where)
+            raise _not_hermitian(a[first], where)
         if not lo[first] > 0.0:
             raise MatrixError(f"matrix is not positive definite: smallest eigenvalue "
                               f"{lo[first]:.6e}{where}")
-        raise SingularMatrixError(f"numerically singular E: eigenvalue {lo[first]:.6e} below "
-                                  f"{SINGULAR_RTOL:.0e} of norm {hi[first]:.6e}{where}")
+        raise SingularMatrixError(f"matrix is numerically singular: eigenvalue {lo[first]:.6e} "
+                                  f"below {SINGULAR_RTOL:.0e} of norm {hi[first]:.6e}{where}")
     return w, u
 
 
@@ -117,7 +137,7 @@ class HermitianMatrix:
         a = np.asarray(entries)
         if a.ndim > 2:
             raise MatrixError(f"expected a square matrix, got shape {a.shape}{where}")
-        self.mat = _hermitian_part(a, where).copy()  # never the caller's array
+        self.mat = hermitian_part(a, where=where).copy()  # never the caller's array
 
     @property
     def k(self) -> int:
@@ -130,33 +150,8 @@ class HermitianMatrix:
         return f"{type(self).__name__}({self.mat!r})"
 
 
-class SPDMatrix(HermitianMatrix):
-    """Hermitian, positive definite and not numerically singular, checked by
-    the one eigendecomposition that ``spd_sqrt`` and ``spd_inv_sqrt`` reuse."""
-
-    __slots__ = ("eig",)
-
-    def __init__(self, entries, *, where: str = ""):
-        super().__init__(entries, where=where)
-        self.eig = _spd_eigen(self.mat, where)
-
-
 def _as_hermitian(h) -> np.ndarray:
-    return h.mat if isinstance(h, HermitianMatrix) else _hermitian_part(np.asarray(h))
-
-
-def eig_herm(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns.
-
-    Accepts a HermitianMatrix or anything the HermitianMatrix constructor
-    accepts.  Non-convergence raises ConvergenceError carrying the matrix.
-    """
-    a = _as_hermitian(h)
-    try:
-        w, u = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise ConvergenceError(f"eigensolver did not converge: {exc}", matrix=a) from exc
-    return w, u
+    return h.mat if isinstance(h, HermitianMatrix) else hermitian_part(h)
 
 
 def op_norm(h):
@@ -172,8 +167,7 @@ def op_norm(h):
 
 def _spd_power(s, exponent: float, where, diagonal: bool = False) -> np.ndarray:
     """u diag(w^p) u^H, Hermitian part, per matrix; diag(s)^p, shape (..., k), if ``diagonal``."""
-    doing = "inverting" if exponent < 0 else "decomposing"
-    w, u = s.eig if isinstance(s, SPDMatrix) else _spd_eigen(s, where, diagonal, doing)
+    w, u = _spd_eigen(s, where, diagonal)
     p = np.power(w, exponent)
     if u is None:
         return p.astype(np.complex128) if np.iscomplexobj(s) else p

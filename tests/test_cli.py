@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+import wavemetric as wm
 from wavemetric import cli, verify
 from wavemetric.errors import ScenarioError
 
@@ -152,10 +153,8 @@ def test_family_defaults_and_build(name, d, params, normalized, k):
     ("custom", 1, {"k": 2, "A": [[[0, 1], [1, 0]]], "E": [[1]]},
      "system.params.E must be a 2x2 table"),
     ("custom", 1, {"k": 2, "A": [[[0, 2], [1, 0]]]},
-     "custom system fails validation: "
-     "A[1] not Hermitian at [0.5]: entry (1, 2) defect 4.47e-01; "
-     "A[1] not Hermitian at [0.25]: entry (1, 2) defect 4.47e-01; "
-     "A[1] not Hermitian at [0.75]: entry (1, 2) defect 4.47e-01"),
+     "custom system fails validation: matrix is not Hermitian: relative defect "
+     "6.325e-01 exceeds 1e-13, largest at entries (1, 2) and (2, 1) (A[1] at [0.5])"),
 ])
 def test_family_rejects(name, d, params, message):
     raw = family_scenario(name, params, d)
@@ -210,13 +209,13 @@ def test_bad_expression_reports_position(tmp_path, capsys):
 
 @pytest.mark.parametrize("eps, mu, message", [
     ([["1", "0.5", "0"], ["0", "1", "0"], ["0", "0", "1"]], _EYE3,
-     "permittivity must be Hermitian: entries (1,2) and (2,1) differ by "
-     "2.774e-01 relative at sampled point [0.5        0.33333333]"),
-    # each entry pair passes; the whole weight fails the E^{-1/2} kernel's test
+     "matrix is not Hermitian: relative defect 3.922e-01 exceeds 1e-13, largest at "
+     "entries (1, 2) and (2, 1) (permittivity at [0.5        0.33333333])"),
+    # each entry pair is within 1e-13 of the norm; the Frobenius defect is not
     ([["1", "0.500000000000184", "0"], ["0.5", "1", "0"], ["0", "0", "1"]],
      [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-     "weight E fails at a sampled point: matrix is not Hermitian: "
-     "defect 2.602e-13 exceeds 1e-13 relative (E at [0.5        0.33333333])"),
+     "matrix is not Hermitian: relative defect 1.391e-13 exceeds 1e-13, largest at "
+     "entries (1, 2) and (2, 1) (permittivity at [0.5        0.33333333])"),
 ], ids=["entry", "whole-weight"])
 def test_asymmetric_permittivity_exits_2(tmp_path, capsys, eps, mu, message):
     raw = family_scenario("maxwell_anisotropic", {"eps": eps, "mu": mu}, 2)
@@ -224,6 +223,36 @@ def test_asymmetric_permittivity_exits_2(tmp_path, capsys, eps, mu, message):
     p = write_scenario(tmp_path, raw)
     assert cli.main(["analyze", str(p)]) == 2
     assert capsys.readouterr().err == f"{p}: {message}\n"
+
+
+# Custom coefficients that the kernels reject at the first Halton point x = 0.5:
+# validation must reject them too, naming the field and the point, and the
+# scenario must exit 2 when it is built.
+@pytest.mark.parametrize("params, issue", [
+    ({"k": 2, "A": [[[0, 1], [1.00000000000012, 0]]]},
+     "matrix is not Hermitian: relative defect 1.199e-13 exceeds 1e-13, largest at "
+     "entries (1, 2) and (2, 1) (A[1] at [0.5])"),
+    ({"k": 2, "A": [[[0, 1], [1, 0]]], "E": [[1, 0], [0, 1e-15]]},
+     "matrix is numerically singular: eigenvalue 1.000000e-15 below 1e-14 of norm "
+     "1.000000e+00 (E at [0.5])"),
+    ({"k": 2, "A": [[[0, 1], [1, 0]]], "E": [["1/(x - 0.5)^2", 0], [0, 1]]},
+     "matrix has non-finite entries (E at [0.5])"),
+], ids=["A-not-hermitian", "E-singular", "E-non-finite"])
+def test_inadmissible_custom_coefficients_exit_2(tmp_path, capsys, params, issue):
+    k = params["k"]
+    sysm = wm.CoefficientSystem(
+        domain=wm.BoxDomain((0.0,), (1.0,)), k=k,
+        E=wm.ExprMatrixField(params["E"]) if "E" in params else wm.ConstMatrixField(np.eye(k)),
+        A=tuple(wm.ExprMatrixField(a) for a in params["A"]),
+        V=wm.ConstMatrixField(np.zeros((k, k))))
+    rep = wm.validate_system(sysm, samples=64)
+    assert not rep.ok
+    assert rep.issues == [issue]
+    raw = family_scenario("custom", params, 1)
+    raw["output"]["dir"] = str(tmp_path / "out")
+    p = write_scenario(tmp_path, raw)
+    assert cli.main(["analyze", str(p)]) == 2
+    assert capsys.readouterr().err == f"{p}: custom system fails validation: {issue}\n"
 
 
 def test_weight_failing_at_a_grid_node_exits_2(tmp_path, capsys):

@@ -7,8 +7,7 @@ from hypothesis.extra.numpy import arrays
 from wavemetric.errors import MatrixError, SingularMatrixError
 from wavemetric.matkernel import (
     HermitianMatrix,
-    SPDMatrix,
-    eig_herm,
+    hermitian_part,
     op_norm,
     spd_inv_sqrt,
     spd_sqrt,
@@ -46,28 +45,11 @@ def test_hermitian_rejects_nonsquare():
 
 
 def test_spd_rejects_indefinite():
-    with pytest.raises(MatrixError):
-        SPDMatrix([[1.0, 0.0], [0.0, -1.0]])
-    with pytest.raises(MatrixError):
-        SPDMatrix(np.zeros((3, 3)))
-
-
-def test_eig_sorted_and_consistent():
-    rng = np.random.default_rng(11)
-    for k in range(1, 10):
-        h = HermitianMatrix(random_hermitian(rng, k))
-        w, u = eig_herm(h)
-        assert np.all(np.diff(w) >= 0)
-        recon = (u * w) @ u.conj().T
-        assert np.allclose(recon, np.asarray(h), atol=1e-12)
-
-
-def test_eig_unitarity():
-    rng = np.random.default_rng(12)
-    for k in (2, 5, 9):
-        for _ in range(25):
-            _, u = eig_herm(HermitianMatrix(random_hermitian(rng, k)))
-            assert np.linalg.norm(u.conj().T @ u - np.eye(k)) < 1e-12
+    for power in (spd_sqrt, spd_inv_sqrt):
+        with pytest.raises(MatrixError):
+            power([[1.0, 0.0], [0.0, -1.0]])
+        with pytest.raises(MatrixError):
+            power(np.zeros((3, 3)))
 
 
 def test_op_norm_matches_numpy():
@@ -83,7 +65,7 @@ def test_sqrt_round_trip():
     rng = np.random.default_rng(14)
     for k in range(1, 10):
         s = random_spd(rng, k)
-        r = spd_sqrt(SPDMatrix(s))
+        r = spd_sqrt(s)
         assert np.linalg.norm(r @ r - s) / np.linalg.norm(s) < 1e-11
 
 
@@ -91,7 +73,7 @@ def test_inv_sqrt_round_trip():
     rng = np.random.default_rng(15)
     for k in (1, 3, 6, 9):
         s = random_spd(rng, k)
-        r = spd_inv_sqrt(SPDMatrix(s))
+        r = spd_inv_sqrt(s)
         assert np.linalg.norm(r @ s @ r - np.eye(k)) < 1e-10
 
 
@@ -119,9 +101,8 @@ def test_well_conditioned_near_threshold_passes():
 
 def test_float_real_path_stays_real():
     h = HermitianMatrix(np.diag([1.0, 2.0]))
-    w, u = eig_herm(h)
-    assert w.dtype == np.float64
-    assert not np.iscomplexobj(u)
+    for power in (spd_sqrt, spd_inv_sqrt):
+        assert power(h).dtype == np.float64
 
 
 def _stack_with_two_bad_samples(first, second):
@@ -139,11 +120,13 @@ def _flagged(bad):
     (np.diag([1.0, -1.0]), np.diag([np.nan, 1.0]), MatrixError,
      "matrix is not positive definite: smallest eigenvalue -1.000000e+00"),
     (np.diag([np.inf, 1.0]), np.diag([1.0, -1.0]), MatrixError,
-     "non-finite eigenvalues while inverting E"),
+     "matrix has non-finite entries"),
     (np.diag([1.0, 1e-16]), np.diag([1.0, -1.0]), SingularMatrixError,
-     "numerically singular E: eigenvalue 1.000000e-16 below 1e-14 of norm 1.000000e+00"),
+     "matrix is numerically singular: eigenvalue 1.000000e-16 below 1e-14 of norm "
+     "1.000000e+00"),
     (np.array([[1.0, 1.0], [0.0, 1.0]]), np.diag([1.0, 1e-16]), MatrixError,
-     "matrix is not Hermitian: defect 1.414e+00 exceeds 1e-13 relative"),
+     "matrix is not Hermitian: relative defect 8.165e-01 exceeds 1e-13, largest at "
+     "entries (1, 2) and (2, 1)"),
 ], ids=["indefinite", "non-finite", "singular", "not-hermitian"])
 def test_stack_error_names_the_first_failing_sample(first, second, error, message):
     stack = _stack_with_two_bad_samples(first, second)
@@ -193,3 +176,23 @@ def test_stacked_powers_equal_the_per_matrix_powers(E):
             assert power(e).tobytes() == stacked[i].tobytes()
     S = spd_inv_sqrt(E)
     assert np.abs(S @ S @ E - np.eye(E.shape[-1])).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bad, message", [
+    # the whole 6x6 weight of a permittivity with eps_12 = 0.5 + 1.84e-13
+    (np.block([[np.array([[1.0, 0.5 + 1.84e-13, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                np.zeros((3, 3))], [np.zeros((3, 3)), np.eye(3)]]),
+     "relative defect 1.020e-13 exceeds 1e-13, largest at entries (1, 2) and (2, 1)"),
+    (np.array([[1.0, 0.0], [0.0, 1.0 + 1e-3j]]),
+     "relative defect 1.414e-03 exceeds 1e-13, largest at entry (2, 2)"),
+], ids=["off-diagonal", "diagonal"])
+def test_hermitian_error_gives_the_relative_defect_and_the_worst_entries(bad, message):
+    stack = np.broadcast_to(np.eye(bad.shape[0]), (2, 3) + bad.shape).astype(bad.dtype)
+    stack[1, 0] = stack[1, 2] = bad
+    assert np.array_equal(hermitian_part(stack[0]), stack[0])
+    for kernel in (hermitian_part, spd_sqrt, spd_inv_sqrt):
+        with pytest.raises(MatrixError) as info:
+            kernel(stack, where=_flagged)
+        assert type(info.value) is MatrixError
+        assert str(info.value) == ("matrix is not Hermitian: " + message
+                                   + " (samples [[1, 0], [1, 2]])")
