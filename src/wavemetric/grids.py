@@ -98,12 +98,34 @@ class Grid:
         return reduce(np.multiply.outer, per_axis)
 
 
+CSV_CHUNK_ROWS = 4096
+
+
 def write_csv(path, names, table) -> None:
     """Write a float table as CSV: a header row, then rows of ``%.17g`` values.
 
     Rows end in ``\r\n`` as ``csv.writer`` ends them, so the bytes equal rows
     of ``f"{v:.17g}"`` strings written by it (``nan``, ``inf``, ``-0`` included).
+
+    Tables are mostly repeats (axis values, constant columns, zero imaginary
+    parts), so each distinct float64 bit pattern is formatted once per chunk of
+    ``CSV_CHUNK_ROWS`` rows and the cells are gathered from those strings.  The
+    bytes do not change: a cell's text depends only on its bit pattern, keying
+    on bits keeps -0 apart from 0, every NaN payload prints ``nan`` as before,
+    and ``%.17g`` is the conversion ``f"{v:.17g}"`` makes.
     """
-    with open(path, "w", newline="") as fh:
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=",".join(names),
-                   comments="", newline="\r\n")
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\r\n").encode())
+        for start in range(0, len(table), CSV_CHUNK_ROWS):
+            part = table[start:start + CSV_CHUNK_ROWS]
+            keys, inverse = np.unique(part.view(np.uint64), return_inverse=True)
+            text = ("%.17g\n" * len(keys)) % tuple(keys.view(np.float64).tolist())
+            cells = np.array(text.encode().split(b"\n")[:-1])[inverse.reshape(part.shape)]
+            # each cell is NUL-padded to the widest; "," or "\r\n" goes after the padding
+            width = cells.itemsize
+            padded = np.zeros(part.shape + (width + 2,), dtype=np.uint8)
+            padded[..., :width] = cells.view(np.uint8).reshape(part.shape + (width,))
+            padded[:, :-1, width] = ord(",")
+            padded[:, -1, width:] = (ord("\r"), ord("\n"))
+            fh.write(padded[padded != 0].tobytes())

@@ -42,22 +42,35 @@ def _square(a, where: str) -> np.ndarray:
 
 
 def _hermitian_split(a: np.ndarray, axes=(-2, -1)):
-    """Per matrix: 0.5 (a + a^H) and whether the defect ||a - a^H|| exceeds
-    ``HERMITIAN_RTOL`` of ||a||.  With ``axes=-1`` a holds the diagonals of
-    diagonal matrices.  An exactly Hermitian a is its own part: no norms."""
+    """Per matrix: 0.5 (a + a^H), whether all its entries are finite, and
+    whether its defect ||a - a^H|| exceeds ``HERMITIAN_RTOL`` of ||a||.  With
+    ``axes=-1`` a holds the diagonals of diagonal matrices.  A non-finite
+    matrix becomes the identity first, so the arithmetic stays finite and the
+    finite mask alone fails it.  An exactly Hermitian a is its own part: no norms."""
+    finite = np.isfinite(a).all(axis=axes)
+    if not finite.all():
+        a = np.where(np.expand_dims(finite, axes), a, 1.0 if axes == -1 else np.eye(a.shape[-1]))
     adj = a if axes == -1 else a.swapaxes(-1, -2)
     adj = adj.conj() if np.iscomplexobj(a) else adj
     if adj is a or not (a != adj).any():  # a real diagonal is Hermitian as it stands
-        return a, np.zeros(a.shape[:-1] if axes == -1 else a.shape[:-2], dtype=bool)
+        return a, finite, np.zeros(finite.shape, dtype=bool)
     defect = np.linalg.norm(a - adj, axis=axes)
-    bad = defect > HERMITIAN_RTOL * np.maximum(np.linalg.norm(a, axis=axes), _FLOOR)
-    return 0.5 * (a + adj), bad
+    skew = defect > HERMITIAN_RTOL * np.maximum(np.linalg.norm(a, axis=axes), _FLOOR)
+    return 0.5 * (a + adj), finite, skew
 
 
 def _first(bad: np.ndarray, where):
     """Index of the first failing sample in C order, and the error context for the mask."""
     first = np.unravel_index(int(np.argmax(bad)), bad.shape)
     return first, where(bad) if callable(where) else where
+
+
+def _raise_hermitian_failure(a, first, finite, skew, where: str) -> None:
+    """Raise for sample ``first`` of a if it is non-finite or not Hermitian."""
+    if not finite[first]:
+        raise MatrixError(f"matrix has non-finite entries{where}")
+    if skew[first]:
+        raise _not_hermitian(a[first], where)
 
 
 def _not_hermitian(m: np.ndarray, where: str) -> MatrixError:
@@ -75,15 +88,17 @@ def _not_hermitian(m: np.ndarray, where: str) -> MatrixError:
 def hermitian_part(a, *, where="") -> np.ndarray:
     """0.5 (a + a^H) of a square matrix or a stack (..., k, k).
 
-    A matrix whose Frobenius defect ||a - a^H|| exceeds ``HERMITIAN_RTOL`` of
-    ||a|| fails; the first in C order raises, its message ending in ``where``:
-    a string, or a callable taking the mask of failing samples.
+    A matrix with a non-finite entry, or whose Frobenius defect ||a - a^H||
+    exceeds ``HERMITIAN_RTOL`` of ||a||, fails; the first in C order raises,
+    its message ending in ``where``: a string, or a callable taking the mask
+    of failing samples.
     """
     a = _square(a, where if isinstance(where, str) else "")
-    h, bad = _hermitian_split(a)
+    h, finite, skew = _hermitian_split(a)
+    bad = ~finite | skew
     if bad.any():
         first, where = _first(bad, where)
-        raise _not_hermitian(a[first], where)
+        _raise_hermitian_failure(a, first, finite, skew, where)
     return h
 
 
@@ -98,11 +113,7 @@ def _spd_eigen(s, where, diagonal: bool = False):
     a = _square(s, where if isinstance(where, str) else "")
     if diagonal:
         a = np.diagonal(a, axis1=-2, axis2=-1)
-    axes = -1 if diagonal else (-2, -1)
-    finite = np.isfinite(a).all(axis=axes)
-    if not finite.all():  # stand-ins keep the arithmetic finite; the mask still fails them
-        a = np.where(np.expand_dims(finite, axes), a, 1.0 if diagonal else np.eye(a.shape[-1]))
-    h, skew = _hermitian_split(a, axes)
+    h, finite, skew = _hermitian_split(a, -1 if diagonal else (-2, -1))
     if diagonal:
         w, u = h.real, None
         lo, hi = w.min(axis=-1), w.max(axis=-1)
@@ -112,10 +123,7 @@ def _spd_eigen(s, where, diagonal: bool = False):
     bad = ~finite | skew | ~(lo >= SINGULAR_RTOL * np.maximum(hi, _FLOOR))
     if bad.any():
         first, where = _first(bad, where)
-        if not finite[first]:
-            raise MatrixError(f"matrix has non-finite entries{where}")
-        if skew[first]:
-            raise _not_hermitian(a[first], where)
+        _raise_hermitian_failure(a, first, finite, skew, where)
         if not lo[first] > 0.0:
             raise MatrixError(f"matrix is not positive definite: smallest eigenvalue "
                               f"{lo[first]:.6e}{where}")
@@ -127,8 +135,9 @@ def _spd_eigen(s, where, diagonal: bool = False):
 class HermitianMatrix:
     """A validated Hermitian matrix.
 
-    The constructor symmetrizes entries and rejects inputs whose Hermitian
-    defect exceeds ``HERMITIAN_RTOL`` relative to the Frobenius norm.
+    The constructor symmetrizes entries and rejects inputs with a non-finite
+    entry or whose Hermitian defect exceeds ``HERMITIAN_RTOL`` relative to the
+    Frobenius norm.
     """
 
     __slots__ = ("mat",)

@@ -255,6 +255,39 @@ def test_inadmissible_custom_coefficients_exit_2(tmp_path, capsys, params, issue
     assert capsys.readouterr().err == f"{p}: custom system fails validation: {issue}\n"
 
 
+_POLE = "1/(x - 0.5)"      # inf at the first Halton point x = 0.5
+_HOLE = "(x - 0.5)/(x - 0.5)"  # nan there
+
+
+# A non-finite A^j or V passes no Hermitian test: inf - inf and a NaN defect
+# both compare False against the tolerance, so the kernel must reject them
+# itself.  Validation then names the field and the scenario exits 2 at build.
+@pytest.mark.parametrize("field, entries", [
+    ("A[1]", [[0, _POLE], [_POLE, 0]]),
+    ("A[1]", [[_HOLE, 1], [1, 0]]),
+    ("V", [[0, _POLE], [_POLE, 0]]),
+    ("V", [[_HOLE, 0], [0, 0]]),
+], ids=["A-inf", "A-nan", "V-inf", "V-nan"])
+def test_non_finite_coefficients_exit_2(tmp_path, capsys, field, entries):
+    from wavemetric.errors import MatrixError
+    from wavemetric.matkernel import hermitian_part
+
+    with pytest.raises(MatrixError, match=r"^matrix has non-finite entries$"):
+        hermitian_part(wm.ExprMatrixField(entries).sample((np.array(0.5),)))
+    params = {"k": 2, "A": [entries if field == "A[1]" else [[0, 1], [1, 0]]]}
+    if field == "V":
+        params["V"] = entries
+    raw = family_scenario("custom", params, 1)
+    raw["grid"]["nodes"] = [64]
+    raw["output"]["dir"] = str(tmp_path / "out")
+    p = write_scenario(tmp_path, raw)
+    assert cli.main(["analyze", str(p)]) == 2
+    assert capsys.readouterr().err == (
+        f"{p}: custom system fails validation: matrix has non-finite entries "
+        f"({field} at [0.5])\n"
+    )
+
+
 def test_weight_failing_at_a_grid_node_exits_2(tmp_path, capsys):
     # eps = x - 0.05 passes the construction probe but not the node at x = 1/33
     raw = family_scenario("maxwell_isotropic", {"eps": "x - 0.05"}, 2)

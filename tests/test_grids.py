@@ -1,7 +1,14 @@
+import csv
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavemetric import BoxDomain, Grid
+from wavemetric.grids import CSV_CHUNK_ROWS, write_csv
 
 
 def test_interior_grid_excludes_endpoints():
@@ -184,3 +191,58 @@ def test_evolution_log_csv_bytes(tmp_path):
         b"0.10000000000000001,0.30000000000000004,-0,8,1,8,0.25,0.001\r\n"
         b"0.20000000000000001,1,nan,nan,nan,nan,nan,0\r\n"
     )
+
+
+def _csv_oracle(names, table) -> bytes:
+    """What ``write_csv`` promises: csv.writer rows of f"{v:.17g}" strings."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(names)
+    writer.writerows([f"{v:.17g}" for v in row] for row in table)
+    return buf.getvalue().encode()
+
+
+_CSV_SPECIALS = [np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf, 0.0, -0.0,
+                 5e-324, -2.5e-310, 2.2250738585072014e-308, 0.1, 1e16, -1.7976931348623157e308,
+                 *np.array([0x7FF0000000000001, 0xFFF8000000000042], dtype=np.uint64).view(np.float64)]
+
+
+@st.composite
+def csv_tables(draw):
+    """A table of 1 to 14 columns and 0, 1 or about a chunk boundary's rows.
+
+    The cells repeat a small drawn pool of values (specials such as -0 beside
+    0, subnormals, any float) or are random bit patterns, NaN payloads included.
+    """
+    rows = draw(st.sampled_from([0, 1, 2, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
+                                 CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 3]))
+    cols = draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.integers(0, 2**64, (rows, cols), dtype=np.uint64).view(np.float64)
+    n = len(_CSV_SPECIALS)
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pool = np.array([v for v, k in zip(_CSV_SPECIALS, keep) if k]
+                    + draw(st.lists(st.floats(), min_size=1, max_size=8)))
+    return pool[rng.integers(0, len(pool), (rows, cols))]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(csv_tables())
+def test_write_csv_matches_csv_writer(tmp_path_factory, table):
+    names = [f"c{j}" for j in range(table.shape[1])]
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    write_csv(path, names, table)
+    assert path.read_bytes() == _csv_oracle(names, table)
+
+
+def test_write_csv_memory_is_bounded_by_the_chunk(tmp_path):
+    # all-distinct values, the widest strings; the table spans 25 chunks
+    table = np.random.default_rng(0).standard_normal((100_000, 9))
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "table.csv", [f"c{j}" for j in range(9)], table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * CSV_CHUNK_ROWS * 9
