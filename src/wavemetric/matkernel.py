@@ -25,7 +25,6 @@ __all__ = [
     "op_norm",
     "spd_sqrt",
     "spd_inv_sqrt",
-    "at_point",
 ]
 
 HERMITIAN_RTOL = 1e-13
@@ -202,8 +201,3 @@ def spd_inv_sqrt(s, *, where="", diagonal: bool = False) -> np.ndarray:
     """
     return _spd_power(s, -0.5, where, diagonal)
 
-
-def at_point(fn, mat, what: str, x) -> np.ndarray:
-    """``fn(mat)`` for a coefficient matrix sampled at the point x; the error
-    context " (<what> at <x>)" is formatted only when ``fn`` raises."""
-    return fn(mat, where=lambda _: f" ({what} at {np.asarray(x)})")

@@ -34,18 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dsl
 from .errors import MajorantError, UnsupportedSystemError, ValidationError
 from .grids import Grid, write_csv
-from .matkernel import at_point, op_norm, spd_inv_sqrt, spd_sqrt
+from .matkernel import op_norm
 from .sampling import unit_directions
-from .systems import CURL_GENERATORS, STRAIN_GENERATORS, CoefficientSystem, canonical_A
+from .systems import CoefficientSystem, canonical_A
 
 __all__ = [
     "SpeedBracket",
     "VelocityField",
     "velocity_matrix",
-    "velocity_matrix_structured",
     "char_speed",
     "chernoff_c",
     "fattorini_r",
@@ -100,51 +98,6 @@ def velocity_matrix(sys: CoefficientSystem, x) -> np.ndarray:
     """The d-by-d matrix of traces Tr(B^j B^l) of canonical coefficients (..., d, d)."""
     shape, B = _sample_inside(sys, x)
     return _at_points(_traces(B), shape + (sys.d, sys.d))
-
-
-def _block_traces(blocks: list[np.ndarray], scale) -> np.ndarray:
-    """scale * Tr(X_j X_l^T) over the closed-form blocks X_j of a built-in family."""
-    d = len(blocks)
-    M = np.empty((d, d))
-    for j in range(d):
-        for l in range(j, d):
-            M[j, l] = M[l, j] = scale * float(np.trace(blocks[j] @ blocks[l].T))
-    return M
-
-
-def _structured_maxwell(sys: CoefficientSystem, x) -> np.ndarray:
-    eps = sys.parts["eps"](x)
-    mu = sys.parts["mu"](x)
-    re = at_point(spd_inv_sqrt, eps, "permittivity", x)
-    rm = at_point(spd_inv_sqrt, mu, "permeability", x)
-    return _block_traces([re @ CURL_GENERATORS[j] @ rm for j in range(sys.d)], 2.0)
-
-
-def _structured_elastic(sys: CoefficientSystem, x) -> np.ndarray:
-    rho_expr, rho_src = sys.parts["rho"]
-    rho = dsl.eval_expr(rho_expr, np.atleast_1d(x), source=rho_src)
-    half = at_point(spd_sqrt, sys.parts["stiffness"](x), "stiffness", x)
-    return _block_traces([half @ STRAIN_GENERATORS[j] for j in range(sys.d)], 2.0 / rho)
-
-
-def velocity_matrix_structured(sys: CoefficientSystem, x) -> np.ndarray:
-    """Closed-form velocity matrix for the built-in families.
-
-    This bypasses the generic trace formula using the known block structure
-    of the coefficients; its purpose is cross-validation of the generic path.
-    """
-    x = _check_inside(sys, x)
-    if sys.kind == "telegraph":
-        L, C = (dsl.eval_expr(e, x, source=src) for e, src in (sys.parts["L"], sys.parts["C"]))
-        return np.array([[2.0 / (L * C)]])
-    if sys.kind == "maxwell":
-        return _structured_maxwell(sys, x)
-    if sys.kind == "elastic":
-        return _structured_elastic(sys, x)
-    raise UnsupportedSystemError(
-        f"no specialized velocity formula for kind {sys.kind!r}; "
-        "use velocity_matrix instead"
-    )
 
 
 def char_speed(sys: CoefficientSystem, x, n) -> float:

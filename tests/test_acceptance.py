@@ -39,9 +39,10 @@ from wavemetric.velocity import (
     fattorini_r,
     majorant,
     velocity_matrix,
-    velocity_matrix_structured,
 )
 from wavemetric.verify import random_expression
+
+from velocity_oracle import velocity_matrix_structured
 
 DIVERGENT = ("certified-divergent", "likely-divergent")
 NON_DIVERGENT = ("likely-convergent", "inconclusive")

@@ -47,6 +47,22 @@ def test_cli_start_up_does_not_import_scipy_stats():
     assert out.stdout.split() == ["True", "False", "False", "False"]
 
 
+def test_1d_analyze_imports_no_scipy(tmp_path):
+    # the 1-D routes are ray quadratures, which run on numpy alone
+    p = telegraph_scenario(tmp_path, L="1/sin(pi*x)", C="1/sin(pi*x)", nodes=64)
+    code = (
+        "import sys\n"
+        "from wavemetric.cli import main\n"
+        f"code = main(['analyze', {str(p)!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.splitlines()[-1] == "0 []"
+
+
 # -- scenario parsing --------------------------------------------------------
 
 def test_normalization_is_idempotent():

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import cubature, quad
 
 import wavemetric as wm
 from wavemetric import geometry as geo
@@ -474,6 +476,34 @@ def test_ray_speed_is_evaluated_in_batches(p):
     geo.ray_completeness(speed, 0.0, 1.0)
     assert all(isinstance(t, np.ndarray) for t in seen)
     assert 0 < len(seen) <= 20
+
+
+def _batched_integrand(kind, c, kink):
+    """A family of integrands on [0, 1], one output per entry of c: nodes (n, 1) -> (n, m)."""
+    c = np.asarray(c)
+    if kind == "smooth":
+        return lambda u: np.exp(c * u) * np.cos(40.0 * c * u)
+    if kind == "kinked":
+        return lambda u: np.abs(u - kink) ** c + c
+    return lambda u: (1.0 - u) ** -c  # halvings may reach u = 1 exactly
+
+
+@pytest.mark.parametrize("kind", ["smooth", "kinked", "singular"])
+@pytest.mark.parametrize("budget", [1, 3, geo.RAY_MAX_SUBDIVISIONS])
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(c=st.lists(st.floats(0.05, 1.5), min_size=1, max_size=24),
+       kink=st.sampled_from([0.5, 0.25]) | st.floats(0.0, 1.0))
+def test_gk21_loop_matches_cubature_bit_for_bit(kind, budget, c, kink):
+    # scipy's cubature with its "gk21" rule is the oracle: same estimates,
+    # errors and halvings, including exact error ties (a kink at 1/2 or 1/4)
+    # and budgets that run out
+    f = _batched_integrand(kind, c, kink)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = cubature(f, [0.0], [1.0], rtol=geo.RAY_RTOL, max_subdivisions=budget)
+        est, err, subdivisions = geo._gk21_adaptive(f, geo.RAY_RTOL, budget)
+    assert subdivisions == want.subdivisions
+    assert np.array_equal(est, want.estimate, equal_nan=True)
+    assert np.array_equal(err, want.error, equal_nan=True)
 
 
 def test_verdict_json_round_trip():
