@@ -184,6 +184,14 @@ def _node_norms(samples: np.ndarray) -> np.ndarray:
     return np.linalg.norm(samples, axis=(-2, -1))
 
 
+def _require_finite(samples: np.ndarray, shape: tuple[int, ...], what: str) -> None:
+    """Raise ValidationError naming the first grid node whose samples hold a NaN or inf."""
+    bad = ~np.isfinite(samples).reshape(shape + (-1,)).all(axis=-1)
+    if bad.any():
+        idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
+        raise ValidationError(f"{what} not finite at node {idx}")
+
+
 @dataclass
 class VelocityField:
     """Velocity matrices sampled on a grid, optionally with a majorant.
@@ -206,6 +214,7 @@ class VelocityField:
         M = np.asarray(self.M_samples, dtype=float)
         if M.shape != want:
             raise ValidationError(f"M_samples shape {M.shape}, expected {want}")
+        _require_finite(M, self.grid.shape, "M samples")
         scale = max(float(_node_norms(M).max()), 1e-300)
         asym = float(np.abs(M - np.swapaxes(M, -1, -2)).max())
         if asym > 1e-10 * scale:
@@ -223,6 +232,7 @@ class VelocityField:
             H = np.asarray(self.majorant_samples, dtype=float)
             if H.shape != want:
                 raise ValidationError(f"majorant shape {H.shape}, expected {want}")
+            _require_finite(H, self.grid.shape, "majorant")
             _check_dominates(H, M)
             self.majorant_samples = H
 

@@ -17,6 +17,8 @@ from wavemetric.errors import (
     ValidationError,
 )
 
+from lattice_oracle import lattice_graph_every_slot
+
 
 def const_metric(domain, shape, G, interior=False):
     grid = wm.Grid(domain, shape, interior=interior)
@@ -45,6 +47,14 @@ def test_stencil_offsets_counts():
     assert geo.stencil_offsets(2)[1].shape == (8, 2)
     assert geo.stencil_offsets(2, 16)[1].shape == (16, 2)
     assert geo.stencil_offsets(3)[1].shape == (26, 3)
+
+
+def test_stencil_offsets_are_mirrored():
+    # the graph builder weighs slot k and slot size-1-k as one undirected edge
+    for d, stencils in geo._ALLOWED_STENCILS.items():
+        for stencil in stencils:
+            _, offsets = geo.stencil_offsets(d, stencil)
+            assert np.array_equal(offsets[::-1], -offsets)
 
 
 def test_stencil_rejects_mismatched_choice():
@@ -181,6 +191,16 @@ def test_metric_field_rejects_indefinite_node():
         geo.MetricField(grid, G)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_metric_field_rejects_non_finite_node(bad):
+    dom = wm.BoxDomain((0.0, 0.0), (1.0, 1.0))
+    grid = wm.Grid(dom, (8, 8))
+    G = np.tile(np.eye(2), (8, 8, 1, 1))
+    G[3, 3, 0, 1] = bad
+    with pytest.raises(ValidationError, match=r"not finite at node \(3, 3\)"):
+        geo.MetricField(grid, G)
+
+
 def test_empty_sources_rejected():
     metric = unit_square_metric(9)
     with pytest.raises(ValueError, match="at least one source"):
@@ -229,6 +249,29 @@ def test_metric_caps_degenerate_majorant():
     assert np.all(metric.G_samples <= 1e12 * (1 + 1e-6))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_metric_inversion_matches_three_operand_einsum(d):
+    shape = {1: (40,), 2: (9, 8), 3: (8, 9, 8)}[d]
+    grid = wm.Grid(wm.BoxDomain((0.0,) * d, (1.0,) * d), shape)
+    rng = np.random.default_rng(23 + d)
+    A = rng.normal(size=shape + (d, d))
+    H = A @ np.swapaxes(A, -1, -2) + 0.05 * np.eye(d)
+    flat = H.reshape(-1, d, d)
+    flat[3] = 1e-15 * np.eye(d)  # capped: every eigenvalue below the floor
+    flat[4] = np.outer(A.reshape(-1, d, d)[4, 0], A.reshape(-1, d, d)[4, 0])  # rank one
+    flat[5] = 0.0
+    fld = vel.VelocityField(grid, np.zeros(shape + (d, d)), majorant_samples=H)
+    with pytest.warns(UserWarning, match="capped"):
+        metric = geo.metric_from_velocity(fld)
+    assert metric.degenerate
+    w, u = np.linalg.eigh(H)
+    floor = max(vel.EPS_REG_REL * float(np.linalg.norm(H, axis=(-2, -1)).max()),
+                vel.EPS_REG_FLOOR)
+    G = np.einsum("...ij,...j,...kj->...ik", u, 1.0 / np.maximum(w, floor), u)
+    want = geo.MetricField(grid, G).G_samples
+    assert np.array_equal(metric.G_samples.view(np.uint64), want.view(np.uint64))
+
+
 # -- arrival times ----------------------------------------------------------
 
 def test_arrival_constant_speed_1d():
@@ -272,6 +315,16 @@ def test_arrival_rejects_negative_speed():
     grid = wm.Grid(dom, (16,))
     with pytest.raises(ValueError, match="nonnegative"):
         geo.eikonal_arrival(grid, np.full((16,), -1.0), [(0,)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_arrival_rejects_non_finite_speed(bad):
+    dom = wm.BoxDomain((0.0, 0.0), (1.0, 1.0))
+    grid = wm.Grid(dom, (8, 8))
+    speed = np.ones((8, 8))
+    speed[2, 5] = bad
+    with pytest.raises(ValueError, match=r"not finite at node \(2, 5\)"):
+        geo.eikonal_arrival(grid, speed, [(0, 0)])
 
 
 def test_arrival_skips_excluded_ball():
@@ -382,6 +435,58 @@ def test_lattice_edge_rules_match_bellman_ford(shape):
             assert all(np.isfinite(got[v]) for v in neighbours)
             assert np.array_equal(np.isinf(got), np.isinf(want))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def _graph_inputs(d, interior):
+    """A grid with an excluded ball, random impassable nodes and per-mode inputs.
+
+    G is random SPD.  M is zero on a slab two nodes wide and rank one along
+    the first axis on another, so anisotropic edges inside the first, and
+    edges inside the second that do not move along the first axis, have
+    q = 0 and drop.  A fifth of the speeds are zero, so isotropic edges
+    between two such nodes drop.
+    """
+    shape = {1: (23,), 2: (9, 11), 3: (8, 9, 8)}[d]
+    center = (0.1,) + (0.0,) * (d - 1)
+    dom = wm.BoxDomain((-1.0,) * d, (1.0,) * (d - 1) + (1.3,), excluded_ball=(center, 0.35))
+    grid = wm.Grid(dom, shape, interior=interior)
+    rng = np.random.default_rng(31 + d)
+    A = rng.normal(size=shape + (d, d))
+    G = A @ np.swapaxes(A, -1, -2) + 0.2 * np.eye(d)
+    M = A @ np.swapaxes(A, -1, -2)
+    M[1:3] = 0.0
+    M[..., 4:6, :, :] = 0.0
+    M[..., 4:6, 0, 0] = 1.0
+    s = rng.uniform(0.5, 1.5, size=shape)
+    s[rng.random(shape) < 0.2] = 0.0
+    passable = geo._passable_mask(grid) & (rng.random(shape) > 0.1)
+    mats = {
+        geo.GEODESIC: geo.MetricField(grid, G).G_samples,
+        geo.ANISO_TIME: vel.VelocityField(grid, M).M_samples,
+        geo.ISO_TIME: None,
+    }
+    return grid, mats, s, passable
+
+
+@pytest.mark.parametrize("interior", [True, False], ids=["interior", "closure"])
+@pytest.mark.parametrize("mode", [geo.GEODESIC, geo.ANISO_TIME, geo.ISO_TIME],
+                         ids=["geodesic", "aniso", "iso"])
+@pytest.mark.parametrize("d,stencil", [(1, 2), (2, 8), (2, 16), (3, 26)])
+def test_lattice_graph_matches_every_slot_oracle_bit_for_bit(d, stencil, mode, interior):
+    grid, mats, speed, passable = _graph_inputs(d, interior)
+    _, offsets = geo.stencil_offsets(d, stencil)
+    sp = speed if mode == geo.ISO_TIME else None
+    got = geo._lattice_graph(grid, offsets, mode, mats[mode], sp, passable)
+    want = lattice_graph_every_slot(grid, offsets, mode, mats[mode], sp, passable)
+    assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+    assert got.indices.dtype == want.indices.dtype
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.indptr, want.indptr)
+    if mode != geo.GEODESIC:
+        # the inputs drop edges that unit speeds and M = I would keep
+        eye = np.broadcast_to(np.eye(d), grid.shape + (d, d))
+        kept = lattice_graph_every_slot(grid, offsets, mode, eye, np.ones(grid.shape), passable)
+        assert np.isinf(want.data).sum() > np.isinf(kept.data).sum()
 
 
 # -- divergence grading -----------------------------------------------------

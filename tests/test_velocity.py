@@ -402,6 +402,18 @@ def test_field_rejects_indefinite_samples():
         vel.VelocityField(grid, M)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("which", ["M samples", "majorant"])
+def test_field_rejects_non_finite_samples(which, bad):
+    dom = wm.BoxDomain((0.0, 0.0), (1.0, 1.0))
+    grid = wm.Grid(dom, (8, 8))
+    M = np.tile(np.eye(2), (8, 8, 1, 1))
+    H = 2.0 * M
+    (M if which == "M samples" else H)[6, 1, 1, 1] = bad
+    with pytest.raises(ValidationError, match=rf"{which} not finite at node \(6, 1\)"):
+        vel.VelocityField(grid, M, majorant_samples=H)
+
+
 def test_field_rejects_asymmetric_samples():
     dom = wm.BoxDomain((0.0, 0.0), (1.0, 1.0))
     grid = wm.Grid(dom, (8, 8))
