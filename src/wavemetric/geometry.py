@@ -29,6 +29,7 @@ import numpy as np
 from . import dsl
 from .errors import DomainEvalError, MajorantError, UnsupportedSystemError, ValidationError
 from .grids import Grid, write_csv
+from .matkernel import sym_eigen
 from .velocity import EPS_REG_FLOOR, EPS_REG_REL, VelocityField, _require_finite
 
 __all__ = [
@@ -122,7 +123,7 @@ class MetricField:
             raise ValidationError(f"G_samples shape {G.shape}, expected {want}")
         _require_finite(G, self.grid.shape, "metric")
         G = 0.5 * (G + np.swapaxes(G, -1, -2))
-        w = np.linalg.eigvalsh(G)
+        w = sym_eigen(G)
         if float(w[..., 0].min()) <= 0.0:
             flat = int(np.argmin(w[..., 0]))
             idx = tuple(int(i) for i in np.unravel_index(flat, self.grid.shape))
@@ -145,18 +146,22 @@ def metric_from_velocity(fld: VelocityField) -> MetricField:
             "building the metric"
         )
     H = fld.majorant_samples
-    w, u = np.linalg.eigh(H)
+    w, u = sym_eigen(H, vectors=True)
     norms = np.linalg.norm(H, axis=(-2, -1))
     floor = max(EPS_REG_REL * float(norms.max()), EPS_REG_FLOOR)
     degenerate = bool(np.any(w <= floor * (1.0 + 1e-9)))
-    clipped = np.maximum(w, floor)
-    # G = u diag(1/clipped) u^T, accumulated over j in the order and with the
-    # products (u_ij c_j) u_kj of einsum("...ij,...j,...kj->...ik"), so its
-    # bits are the einsum's; the explicit sum takes half the einsum's time
-    uc = u * (1.0 / clipped)[..., None, :]
+    c = 1.0 / np.maximum(w, floor)
     G = np.zeros(H.shape)
-    for j in range(H.shape[-1]):
-        G += uc[..., :, j, None] * u[..., None, :, j]
+    if u is None:  # a diagonal H: the sum below, over axes as eigenvectors, is diag(c)
+        axes = np.arange(H.shape[-1])
+        G[..., axes, axes] = c
+    else:
+        # G = u diag(c) u^T, accumulated over j in the order and with the
+        # products (u_ij c_j) u_kj of einsum("...ij,...j,...kj->...ik"), so its
+        # bits are the einsum's; the explicit sum takes half the einsum's time
+        uc = u * c[..., None, :]
+        for j in range(H.shape[-1]):
+            G += uc[..., :, j, None] * u[..., None, :, j]
     if degenerate:
         warnings.warn(
             "velocity majorant nearly vanishes at some nodes; metric "

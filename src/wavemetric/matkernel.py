@@ -1,9 +1,13 @@
 """Dense Hermitian/SPD helpers for the small per-point coefficient matrices.
 
 Each function takes one k-by-k matrix or a stack (..., k, k), k rarely above
-9, and delegates the eigendecompositions to LAPACK via ``numpy.linalg``,
-adding the validation and relative-tolerance conventions the rest of the
-package relies on.  ``hermitian_part`` is the package's one Hermitian test
+9, and adds the validation and relative-tolerance conventions the rest of
+the package relies on.  The eigendecompositions are LAPACK's, via
+``numpy.linalg``, except for diagonal matrices: ``spd_inv_sqrt`` reads the
+eigenvalues off the diagonal when told the matrices are diagonal, and
+``sym_eigen``, the eigen kernel of the real symmetric velocity, majorant
+and metric stacks, finds a diagonal stack itself and returns its sorted
+diagonal, the bits LAPACK would return.  ``hermitian_part`` is the package's one Hermitian test
 (the Frobenius defect ||a - a^H|| against ||a||), and the SPD power kernel
 behind ``spd_sqrt`` and ``spd_inv_sqrt`` applies it too, so a coefficient
 matrix is admissible exactly when these kernels accept it.  A point and
@@ -25,6 +29,7 @@ __all__ = [
     "op_norm",
     "spd_sqrt",
     "spd_inv_sqrt",
+    "sym_eigen",
 ]
 
 HERMITIAN_RTOL = 1e-13
@@ -171,6 +176,27 @@ def op_norm(h):
     w = np.linalg.eigvalsh(_as_hermitian(h))
     norm = np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
     return float(norm) if norm.ndim == 0 else norm
+
+
+def sym_eigen(a, *, vectors: bool = False):
+    """Eigenvalues, ascending, of each real symmetric matrix of a stack (..., k, k).
+
+    Like LAPACK with ``UPLO='L'`` only the lower triangles are read.  When
+    every strict lower triangle is zero the stack is diagonal and LAPACK is
+    skipped: the eigenvalues are the sorted diagonal, and with ``vectors``
+    the result is ``(diagonal, None)``, the eigenvector of the i-th value
+    being the i-th axis.  ``dsyevd`` returns a diagonal matrix's diagonal
+    sorted the same way, bit for bit, ties of +0 and -0 included, unless the
+    largest |entry| lies outside about [1.5e-146, 6.7e145]: it then scales
+    the matrix and rounds, where this kernel stays exact.  Any other stack
+    goes to ``numpy.linalg.eigvalsh``, or ``eigh`` with ``vectors``.
+    """
+    a = np.asarray(a)
+    k = a.shape[-1]
+    if not any(a[..., i, j].any() for i in range(1, k) for j in range(i)):
+        w = np.diagonal(a, axis1=-2, axis2=-1)
+        return (w.copy(), None) if vectors else np.sort(w, axis=-1)
+    return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
 
 
 def _spd_power(s, exponent: float, where, diagonal: bool = False) -> np.ndarray:

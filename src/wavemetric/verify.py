@@ -19,7 +19,7 @@ import numpy as np
 from . import dsl
 from .errors import ValidationError
 from .grids import Grid
-from .matkernel import op_norm, spd_sqrt
+from .matkernel import op_norm, spd_sqrt, sym_eigen
 from .systems import (
     BoxDomain,
     CoefficientSystem,
@@ -28,7 +28,14 @@ from .systems import (
     symbol,
     telegraph,
 )
-from .velocity import VelocityField, chernoff_c, fattorini_r, majorant, velocity_matrix
+from .velocity import (
+    VelocityField,
+    _domination_gap,
+    chernoff_c,
+    fattorini_r,
+    majorant,
+    velocity_matrix,
+)
 
 DEFAULT_SEED = 0x5EED
 
@@ -111,10 +118,7 @@ def majorant_deficit(field: VelocityField) -> float:
     """
     if field.majorant_samples is None:
         raise ValidationError("field has no majorant attached")
-    H = field.majorant_samples
-    M = field.M_samples
-    gap = np.linalg.eigvalsh(H - M)[..., 0]
-    scale = np.maximum(np.linalg.norm(H, axis=(-2, -1)), 1e-300)
+    gap, scale = _domination_gap(field.majorant_samples, field.M_samples)
     return float(max(0.0, -(gap / scale).min()))
 
 
@@ -221,7 +225,7 @@ def _check_velocity_psd(rng) -> float:
         sys = _random_system(rng)
         M = velocity_matrix(sys, _interior_point(rng, sys))
         scale = max(float(np.linalg.norm(M)), 1e-300)
-        worst = max(worst, max(0.0, -float(np.linalg.eigvalsh(M)[0]) / scale))
+        worst = max(worst, max(0.0, -float(sym_eigen(M)[0]) / scale))
     return worst
 
 

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import wavemetric as wm
-from wavemetric import cli, verify
+from wavemetric import cli, geometry, velocity, verify
 from wavemetric.errors import ScenarioError
+
+from metric_oracle import lapack_eigen, mollify_every_plane
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):
@@ -415,6 +417,50 @@ def test_analyze_dirac_demo(tmp_path):
     assert radial["classification"] == "certified-divergent"
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert "sufficient condition" in summary
+
+
+_SHORTCUT_SCENARIOS = {
+    "diagonal": family_scenario("maxwell_isotropic",
+                                {"eps": "1 + 0.4*sin(6*x)*cos(4*y)", "mu": "1"}, 2),
+    "full": family_scenario("maxwell_anisotropic", {
+        "eps": [[2, "0.5*sin(3*x)", 0.2], ["0.5*sin(3*x)", 2, 0], [0.2, 0, "1.5 + y"]],
+        "mu": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, 2),
+    "dirac": {
+        "system": {"name": "dirac", "params": {"radius": 0.1}},
+        "domain": {"lower": [-2.0] * 3, "upper": [2.0] * 3, "unbounded": ["both"] * 3},
+        "grid": {"nodes": [12, 12, 12]},
+        "output": {"dir": "o"},
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(_SHORTCUT_SCENARIOS))
+def test_diagonal_shortcuts_leave_every_output_unchanged(tmp_path, monkeypatch, name):
+    # LAPACK at every node and smoothing of all d*d planes, as without the
+    # diagonal shortcuts of sym_eigen and _mollify, give the same bytes
+    raw = json.loads(json.dumps(_SHORTCUT_SCENARIOS[name]))
+    if name != "dirac":
+        raw["grid"]["nodes"] = [24, 24]
+
+    def outputs(tag):
+        raw["output"]["dir"] = str(tmp_path / tag)
+        p = write_scenario(tmp_path, raw, f"{tag}.json")
+        got = {}
+        for command in (["analyze"], ["distance", "--mode", "geodesic"]):
+            assert cli.main(command + [str(p)]) == 0
+            got.update({(command[0], f.name): f.read_bytes()
+                        for f in sorted((tmp_path / tag).iterdir())})
+        return got
+
+    shortcut = outputs("shortcut")
+    monkeypatch.setattr(velocity, "_mollify", mollify_every_plane)
+    for module in (velocity, geometry):
+        monkeypatch.setattr(module, "sym_eigen", lapack_eigen)
+    assert outputs("lapack") == shortcut
+    header, *rows = (tmp_path / "lapack" / "velocity.csv").read_text().splitlines()
+    table = np.array([r.split(",") for r in rows], dtype=float)
+    off = [c for c, h in enumerate(header.split(",")) if h[0] == "M" and h[1] != h[2]]
+    assert table[:, off].any() == (name == "full")
 
 
 def test_analyze_unbounded_nonconstant_maxwell_is_fast(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from wavemetric.errors import (
 )
 
 from lattice_oracle import lattice_graph_every_slot
+from metric_oracle import metric_every_eigh
 
 
 def const_metric(domain, shape, G, interior=False):
@@ -270,6 +272,46 @@ def test_metric_inversion_matches_three_operand_einsum(d):
     G = np.einsum("...ij,...j,...kj->...ik", u, 1.0 / np.maximum(w, floor), u)
     want = geo.MetricField(grid, G).G_samples
     assert np.array_equal(metric.G_samples.view(np.uint64), want.view(np.uint64))
+
+
+def _warned(fn, *args):
+    """fn(*args) and the messages of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [str(w.message) for w in caught]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(d=st.integers(1, 3), kind=st.sampled_from(["diagonal", "capped", "full", "mixed"]),
+       seed=st.integers(0, 2**16), exponent=st.integers(-20, 20))
+def test_metric_inversion_matches_eigh_at_every_node(d, kind, seed, exponent):
+    # diagonal majorants skip LAPACK; capped ones put exact zeros and tiny
+    # entries on the diagonal; full and mixed stacks take the eigh path
+    shape = (9, 8, 8)[:d]
+    grid = wm.Grid(wm.BoxDomain((0.0,) * d, (1.0,) * d), shape)
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    H = np.zeros(shape + (d, d))
+    axes = np.arange(d)
+    H[..., axes, axes] = scale * rng.uniform(0.1, 10.0, size=shape + (d,))
+    flat = H.reshape(-1, d, d)
+    if kind == "capped":
+        flat[2, 0, 0] = 0.0
+        flat[5] = 1e-15 * scale * np.eye(d)
+        flat[7, -1, -1] = 1e-13 * scale
+    if kind == "full":
+        A = rng.normal(size=shape + (d, d))
+        H = scale * (A @ np.swapaxes(A, -1, -2) + 0.05 * np.eye(d))
+    if kind == "mixed" and d > 1:
+        flat[3, 1, 0] = flat[3, 0, 1] = 0.1 * np.sqrt(flat[3, 0, 0] * flat[3, 1, 1])
+    fld = vel.VelocityField(grid, np.zeros(shape + (d, d)), majorant_samples=H)
+    metric, warned = _warned(geo.metric_from_velocity, fld)
+    (G, degenerate), want_warned = _warned(metric_every_eigh, fld)
+    assert metric.G_samples.tobytes() == G.tobytes()
+    assert metric.degenerate == degenerate
+    assert degenerate or kind != "capped"  # majorants below 1e-12 are all capped
+    assert warned == want_warned
 
 
 # -- arrival times ----------------------------------------------------------

@@ -11,6 +11,7 @@ from wavemetric.matkernel import (
     op_norm,
     spd_inv_sqrt,
     spd_sqrt,
+    sym_eigen,
 )
 
 
@@ -196,3 +197,86 @@ def test_hermitian_error_gives_the_relative_defect_and_the_worst_entries(bad, me
         assert type(info.value) is MatrixError
         assert str(info.value) == ("matrix is not Hermitian: " + message
                                    + " (samples [[1, 0], [1, 2]])")
+
+
+# -- sym_eigen: the diagonal shortcut against LAPACK, bit for bit ------------
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+# signed zeros, ones and magnitudes from 1e-140 to 1e140: inside the range
+# where dsyevd neither scales nor rounds a matrix
+_DIAGONAL_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-140, -1e-140, 1e140, -1e140]),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99) | st.floats(-9.99, -1.0),
+              st.integers(-140, 139)),
+)
+
+
+@st.composite
+def diagonal_stacks(draw, d):
+    """Diagonal (d, d) matrices in a stack of shape (), (n,) or (2, n): entries
+    from a pool of at most four values, so ties (+0 against -0 too) are common;
+    sometimes an arbitrary upper triangle, which LAPACK does not read."""
+    shape = draw(st.sampled_from([(), (draw(st.integers(1, 5)),), (2, 3)]))
+    pool = draw(st.lists(_DIAGONAL_ENTRY, min_size=1, max_size=4))
+    diagonal = draw(arrays(np.float64, shape + (d,), elements=st.sampled_from(pool)))
+    a = np.zeros(shape + (d, d))
+    axes = np.arange(d)
+    a[..., axes, axes] = diagonal
+    if d > 1 and draw(st.booleans()):
+        rows, cols = np.triu_indices(d, 1)
+        a[..., rows, cols] = draw(arrays(np.float64, shape + (len(rows),), elements=_ENTRY))
+    return a
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(1, 3).flatmap(diagonal_stacks))
+def test_sym_eigen_of_a_diagonal_stack_has_lapacks_bits(a):
+    assert _bits(sym_eigen(a)).tobytes() == _bits(np.linalg.eigvalsh(a)).tobytes()
+    w, u = sym_eigen(a, vectors=True)
+    assert u is None
+    assert _bits(w).tobytes() == _bits(np.diagonal(a, axis1=-2, axis2=-1)).tobytes()
+    # LAPACK's eigenvectors are the axes, permuted: its j-th eigenvalue is
+    # the diagonal entry of the axis its j-th vector points along
+    lw, lu = np.linalg.eigh(a)
+    assert np.all((np.abs(lu) == 0.0) | (np.abs(lu) == 1.0))
+    axis = np.abs(lu).argmax(axis=-2)
+    assert _bits(np.take_along_axis(w, axis, -1)).tobytes() == _bits(lw).tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(2, 3).flatmap(diagonal_stacks), st.data())
+def test_sym_eigen_of_a_stack_with_an_off_diagonal_entry_is_lapacks(a, data):
+    a = a.reshape((-1,) + a.shape[-2:])
+    node = data.draw(st.integers(0, len(a) - 1))
+    i, j = data.draw(st.sampled_from(list(zip(*np.tril_indices(a.shape[-1], -1)))))
+    a[node, i, j] = a[node, j, i] = data.draw(_DIAGONAL_ENTRY.filter(bool))
+    assert _bits(sym_eigen(a)).tobytes() == _bits(np.linalg.eigvalsh(a)).tobytes()
+    w, u = sym_eigen(a, vectors=True)
+    lw, lu = np.linalg.eigh(a)
+    assert _bits(w).tobytes() == _bits(lw).tobytes()
+    assert _bits(u).tobytes() == _bits(lu).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sym_eigen_of_a_general_stack_is_lapacks(d):
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=(7, d, d))
+    a = a + np.swapaxes(a, -1, -2)
+    assert _bits(sym_eigen(a)).tobytes() == _bits(np.linalg.eigvalsh(a)).tobytes()
+    w, u = sym_eigen(a, vectors=True)
+    lw, lu = np.linalg.eigh(a)
+    assert _bits(w).tobytes() == _bits(lw).tobytes()
+    assert _bits(u).tobytes() == _bits(lu).tobytes()
+
+
+def test_sym_eigen_is_exact_where_lapack_scales_the_matrix():
+    # dsyevd scales a matrix whose largest |entry| exceeds about 6.7e145 and
+    # rounds on the way back: on this one it returns 0.3 one ulp low.  The
+    # diagonal shortcut returns the diagonal itself, sorted.
+    a = np.diag([1e200, 0.3])
+    assert sym_eigen(a).tolist() == [0.3, 1e200]
+    assert sym_eigen(a, vectors=True)[0].tolist() == [1e200, 0.3]
+    np.testing.assert_array_max_ulp(np.linalg.eigvalsh(a), [0.3, 1e200], maxulp=2)

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wavemetric as wm
 from wavemetric import velocity as vel
@@ -16,6 +18,7 @@ from wavemetric.errors import (
 from wavemetric.matkernel import op_norm
 from wavemetric.sampling import unit_directions
 
+from metric_oracle import mollify_every_plane
 from velocity_oracle import velocity_matrix_structured
 
 
@@ -421,6 +424,39 @@ def test_field_rejects_asymmetric_samples():
     M[..., 0, 1] = 1.0
     with pytest.raises(ValidationError, match="asymmetric"):
         vel.VelocityField(grid, M)
+
+
+def test_field_names_the_node_a_majorant_fails_to_dominate_at():
+    dom = wm.BoxDomain((0.0, 0.0), (1.0, 1.0))
+    grid = wm.Grid(dom, (8, 8))
+    M = np.tile(np.eye(2), (8, 8, 1, 1))
+    H = 2.0 * M
+    H[3, 4] = 0.5 * M[3, 4]
+    with pytest.raises(ValidationError) as info:
+        vel.VelocityField(grid, M, majorant_samples=H)
+    assert str(info.value) == "majorant fails to dominate at node (3, 4): eigenvalue gap -5.000e-01"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(d=st.integers(1, 3), seed=st.integers(0, 2**16),
+       planes=st.lists(st.sampled_from(["zero", "minus zero", "signed zeros", "one node", "full"]),
+                       min_size=6, max_size=6))
+def test_planewise_mollifier_has_the_bits_of_smoothing_every_plane(d, seed, planes):
+    shape = (9, 8, 8)[:d]
+    rng = np.random.default_rng(seed)
+    samples = np.zeros(shape + (d, d))
+    for (i, j), kind in zip(zip(*np.triu_indices(d)), planes):
+        plane = {
+            "zero": np.zeros(shape),
+            "minus zero": np.full(shape, -0.0),
+            "signed zeros": np.where(rng.random(shape) < 0.5, 0.0, -0.0),
+            "one node": np.where(np.arange(np.prod(shape)).reshape(shape) == seed % 8,
+                                 rng.normal(), -0.0),
+            "full": rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30),
+        }[kind]
+        samples[..., i, j] = samples[..., j, i] = plane
+    got = vel._mollify(samples, d)
+    assert got.tobytes() == mollify_every_plane(samples, d).tobytes()
 
 
 def test_majorant_constant_field():
