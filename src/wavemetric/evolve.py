@@ -18,6 +18,20 @@ its real and imaginary parts.  A weight E that is diagonal by structure
 (``E.is_diagonal``) is kept as its diagonal alone, for the assembly and for
 the energy density.
 
+A run steps only the live block of G.  Components a and b are coupled when
+some entry of G joins a row of component a to a column of component b; the
+live components are the closure of the initial state's nonzero components
+under that coupling, made symmetric, so they form a union of its connected
+components and no live row of G has an entry in a dead column.  The state
+steps as a flat vector on the live rows with G's principal sub-matrix on
+them, and each product is a 1-D ``G @ v``.  This is exact: a live row keeps
+its entries in their order, so every sum runs over the same terms in the
+same order, and a dead row would sum only products with +-0 onto +0 and
+stay +0 after the first step, which is what the full state holds there.
+When every component is live (telegraph, Dirac, 3-D Maxwell) the live block
+is G itself.  A 2-D Maxwell pulse in Ez, say, reaches only its TM block
+(Ez, Hx, Hy), half of G.
+
 Integrators: classic RK4 (default; tiny 5th-order-per-step energy drift) and
 implicit midpoint behind a flag (conserves the energy quadratic form to
 fixed-point tolerance, at the cost of an inner iteration).  On this linear
@@ -26,16 +40,17 @@ polynomial R(z) = 1 + z(1 + z/2(1 + z/3(1 + z/4))), evaluated by Horner's
 rule in one of two ways.  On a 1-D grid R(dt G) stays banded, so it is
 assembled once per run as a sparse matrix and each step is one product with
 it; on 2-D and 3-D grids its fill-in outweighs that, so each step applies
-Horner's rule to the state, four products with G.
+Horner's rule to the state in place, four products with G.
 
 Every run goes through one driver: ``_evolution`` checks the method, the
 support threshold and the grid/order, plans the time step (before assembly,
 so the velocity samples behind the CFL step are freed first), builds the
-operator once and returns a generator of ``(i, t, values)``: the initial
-state, then the state after each step, raising ``InstabilityError`` on a
-non-finite one.  ``integrate`` records a log row every few steps of it and
-``arrival_time`` stops it once every probe is reached.  Nothing is cached
-between runs.
+operator once, takes its live block and returns a generator of
+``(i, t, values)``: the initial state, then the state after each step,
+raising ``InstabilityError`` on a non-finite one; each yielded state is the
+full one, its live values scattered into +0.  ``integrate`` records a log
+row every few steps of it and ``arrival_time`` stops it once every probe is
+reached.  Nothing is cached between runs.
 """
 
 from __future__ import annotations
@@ -100,12 +115,12 @@ def gaussian_state(grid: Grid, components, center, sigma: float, t: float = 0.0)
     """Gaussian pulse exp(-|x - center|^2 / (2 sigma^2)) times a component vector."""
     components = np.asarray(components, dtype=np.complex128)
     if components.ndim != 1:
-        raise ValueError("components must be a vector")
+        raise ValidationError("components must be a vector")
     center = np.asarray(center, dtype=float)
     if center.shape != (grid.d,):
-        raise ValueError(f"center must be a {grid.d}-vector")
+        raise ValidationError(f"center must be a {grid.d}-vector")
     if not sigma > 0:
-        raise ValueError("sigma must be positive")
+        raise ValidationError("sigma must be positive")
     r2 = ((grid.coords() - center) ** 2).sum(axis=-1)
     bump = np.exp(-r2 / (2.0 * sigma**2))
     return WaveState(grid, bump[..., None] * components, t)
@@ -135,7 +150,7 @@ def _check_grid(sys: CoefficientSystem, grid: Grid, order: int) -> None:
 
 def _check_order(order: int) -> None:
     if order not in _DIFF_COEFFS:
-        raise ValueError(f"difference order must be one of {sorted(_DIFF_COEFFS)}")
+        raise ValidationError(f"difference order must be one of {sorted(_DIFF_COEFFS)}")
 
 
 def _weight(E: MatrixField, grid: Grid) -> np.ndarray:
@@ -173,13 +188,9 @@ def _positive_definite(E: np.ndarray, diagonal: bool) -> bool:
     return True
 
 
-def _product(matrix, values: np.ndarray) -> np.ndarray:
-    """A sparse matrix over the (node, component) rows times a state array, in its shape.
-
-    Trailing axes beyond the rows (the float64 pairs of a complex state)
-    become columns of one product.
-    """
-    return (matrix @ values.reshape(matrix.shape[1], -1)).reshape(values.shape)
+def _matvec(matrix, x: np.ndarray) -> np.ndarray:
+    """One sparse product with a flat state vector, or with its (n, 2) float64 pairs."""
+    return matrix @ x
 
 
 class DiscreteOperator:
@@ -196,8 +207,9 @@ class DiscreteOperator:
         E^{-1}(n) (-/+ c_m / (2 h_j)) (A^j(n) + A^j(n +/- m e_j))
 
     and the diagonal block -i E^{-1}(n) V(n); neighbours outside the grid are
-    zero exterior values and have no entry.  Entries whose imaginary parts
-    are all zero are stored as float64.  ``matrix`` is Op, derived from G
+    zero exterior values and have no entry.  A non-finite entry, from
+    coefficients that overflow somewhere on the grid, is rejected with its
+    node.  Entries whose imaginary parts are all zero are stored as float64.  ``matrix`` is Op, derived from G
     when read.
 
     A diagonal weight (``E.is_diagonal``) is inverted entry by entry and
@@ -267,6 +279,12 @@ class DiscreteOperator:
         rows = np.concatenate(rows)
         cols = np.concatenate(cols)
         vals = np.concatenate(vals)
+        bad = ~np.isfinite(vals)
+        if bad.any():  # a run would step NaN only where the state reaches it
+            node = np.unravel_index(int(rows[np.argmax(bad)]) // k, grid.shape)
+            raise ValidationError(
+                f"operator coefficients not finite at node {tuple(int(i) for i in node)}"
+            )
         if np.iscomplexobj(vals) and not vals.imag.any():
             vals = vals.real
         self.generator = sparse.csr_array((vals, (rows, cols)), shape=(idx.size, idx.size))
@@ -279,10 +297,11 @@ class DiscreteOperator:
     def derivative(self, values: np.ndarray) -> np.ndarray:
         """G v = -i Op v: the time derivative of a state array, in its dtype when G is real.
 
-        A real G also takes a complex state as its float64 (..., k, 2) view,
-        real and imaginary parts side by side, and steps both in one product.
+        Trailing axes beyond the (node, component) rows, such as the float64
+        pairs of a complex state, become columns of one product.
         """
-        return _product(self.generator, values)
+        G = self.generator
+        return (G @ values.reshape(G.shape[1], -1)).reshape(values.shape)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """The discrete weighted operator applied to a state array."""
@@ -310,7 +329,7 @@ def energy(sys: CoefficientSystem, state: WaveState) -> float:
 def cfl_dt(sys: CoefficientSystem, grid: Grid, cfl: float) -> float:
     """Time step cfl * min(h) / max node speed, the speed from the velocity matrix."""
     if not 0.0 < cfl <= 1.0:
-        raise ValueError(f"cfl must be in (0, 1], got {cfl}")
+        raise ValidationError(f"cfl must be in (0, 1], got {cfl}")
     lam = float(VelocityField.from_system(sys, grid).lam_max.max())
     if lam <= 0.0:
         raise ValueError(
@@ -351,7 +370,7 @@ def support_box(sys: CoefficientSystem, state: WaveState, threshold: float = DEF
     a state with no such nodes.
     """
     if not 0.0 < threshold < 1.0:
-        raise ValueError(f"support threshold must be in (0, 1), got {threshold}")
+        raise ValidationError(f"support threshold must be in (0, 1), got {threshold}")
     dens = _density(state.values, _weight(sys.E, state.grid))
     ref = float(dens.max()) if ref_density is None else float(ref_density)
     found = _support_extent(state.grid, dens, ref, threshold)
@@ -420,38 +439,43 @@ class EvolutionLog:
 def _rk4_polynomial(apply, x, dt: float):
     """R(dt G) x for RK4's stability polynomial R(z) = 1 + z(1 + z/2(1 + z/3(1 + z/4))).
 
-    ``apply(w)`` is G w.  On the linear autonomous system psi' = G psi one
-    classic RK4 step is exactly R(dt G) psi; Horner's form takes four
-    products.  x is a state array, or the sparse identity to assemble R(dt G).
+    ``apply(w)`` is G w, a new array.  On the linear autonomous system
+    psi' = G psi one classic RK4 step is exactly R(dt G) psi; Horner's form
+    takes four products, each scaled and added to in place.
     """
     w = x
     for j in (4, 3, 2, 1):
-        w = x + (dt / j) * apply(w)
+        w = apply(w)
+        w *= dt / j
+        w += x
     return w
 
 
-def _rk4_propagator(op: DiscreteOperator, dt: float):
-    """One RK4 step of dt as a function of the state array."""
-    if op.grid.d == 1:
+def _rk4_propagator(G, dt: float, d: int):
+    """One RK4 step of dt as a function of the flat state vector, G on a d-dim grid."""
+    if d == 1:
         # On a 1-D grid R(dt G) stays banded: on the 2048-node telegraph grid it
         # has 4.5x G's nonzeros at order 2 (36,824 vs 8,188) and 7.4x at order
         # 4, so one product with it beats four with G.  In 2-D the fourth power
         # of the 5-point stencil couples 41 nodes per row; four products win.
+        # Horner's rule on the sparse identity; a sparse sum orders its entries
+        # by its first operand, so the identity stays first.
         from scipy import sparse
-        G = op.generator
         eye = sparse.eye_array(G.shape[0], dtype=G.dtype, format="csr")
-        step = _rk4_polynomial(lambda w: G @ w, eye, dt)
-        return lambda values: _product(step, values)
-    return lambda values: _rk4_polynomial(op.derivative, values, dt)
+        R = eye
+        for j in (4, 3, 2, 1):
+            R = eye + (dt / j) * (G @ R)
+        return lambda x: _matvec(R, x)
+    return lambda x: _rk4_polynomial(lambda w: _matvec(G, w), x, dt)
 
 
-def _midpoint_step(op: DiscreteOperator, values: np.ndarray, dt: float) -> np.ndarray:
-    y = values + dt * op.derivative(values)
-    scale = float(np.abs(values).max())
+def _midpoint_step(G, x: np.ndarray, dt: float) -> np.ndarray:
+    y = x + dt * _matvec(G, x)
+    scale = float(np.abs(x).max(initial=0.0))
     tol = MIDPOINT_TOL * max(1.0, scale)
     for _ in range(MIDPOINT_MAX_ITER):
-        y_new = values + dt * op.derivative(0.5 * (values + y))
-        gap = float(np.abs(y_new - y).max())
+        y_new = x + dt * _matvec(G, 0.5 * (x + y))
+        gap = float(np.abs(y_new - y).max(initial=0.0))
         y = y_new
         if gap <= tol:
             return y
@@ -461,12 +485,38 @@ def _midpoint_step(op: DiscreteOperator, values: np.ndarray, dt: float) -> np.nd
     )
 
 
-def _midpoint_propagator(op: DiscreteOperator, dt: float):
-    """One implicit midpoint step of dt as a function of the state array."""
-    return lambda values: _midpoint_step(op, values, dt)
+def _midpoint_propagator(G, dt: float, d: int):
+    """One implicit midpoint step of dt as a function of the flat state vector."""
+    return lambda x: _midpoint_step(G, x, dt)
 
 
 _STEPPERS = {"rk4": _rk4_propagator, "midpoint": _midpoint_propagator}
+
+
+def _live_block(G, k: int, values: np.ndarray):
+    """(rows, block): the flat rows of the components a state reaches through G
+    and G's principal sub-matrix on them; rows is None when every component is
+    live, and block is then G itself.
+
+    Component a reaches b when an entry of G joins a row of component a
+    (rows n k + a) to a column of component b, or the other way round; the
+    live components are the state's nonzero components closed under that.
+    """
+    live = (values.reshape(-1, k) != 0).any(axis=0)
+    if not live.all():
+        coupled = np.zeros((k, k), dtype=bool)
+        row_comp = np.repeat(np.arange(G.shape[0]) % k, np.diff(G.indptr))
+        coupled[row_comp, G.indices % k] = True
+        coupled |= coupled.T
+        while True:
+            reached = live | coupled[live].any(axis=0)
+            if np.array_equal(reached, live):
+                break
+            live = reached
+    if live.all():
+        return None, G
+    rows = np.flatnonzero(np.tile(live, G.shape[0] // k))
+    return rows, G[rows][:, rows]
 
 
 def _evolution(sys, state0, T, cfl, threshold, method, order, dt):
@@ -475,41 +525,54 @@ def _evolution(sys, state0, T, cfl, threshold, method, order, dt):
     states yields (i, t, values): the initial state (i = 0), then the state
     after each of the steps, raising InstabilityError on a non-finite one.
     The values are float64 when the generator and the initial state are both
-    real, complex128 otherwise.  A complex state on a real generator steps
-    as the float64 (..., k, 2) view of its real and imaginary parts and is
-    yielded as the complex128 view of that array.
+    real, complex128 otherwise.  Only the live block (``_live_block``) steps,
+    as a flat vector; each yielded state is the full array, a view of that
+    vector when every component is live and its values scattered into +0
+    otherwise.  A complex state on a real generator steps as (n, 2) float64
+    pairs of its real and imaginary parts and is yielded as their complex128
+    view.
     """
     if method not in _STEPPERS:
-        raise ValueError(f"method must be one of {sorted(_STEPPERS)}")
+        raise ValidationError(f"method must be one of {sorted(_STEPPERS)}")
     if not 0.0 < threshold < 1.0:
-        raise ValueError(f"support threshold must be in (0, 1), got {threshold}")
+        raise ValidationError(f"support threshold must be in (0, 1), got {threshold}")
     _check_grid(sys, state0.grid, order)
     # plan first: the velocity samples behind the CFL step are freed before assembly
     if not T > 0:
-        raise ValueError("final time must be positive")
+        raise ValidationError("final time must be positive")
     if dt is None:
         dt = cfl_dt(sys, state0.grid, cfl)
     elif not dt > 0:
-        raise ValueError("dt must be positive")
+        raise ValidationError("dt must be positive")
     steps = max(1, int(math.ceil(T / dt - 1e-12)))
     dt = T / steps
     op = DiscreteOperator(sys, state0.grid, order)
-    step = _STEPPERS[method](op, dt)
+    rows, G = _live_block(op.generator, sys.k, state0.values)
+    step = _STEPPERS[method](G, dt, state0.grid.d)
 
     def states():
         values = state0.values
-        real_g = op.generator.dtype.kind == "f"
+        real_g = G.dtype.kind == "f"
         pairs = real_g and values.imag.any()
         if pairs:  # real and imaginary parts side by side, stepped in float64
             values = np.ascontiguousarray(values).view(np.float64).reshape(values.shape + (2,))
         elif real_g:
             values = values.real.copy()
         yield 0, state0.t, state0.values if pairs else values
+        shape = values.shape
+        x = values.reshape((-1,) + shape[state0.grid.d + 1:])
+        if rows is not None:
+            x = x[rows]
         for i in range(1, steps + 1):
-            values = step(values)
+            x = step(x)
             t = state0.t + i * dt
-            if not np.all(np.isfinite(values)):
+            if not np.all(np.isfinite(x)):
                 raise InstabilityError(i, t, f"retry with a smaller cfl, e.g. {0.5 * cfl:g}")
+            if rows is None:
+                values = x.reshape(shape)
+            else:
+                values = np.zeros(shape, dtype=x.dtype)
+                values.reshape((-1,) + x.shape[1:])[rows] = x
             yield i, t, values.view(np.complex128)[..., 0] if pairs else values
 
     return op, dt, steps, states()
@@ -577,9 +640,9 @@ def arrival_time(sys: CoefficientSystem, state0: WaveState, T: float, probes,
     probes = [tuple(int(i) for i in p) for p in probes]
     for p in probes:
         if len(p) != grid.d:
-            raise ValueError(f"probe {p} does not index a {grid.d}-d grid")
+            raise ValidationError(f"probe {p} does not index a {grid.d}-d grid")
         if not all(0 <= i < n for i, n in zip(p, grid.shape)):
-            raise ValueError(f"probe {p} lies outside the grid of shape {grid.shape}")
+            raise ValidationError(f"probe {p} lies outside the grid of shape {grid.shape}")
     op, _, _, states = _evolution(sys, state0, T, cfl, threshold, method, order, dt)
     at = tuple(np.array(probes, dtype=np.intp).reshape(len(probes), grid.d).T)
     E_at = op.E_samples[at]
@@ -606,12 +669,12 @@ def component_divergence(state: WaveState, components, order: int = 2) -> np.nda
     _check_order(order)
     components = [int(c) for c in components]
     if len(components) != state.grid.d:
-        raise ValueError(
+        raise ValidationError(
             f"need one component per axis ({state.grid.d}), got {len(components)}"
         )
     for c in components:
         if not 0 <= c < state.k:
-            raise ValueError(
+            raise ValidationError(
                 f"component {c} is outside 0..{state.k - 1} for a {state.k}-component state"
             )
     out = np.zeros(state.grid.shape, dtype=np.complex128)

@@ -147,7 +147,7 @@ def metric_from_velocity(fld: VelocityField) -> MetricField:
         )
     H = fld.majorant_samples
     w, u = sym_eigen(H, vectors=True)
-    norms = np.linalg.norm(H, axis=(-2, -1))
+    norms = fld.majorant_norms
     floor = max(EPS_REG_REL * float(norms.max()), EPS_REG_FLOOR)
     degenerate = bool(np.any(w <= floor * (1.0 + 1e-9)))
     c = 1.0 / np.maximum(w, floor)

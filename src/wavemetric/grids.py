@@ -108,24 +108,53 @@ def write_csv(path, names, table) -> None:
     of ``f"{v:.17g}"`` strings written by it (``nan``, ``inf``, ``-0`` included).
 
     Tables are mostly repeats (axis values, constant columns, zero imaginary
-    parts), so each distinct float64 bit pattern is formatted once per chunk of
-    ``CSV_CHUNK_ROWS`` rows and the cells are gathered from those strings.  The
-    bytes do not change: a cell's text depends only on its bit pattern, keying
-    on bits keeps -0 apart from 0, every NaN payload prints ``nan`` as before,
-    and ``%.17g`` is the conversion ``f"{v:.17g}"`` makes.
+    parts), so the table is written in chunks of ``CSV_CHUNK_ROWS`` rows and
+    each chunk formats every distinct float64 bit pattern once
+    (``_csv_chunk``).  The bytes do not change: a cell's text depends only on
+    its bit pattern, keying on bits keeps -0 apart from 0, every NaN payload
+    prints ``nan`` as before, and ``%.17g`` is the conversion ``f"{v:.17g}"``
+    makes.
     """
     table = np.ascontiguousarray(table, dtype=np.float64)
     with open(path, "wb") as fh:
         fh.write((",".join(names) + "\r\n").encode())
         for start in range(0, len(table), CSV_CHUNK_ROWS):
-            part = table[start:start + CSV_CHUNK_ROWS]
-            keys, inverse = np.unique(part.view(np.uint64), return_inverse=True)
-            text = ("%.17g\n" * len(keys)) % tuple(keys.view(np.float64).tolist())
-            cells = np.array(text.encode().split(b"\n")[:-1])[inverse.reshape(part.shape)]
-            # each cell is NUL-padded to the widest; "," or "\r\n" goes after the padding
-            width = cells.itemsize
-            padded = np.zeros(part.shape + (width + 2,), dtype=np.uint8)
-            padded[..., :width] = cells.view(np.uint8).reshape(part.shape + (width,))
-            padded[:, :-1, width] = ord(",")
-            padded[:, -1, width:] = (ord("\r"), ord("\n"))
-            fh.write(padded[padded != 0].tobytes())
+            fh.write(_csv_chunk(table[start:start + CSV_CHUNK_ROWS]))
+
+
+def _formatted(values: np.ndarray) -> np.ndarray:
+    """``%.17g`` of each value, as a NUL-padded bytes array."""
+    text = ("%.17g\n" * len(values)) % tuple(values.tolist())
+    return np.array(text.encode().split(b"\n")[:-1])
+
+
+def _csv_chunk(part: np.ndarray) -> bytes:
+    """The CSV rows of a non-empty 2-D float64 block.
+
+    A column whose cells all share the first row's bit pattern is formatted
+    from that row alone; the bit patterns of the other columns are sorted
+    together by ``np.unique`` and each distinct one is formatted once.  Each
+    row is laid out in a byte array with every cell NUL-padded to its own
+    column's widest text and followed by "," (or "\r\n" after the last), and
+    the padding is dropped.
+    """
+    bits = part.view(np.uint64)
+    first = _formatted(part[0])
+    varying = np.flatnonzero((bits != bits[0]).any(axis=0))
+    if len(varying):
+        keys, inverse = np.unique(bits[:, varying], return_inverse=True)
+        inverse = inverse.reshape(len(part), len(varying))
+        text = _formatted(keys.view(np.float64))
+        lengths = np.strings.str_len(text)
+        text = text.view(np.uint8).reshape(len(keys), -1)
+    cells = [np.frombuffer(t, dtype=np.uint8) for t in first.tolist()]
+    for j, c in enumerate(varying):
+        width = int(lengths[inverse[:, j]].max())
+        cells[c] = text[:, :width][inverse[:, j]]
+    ends = np.cumsum([cell.shape[-1] + 1 for cell in cells])
+    rows = np.zeros((len(part), int(ends[-1]) + 1), dtype=np.uint8)
+    for cell, end in zip(cells, ends):
+        rows[:, end - 1 - cell.shape[-1]:end - 1] = cell
+        rows[:, end - 1] = ord(",")
+    rows[:, -2:] = (ord("\r"), ord("\n"))
+    return rows[rows != 0].tobytes()

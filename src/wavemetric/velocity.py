@@ -200,7 +200,11 @@ class VelocityField:
     ``M_samples`` has shape grid.shape + (d, d).  Construction validates
     symmetry, positive semi-definiteness to a relative tolerance, and (when
     present) that the majorant dominates the samples node-wise.  ``lam_max``
-    keeps each node's largest eigenvalue of M, its squared speed bound.
+    keeps each node's largest eigenvalue of M, its squared speed bound, and
+    ``M_norms`` and ``majorant_norms`` the node-wise Frobenius norms of M and
+    of the majorant (None without one), taken once when each is validated or
+    attached, for the regularization scales of ``majorant`` and
+    ``metric_from_velocity``.
     """
 
     grid: Grid
@@ -208,6 +212,9 @@ class VelocityField:
     majorant_samples: np.ndarray | None = None
     delta: float | None = None
     lam_max: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    M_norms: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    majorant_norms: np.ndarray | None = dataclasses.field(init=False, repr=False,
+                                                          compare=False, default=None)
 
     def __post_init__(self):
         d = self.grid.d
@@ -216,11 +223,12 @@ class VelocityField:
         if M.shape != want:
             raise ValidationError(f"M_samples shape {M.shape}, expected {want}")
         _require_finite(M, self.grid.shape, "M samples")
-        scale = max(float(_node_norms(M).max()), 1e-300)
         asym = float(np.abs(M - np.swapaxes(M, -1, -2)).max())
+        M = 0.5 * (M + np.swapaxes(M, -1, -2))
+        self.M_norms = _node_norms(M)
+        scale = max(float(self.M_norms.max()), 1e-300)
         if asym > 1e-10 * scale:
             raise ValidationError(f"M samples asymmetric: defect {asym:.3e}")
-        M = 0.5 * (M + np.swapaxes(M, -1, -2))
         w = sym_eigen(M)
         if float(w[..., 0].min()) < -PSD_RTOL * scale:
             raise ValidationError(
@@ -234,7 +242,8 @@ class VelocityField:
             if H.shape != want:
                 raise ValidationError(f"majorant shape {H.shape}, expected {want}")
             _require_finite(H, self.grid.shape, "majorant")
-            _check_dominates(H, M)
+            self.majorant_norms = _node_norms(H)
+            _check_dominates(H, M, self.majorant_norms)
             self.majorant_samples = H
 
     @classmethod
@@ -248,16 +257,20 @@ class VelocityField:
         return self.grid.d
 
 
-def _domination_gap(H: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _domination_gap(H: np.ndarray, M: np.ndarray,
+                    H_norms: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Node-wise smallest eigenvalue of H - M and the norm of H (floored at
     1e-300) it is measured against; domination may fall short by
-    ``MAJORANT_RTOL`` of that norm."""
-    return sym_eigen(H - M)[..., 0], np.maximum(_node_norms(H), 1e-300)
+    ``MAJORANT_RTOL`` of that norm.  ``H_norms`` are H's node norms when
+    already taken."""
+    if H_norms is None:
+        H_norms = _node_norms(H)
+    return sym_eigen(H - M)[..., 0], np.maximum(H_norms, 1e-300)
 
 
-def _check_dominates(H: np.ndarray, M: np.ndarray) -> float:
+def _check_dominates(H: np.ndarray, M: np.ndarray, H_norms: np.ndarray) -> float:
     """Raise unless H - M is PSD node-wise (to tolerance); return worst margin."""
-    gap, scale = _domination_gap(H, M)
+    gap, scale = _domination_gap(H, M, H_norms)
     margin = gap + MAJORANT_RTOL * scale
     worst = float(margin.min())
     if worst < 0.0:
@@ -319,7 +332,7 @@ def majorant(field: VelocityField, delta: float) -> VelocityField:
         raise ValueError(f"slack must lie in (0, 1), got {delta}")
     M = field.M_samples
     d = field.d
-    norms = _node_norms(M)
+    norms = field.M_norms
     eps = max(EPS_REG_REL * float(norms.max()), EPS_REG_FLOOR)
     if float(norms.max()) == 0.0:
         warnings.warn(
@@ -332,10 +345,11 @@ def majorant(field: VelocityField, delta: float) -> VelocityField:
     cur = float(delta)
     for _ in range(MAX_SLACK_DOUBLINGS + 1):
         H = (1.0 + cur) * smooth + eps * eye
-        gap, scale = _domination_gap(H, M)
+        H_norms = _node_norms(H)
+        gap, scale = _domination_gap(H, M, H_norms)
         if float((gap + MAJORANT_RTOL * scale).min()) >= 0.0:
             out = copy.copy(field)
-            out.majorant_samples, out.delta = H, cur
+            out.majorant_samples, out.majorant_norms, out.delta = H, H_norms, cur
             return out
         cur *= 2.0
     raise MajorantError(

@@ -16,6 +16,8 @@ from wavemetric import evolve as ev
 from wavemetric import systems
 from wavemetric.errors import InstabilityError, ValidationError
 
+from evolve_oracle import full_evolution
+
 
 def _central_diff(values: np.ndarray, axis: int, coeffs) -> np.ndarray:
     """Antisymmetric central difference with zero exterior values."""
@@ -484,8 +486,8 @@ def test_complex_pulse_on_a_real_system_steps_in_float64(monkeypatch):
 
     re, im = run([1.0, 0.0]), run([0.0, 1.0])
     seen = []
-    product = ev._product
-    monkeypatch.setattr(ev, "_product", lambda m, v: seen.append(v.dtype) or product(m, v))
+    matvec = ev._matvec
+    monkeypatch.setattr(ev, "_matvec", lambda m, x: seen.append(x.dtype) or matvec(m, x))
     both = run([1.0, 1j])
     assert len(seen) > 40 and set(seen) == {np.dtype(np.float64)}
     assert both.values.real.tobytes() == re.values.real.tobytes()
@@ -540,22 +542,32 @@ def test_rk4_step_matches_the_stage_form(case):
 ])
 def test_rk4_step_products(monkeypatch, case, products, nnz):
     # a 1-D step is one product with R(dt G), which stays banded (4.5x G's
-    # nonzeros at order 2, 7.4x at order 4); a 2-D step is four products with G
+    # nonzeros at order 2, 7.4x at order 4); a 2-D step is four products with
+    # the live block of G; every product takes a flat vector
     factory, shape, components, center, sigma, order = STEP_CASES[case]
     sysm = factory()
     grid = wm.Grid(sysm.domain, shape)
     op = ev.DiscreteOperator(sysm, grid, order)
+    values = ev.gaussian_state(grid, components, center, sigma).values
+    rows, G = ev._live_block(op.generator, sysm.k, values)
     seen = []
-    product = ev._product
-    monkeypatch.setattr(ev, "_product", lambda m, v: seen.append(m) or product(m, v))
-    step = ev._rk4_propagator(op, ev.cfl_dt(sysm, grid, 0.4))
-    step(ev.gaussian_state(grid, components, center, sigma).values)
+    matvec = ev._matvec
+    monkeypatch.setattr(ev, "_matvec", lambda m, x: seen.append((m, x.shape)) or matvec(m, x))
+    step = ev._rk4_propagator(G, ev.cfl_dt(sysm, grid, 0.4), grid.d)
+    x = values.reshape(-1).real.copy() if rows is None else values.reshape(-1)[rows].real
+    step(x)
     assert len(seen) == products
+    assert all(xs == (G.shape[0],) for _, xs in seen)
     if nnz is None:
-        assert all(m is op.generator for m in seen)
+        # an Ez pulse reaches the TM block (Ez, Hx, Hy): half the rows and nonzeros
+        assert all(m is G for m, _ in seen)
+        assert op.generator.nnz == 36096 and G.nnz == 18048
+        assert len(rows) == 3 * grid.node_count
+        assert np.array_equal(rows.reshape(-1, 3) % 6, np.tile([2, 3, 4], (grid.node_count, 1)))
     else:
+        assert rows is None and G is op.generator
         assert op.generator.nnz == {2: 8188, 4: 16372}[order]
-        assert seen[0].nnz == nnz
+        assert seen[0][0].nnz == nnz
 
 
 def test_evolution_steps_real_systems_in_float64():
@@ -569,6 +581,118 @@ def test_evolution_steps_real_systems_in_float64():
     pulse = ev.gaussian_state(grid, [1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0.3)
     _, _, steps, states = ev._evolution(dirac, pulse, 0.1, 0.4, 1e-8, "rk4", 2, None)
     assert [v.dtype for _, _, v in states] == [np.complex128] * (steps + 1)
+
+
+def _chain_1d():
+    # components 0-1-2 coupled in a chain (a pulse in 0 reaches 2 through 1)
+    # and component 3 transported on its own
+    a = np.zeros((4, 4))
+    a[0, 1] = a[1, 0] = 1.0
+    a[1, 2] = a[2, 1] = 0.5
+    a[3, 3] = 2.0
+    return wm.CoefficientSystem(
+        domain=wm.BoxDomain((0.0,), (1.0,)), k=4,
+        E=wm.ExprMatrixField([["1 + 0.5*x", "0", "0", "0"], ["0", "1", "0", "0"],
+                              ["0", "0", "2 - x", "0"], ["0", "0", "0", "1"]]),
+        A=(wm.ConstMatrixField(a),), V=wm.ConstMatrixField(np.zeros((4, 4))),
+    )
+
+
+def _weighted_pair_1d():
+    # A couples components 0 and 1 only, but the weight couples 0 and 2, so
+    # G = E^{-1}(...) has entries in rows of component 2 and columns of
+    # component 1 and none the other way round
+    a = np.zeros((3, 3))
+    a[0, 1] = a[1, 0] = 1.0
+    return wm.CoefficientSystem(
+        domain=wm.BoxDomain((0.0,), (1.0,)), k=3,
+        E=wm.ConstMatrixField([[2.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 2.0]]),
+        A=(wm.ConstMatrixField(a),), V=wm.ConstMatrixField(np.zeros((3, 3))),
+    )
+
+
+ORACLE_CASES = {
+    # system, grid shape, pulse components, centre, width, order, method, T, live components
+    "maxwell-2d-tm": (_maxwell_2d, (48, 48), [0, 0, 1.0, 0, 0, 0], [0.5, 0.5], 0.1, 2, "rk4",
+                      0.1, 3),
+    "maxwell-2d-te-tm": (_maxwell_2d, (48, 48), [1.0, 0, 1.0, 0, 0, 0.5], [0.5, 0.5], 0.1, 2,
+                         "rk4", 0.1, 6),
+    "maxwell-2d-midpoint": (_maxwell_2d, (48, 48), [0, 0, 1.0, 0, 0, 0], [0.5, 0.5], 0.1, 2,
+                            "midpoint", 0.05, 3),
+    "maxwell-2d-zero": (_maxwell_2d, (48, 48), [0, 0, 0, 0, 0, 0], [0.5, 0.5], 0.1, 2, "rk4",
+                        0.05, 0),
+    "maxwell-2d-negative-zero": (_maxwell_2d, (48, 48), [-0.0, -0.0, 1.0, 0, 0, -0.0],
+                                 [0.5, 0.5], 0.1, 2, "rk4", 0.1, 3),
+    "telegraph-1d-order-2": (lambda: power_law_telegraph()[0], (2048,), [1.0, 0.0], [0.5], 0.02,
+                             2, "rk4", 0.02, 2),
+    "telegraph-1d-order-4": (lambda: power_law_telegraph()[0], (2048,), [1.0, 0.0], [0.5], 0.02,
+                             4, "rk4", 0.02, 2),
+    "complex-pulse-real-1d": (lambda: power_law_telegraph()[0], (2048,), [1.0, 0.5j], [0.5],
+                              0.02, 2, "rk4", 0.02, 2),
+    "weighted-pair-1d": (_weighted_pair_1d, (256,), [0, 1.0, 0], [0.5], 0.05, 2, "rk4", 0.2, 3),
+    "chain-1d": (_chain_1d, (256,), [1.0, 0, 0, 0], [0.5], 0.05, 4, "rk4", 0.2, 3),
+    "chain-1d-complex-midpoint": (_chain_1d, (256,), [0, 0, 0, 0.5 + 1j], [0.5], 0.05, 2,
+                                  "midpoint", 0.1, 1),
+    "dirac-3d": (wm.dirac_free, (12, 12, 12), [1.0, 0, 0, 1j], [0.3, 0.0, -0.2], 0.4, 2, "rk4",
+                 0.3, 4),
+}
+
+
+def _oracle_pulse(case):
+    factory, shape, components, center, sigma, order, method, T, live = ORACLE_CASES[case]
+    sysm = factory()
+    grid = wm.Grid(sysm.domain, shape)
+    pulse = ev.gaussian_state(grid, np.ones(len(components)), center, sigma)
+    # components multiply the bump one by one so that -0 entries stay -0
+    pulse = ev.WaveState(grid, pulse.values.real * np.array(components, dtype=complex))
+    return sysm, grid, pulse, dict(method=method, order=order), T, live
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.filterwarnings("ignore:.*grid edge:UserWarning")
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_live_block_stepping_matches_the_full_generator_bit_for_bit(monkeypatch, case):
+    # stepping the live block as a flat vector, in place, gives the bits of
+    # stepping every component with the whole generator
+    sysm, grid, pulse, kw, T, live = _oracle_pulse(case)
+    op = ev.DiscreteOperator(sysm, grid, kw["order"])
+    rows, G = ev._live_block(op.generator, sysm.k, pulse.values)
+    assert (grid.node_count * sysm.k if rows is None else len(rows)) == live * grid.node_count
+    if case == "maxwell-2d-negative-zero":
+        assert np.signbit(pulse.values[..., [0, 1, 5]].real).all()
+    probes = [tuple(n // 2 for n in grid.shape), tuple(3 * n // 4 for n in grid.shape),
+              (0,) * grid.d]
+
+    fin, log = ev.integrate(sysm, pulse, T, **kw)
+    arrival = ev.arrival_time(sysm, pulse, T, probes, **kw)
+    monkeypatch.setattr(ev, "_evolution", full_evolution)
+    want_fin, want_log = ev.integrate(sysm, pulse, T, **kw)
+    want_arrival = ev.arrival_time(sysm, pulse, T, probes, **kw)
+
+    assert log.steps == want_log.steps > 3
+    assert np.array_equal(_bits(fin.values), _bits(want_fin.values))
+    assert _bits(log.energies).tolist() == _bits(want_log.energies).tolist()
+    assert log.boxes == want_log.boxes
+    assert _bits(log.max_abs).tolist() == _bits(want_log.max_abs).tolist()
+    assert np.array_equal(_bits(arrival), _bits(want_arrival))
+    if live < sysm.k:
+        dead = np.ones(sysm.k, dtype=bool)
+        if rows is not None:
+            dead[np.unique(rows % sysm.k)] = False
+        assert not np.signbit(fin.values[..., dead].real).any()
+        assert not fin.values[..., dead].any()
+
+
+def test_live_block_yields_states_that_later_steps_leave_alone():
+    sysm, grid, pulse, kw, T, _ = _oracle_pulse("maxwell-2d-tm")
+    _, _, steps, states = ev._evolution(sysm, pulse, T, 0.4, 1e-8, "rk4", 2, None)
+    seen = [(v, v.copy()) for _, _, v in states]
+    assert len(seen) == steps + 1
+    assert all(np.array_equal(v, kept) for v, kept in seen)
+    assert all(v.shape == pulse.values.shape for v, _ in seen)
 
 
 def test_slow_ends_profile_conserves_energy():
@@ -757,6 +881,65 @@ def test_integrate_argument_validation():
         ev.integrate(sysm, st, -1.0)
     with pytest.raises(ValueError, match="order"):
         ev.apply_operator(sysm, st, order=3)
+
+
+def _argument_check_cases():
+    sysm = unit_telegraph()
+    grid = wm.Grid(sysm.domain, (32,))
+    st = ev.gaussian_state(grid, [1.0, 0.0], [0.5], 0.05)
+    return {
+        "components": lambda: ev.gaussian_state(grid, [[1.0, 0.0]], [0.5], 0.05),
+        "center": lambda: ev.gaussian_state(grid, [1.0, 0.0], [0.5, 0.5], 0.05),
+        "sigma": lambda: ev.gaussian_state(grid, [1.0, 0.0], [0.5], 0.0),
+        "difference order": lambda: ev.apply_operator(sysm, st, order=3),
+        "cfl must be": lambda: ev.cfl_dt(sysm, grid, 1.5),
+        "support threshold": lambda: ev.support_box(sysm, st, threshold=2.0),
+        "method": lambda: ev.integrate(sysm, st, 0.1, method="euler"),
+        "support threshold must": lambda: ev.integrate(sysm, st, 0.1, support_threshold=0.0),
+        "final time": lambda: ev.integrate(sysm, st, -1.0),
+        "dt must": lambda: ev.integrate(sysm, st, 0.1, dt=-1.0),
+        "does not index": lambda: ev.arrival_time(sysm, st, 0.1, [(1, 2)]),
+        "lies outside": lambda: ev.arrival_time(sysm, st, 0.1, [(32,)]),
+        "one component per axis": lambda: ev.component_divergence(st, [0, 1]),
+        "is outside": lambda: ev.component_divergence(st, [2]),
+    }
+
+
+@pytest.mark.parametrize("message", sorted(_argument_check_cases()))
+def test_argument_checks_raise_validation_error(message):
+    with pytest.raises(ValidationError, match=message) as info:
+        _argument_check_cases()[message]()
+    assert type(info.value) is ValidationError and isinstance(info.value, ValueError)
+
+
+def test_operator_rejects_non_finite_coefficients():
+    # exp(1000 x) overflows past x = 0.71 in a block a pulse in component 0
+    # never reaches; a run with an explicit dt used to step inf * 0 = NaN
+    # there, and now no run starts
+    a = [["0", "1", "0", "0"], ["1", "0", "0", "0"],
+         ["0", "0", "0", "exp(1000*x)"], ["0", "0", "exp(1000*x)", "0"]]
+    sysm = wm.CoefficientSystem(
+        domain=wm.BoxDomain((0.0,), (1.0,)), k=4, E=wm.ConstMatrixField(np.eye(4)),
+        A=(wm.ExprMatrixField(a),), V=wm.ConstMatrixField(np.zeros((4, 4))),
+    )
+    grid = wm.Grid(sysm.domain, (64,))
+    pulse = ev.gaussian_state(grid, [1.0, 0, 0, 0], [0.3], 0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        # at node 44 (x = 45/65) the difference entry (A(x) + A(x + h)) / (4 h) overflows
+        with pytest.raises(ValidationError, match=r"not finite at node \(44,\)$"):
+            ev.integrate(sysm, pulse, 0.01, dt=0.001)
+
+
+def test_vanishing_velocity_stays_a_bare_value_error():
+    tg = unit_telegraph()
+    zero = wm.CoefficientSystem(
+        domain=tg.domain, k=2, E=tg.E,
+        A=(wm.ConstMatrixField(np.zeros((2, 2))),), V=tg.V,
+    )
+    with pytest.raises(ValueError, match="vanishes") as info:
+        ev.cfl_dt(zero, wm.Grid(tg.domain, (64,)), 0.4)
+    assert type(info.value) is ValueError
 
 
 def test_log_csv_round_trip(tmp_path):

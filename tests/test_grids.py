@@ -213,18 +213,35 @@ def csv_tables(draw):
 
     The cells repeat a small drawn pool of values (specials such as -0 beside
     0, subnormals, any float) or are random bit patterns, NaN payloads included.
+    Each column may then be reshaped: made constant, constant in one chunk
+    only, filled with 0 and -0, or filled with one- and two-character
+    integers beside the other columns' long cells.
     """
     rows = draw(st.sampled_from([0, 1, 2, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
                                  CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 3]))
     cols = draw(st.integers(1, 14))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
-        return rng.integers(0, 2**64, (rows, cols), dtype=np.uint64).view(np.float64)
-    n = len(_CSV_SPECIALS)
-    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    pool = np.array([v for v, k in zip(_CSV_SPECIALS, keep) if k]
-                    + draw(st.lists(st.floats(), min_size=1, max_size=8)))
-    return pool[rng.integers(0, len(pool), (rows, cols))]
+        table = rng.integers(0, 2**64, (rows, cols), dtype=np.uint64).view(np.float64)
+    else:
+        n = len(_CSV_SPECIALS)
+        keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        pool = np.array([v for v, k in zip(_CSV_SPECIALS, keep) if k]
+                        + draw(st.lists(st.floats(), min_size=1, max_size=8)))
+        table = pool[rng.integers(0, len(pool), (rows, cols))]
+    shapes = draw(st.lists(st.sampled_from(["keep", "constant", "chunk-constant", "signed-zeros",
+                                            "short"]), min_size=cols, max_size=cols))
+    for j, shape in enumerate(shapes):
+        if shape == "constant" and rows:
+            table[:, j] = table[0, j]
+        elif shape == "chunk-constant" and rows:
+            start = CSV_CHUNK_ROWS * int(rng.integers(0, (rows - 1) // CSV_CHUNK_ROWS + 1))
+            table[start:start + CSV_CHUNK_ROWS, j] = table[start, j]
+        elif shape == "signed-zeros":
+            table[:, j] = rng.choice([0.0, -0.0], rows)
+        elif shape == "short":
+            table[:, j] = rng.integers(-9, 100, rows)
+    return table
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)

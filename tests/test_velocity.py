@@ -507,6 +507,43 @@ def test_majorant_gives_up_on_rough_field():
         vel.majorant(vel.VelocityField(grid, M), 0.1)
 
 
+def test_node_norms_are_taken_once_per_field_and_majorant(monkeypatch):
+    # the field keeps the norms of M and of the attached majorant; majorant()
+    # and metric_from_velocity reuse them, with the bits of recomputing them
+    from wavemetric import geometry as geo
+
+    # speed 2 sin^2(pi x): M = 4 sin^4 sets eps above its floor and is small
+    # enough near the ends for eps to show in the majorant's bits
+    sysm = wm.telegraph("0.5/sin(pi*x)^2", "0.5/sin(pi*x)^2")
+    grid = wm.Grid(sysm.domain, (64,))
+    calls = []
+    node_norms = vel._node_norms
+    monkeypatch.setattr(vel, "_node_norms", lambda a: calls.append(a.shape) or node_norms(a))
+    fld = vel.VelocityField.from_system(sysm, grid)
+    assert len(calls) == 1
+    maj = vel.majorant(fld, 0.1)
+    assert len(calls) == 2 and maj.delta == 0.1
+    metric = geo.metric_from_velocity(maj)
+    assert len(calls) == 2
+    monkeypatch.undo()
+
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    assert np.array_equal(bits(fld.M_norms), bits(np.linalg.norm(fld.M_samples, axis=(-2, -1))))
+    assert fld.majorant_norms is None
+    H = maj.majorant_samples
+    assert np.array_equal(bits(maj.majorant_norms), bits(np.linalg.norm(H, axis=(-2, -1))))
+    eps = max(vel.EPS_REG_REL * float(np.linalg.norm(fld.M_samples, axis=(-2, -1)).max()),
+              vel.EPS_REG_FLOOR)
+    assert eps > vel.EPS_REG_FLOOR
+    assert np.array_equal(bits(H), bits(1.1 * vel._mollify(fld.M_samples, 1) + eps * np.eye(1)))
+    direct = vel.VelocityField(grid, fld.M_samples, majorant_samples=H)
+    assert np.array_equal(bits(direct.majorant_norms), bits(maj.majorant_norms))
+    again = geo.metric_from_velocity(direct)
+    assert np.array_equal(bits(again.G_samples), bits(metric.G_samples))
+
+
 def test_majorant_rejects_bad_slack():
     dom = wm.BoxDomain((0.0,), (1.0,))
     grid = wm.Grid(dom, (16,))
