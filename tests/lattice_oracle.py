@@ -3,8 +3,10 @@
 ``lattice_graph_every_slot`` weighs every (node, stencil offset) slot on its
 own: each undirected edge twice, once per direction, and every one of the
 d*d terms of dx . G_mid . dx, zero offset components included.  It has the
-signature and the CSR layout of ``wavemetric.geometry._lattice_graph``,
-which the tests hold to it bit for bit.
+signature of ``wavemetric.geometry._lattice_graph`` and returns a CSR matrix
+with one row of ``size`` slots per node, so its ``data`` and ``indices``
+reshaped to (n, size) are the slot arrays of ``_lattice_graph``, which the
+tests hold to them bit for bit.
 """
 
 import numpy as np

@@ -65,6 +65,33 @@ def test_1d_analyze_imports_no_scipy(tmp_path):
     assert out.stdout.splitlines()[-1] == "0 []"
 
 
+def test_lattice_commands_import_no_scipy(tmp_path):
+    # the lattice graph and its shortest-path search run on numpy alone
+    maxwell = family_scenario("maxwell_isotropic",
+                              {"eps": "1 + 0.4*sin(6*x)*cos(4*y)", "mu": "1"}, 2)
+    maxwell["grid"]["nodes"] = [16, 16]
+    maxwell["output"]["dir"] = str(tmp_path / "maxwell")
+    dirac = family_scenario("dirac", {"radius": 0.1}, 3, -2.0, 2.0, "both")
+    dirac["grid"]["nodes"] = [12, 12, 12]
+    dirac["output"]["dir"] = str(tmp_path / "dirac")
+    p2 = write_scenario(tmp_path, maxwell, "maxwell.json")
+    p3 = write_scenario(tmp_path, dirac, "dirac.json")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (["analyze", str(p2)], ["analyze", str(p3)],
+                 ["distance", str(p2), "--mode", "geodesic"],
+                 ["distance", str(p2), "--mode", "arrival"]):
+        code = (
+            "import sys\n"
+            "from wavemetric.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.splitlines()[-1] == "0 []", argv
+
+
 # -- scenario parsing --------------------------------------------------------
 
 def test_normalization_is_idempotent():

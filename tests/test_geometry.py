@@ -209,6 +209,31 @@ def test_empty_sources_rejected():
         geo.lattice_geodesic(metric, [])
 
 
+@pytest.mark.parametrize("sources,match", [
+    ([(1, 2, 3)], r"source index \(1, 2, 3\) does not match grid rank 2"),
+    ([(0, 9)], r"source index \(0, 9\) outside grid shape \(9, 9\)"),
+    ([], "at least one source node is required"),
+], ids=["rank", "range", "empty"])
+def test_bad_sources_raise_validation_error(sources, match):
+    metric = unit_square_metric(9)
+    with pytest.raises(ValidationError, match=match):
+        geo.lattice_geodesic(metric, sources)
+    with pytest.raises(ValidationError, match=match):
+        geo.eikonal_arrival(metric.grid, np.ones((9, 9)), sources)
+
+
+def test_bad_arrival_speeds_raise_validation_error():
+    grid = unit_square_metric(9).grid
+    other = wm.Grid(grid.domain, (8, 8))
+    fld = vel.VelocityField(other, np.broadcast_to(np.eye(2), (8, 8, 2, 2)).copy())
+    with pytest.raises(ValidationError, match="velocity field grid does not match"):
+        geo.eikonal_arrival(grid, fld, [(0, 0)])
+    with pytest.raises(ValidationError, match=r"speed shape \(8, 8\), expected \(9, 9\)"):
+        geo.eikonal_arrival(grid, np.ones((8, 8)), [(0, 0)])
+    with pytest.raises(ValidationError, match="speed must be nonnegative"):
+        geo.eikonal_arrival(grid, np.full((9, 9), -1.0), [(0, 0)])
+
+
 def test_distance_csv(tmp_path):
     metric = unit_square_metric(9)
     dist = geo.lattice_geodesic(metric, [(0, 0)])
@@ -518,17 +543,115 @@ def test_lattice_graph_matches_every_slot_oracle_bit_for_bit(d, stencil, mode, i
     grid, mats, speed, passable = _graph_inputs(d, interior)
     _, offsets = geo.stencil_offsets(d, stencil)
     sp = speed if mode == geo.ISO_TIME else None
-    got = geo._lattice_graph(grid, offsets, mode, mats[mode], sp, passable)
+    data, indices, strides = geo._lattice_graph(grid, offsets, mode, mats[mode], sp, passable)
     want = lattice_graph_every_slot(grid, offsets, mode, mats[mode], sp, passable)
-    assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
-    assert got.indices.dtype == want.indices.dtype
-    assert np.array_equal(got.indices, want.indices)
-    assert np.array_equal(got.indptr, want.indptr)
+    # the oracle's CSR rows hold one slot per offset, so its arrays reshape to (n, size)
+    slots = (grid.node_count, len(offsets))
+    assert np.array_equal(want.indptr, np.arange(0, want.data.size + 1, slots[1]))
+    assert np.array_equal(data.view(np.uint64), want.data.reshape(slots).view(np.uint64))
+    assert indices.dtype == want.indices.dtype
+    assert np.array_equal(indices, want.indices.reshape(slots))
+    # every edge's head is its tail plus the slot's stride
+    tails = np.broadcast_to(np.arange(grid.node_count)[:, None], slots)
+    edge = np.isfinite(data)
+    assert np.array_equal(indices[edge], (tails + strides)[edge])
     if mode != geo.GEODESIC:
         # the inputs drop edges that unit speeds and M = I would keep
         eye = np.broadcast_to(np.eye(d), grid.shape + (d, d))
         kept = lattice_graph_every_slot(grid, offsets, mode, eye, np.ones(grid.shape), passable)
         assert np.isinf(want.data).sum() > np.isinf(kept.data).sum()
+
+
+def _search_inputs(d, mode, interior, ball, seed, contrast, ties, walled, n_sources,
+                   shape=None, blocked=0.2):
+    """Graph inputs for the search oracle: rough or tied weights, walls, sources.
+
+    With ``ties`` the speeds (and metric scales) are powers of two on a unit
+    lattice, so many paths sum to exactly the same distance.  Otherwise they
+    are log-uniform over ``contrast``.  A share ``blocked`` of the nodes is
+    impassable, and ``walled`` adds a slab two nodes thick that cuts the grid
+    in two, so nodes behind it are unreachable unless a source lies there.
+    """
+    rng = np.random.default_rng(seed)
+    if shape is None:
+        shape = {1: (int(rng.integers(8, 40)),),
+                 2: tuple(int(m) for m in rng.integers(8, 16, size=2)),
+                 3: tuple(int(m) for m in rng.integers(8, 11, size=3))}[d]
+    upper = tuple(float(m - 1) for m in shape)
+    center = tuple(0.5 * u for u in upper)
+    dom = wm.BoxDomain((0.0,) * d, upper,
+                       excluded_ball=(center, 0.3 * min(upper)) if ball else None)
+    grid = wm.Grid(dom, shape, interior=interior)
+    if ties:
+        scale = 2.0 ** rng.integers(-1, 3, size=shape)
+    else:
+        scale = 10.0 ** rng.uniform(0.0, math.log10(contrast), size=shape)
+    passable = geo._passable_mask(grid) & (rng.random(shape) >= blocked)
+    if walled:
+        at = int(rng.integers(0, shape[0] - 1))
+        passable[at:at + 2] = False
+    mats = speed = None
+    if mode == geo.ISO_TIME:
+        speed = np.where(passable, scale, 0.0)
+    else:
+        A = np.eye(d) if ties else rng.normal(size=shape + (d, d))
+        mats = scale[..., None, None] * (A @ np.swapaxes(A, -1, -2) + 0.2 * np.eye(d))
+        if mode == geo.ANISO_TIME:
+            mats[~passable] = 0.0
+    flat = rng.choice(grid.node_count, size=n_sources)
+    sources = [tuple(int(i) for i in np.unravel_index(f, shape)) for f in flat]
+    return grid, mats, speed, passable, sources
+
+
+def _search_and_dijkstra(grid, stencil, mode, mats, speed, passable, sources):
+    """The package's search and scipy's Dijkstra, the oracle, on one lattice graph."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import dijkstra
+
+    _, offsets = geo.stencil_offsets(grid.d, stencil)
+    data, indices, strides = geo._lattice_graph(grid, offsets, mode, mats, speed, passable)
+    src = geo._normalize_sources(grid, sources)
+    n, size = data.shape
+    graph = csr_array((data.ravel(), indices.ravel(), np.arange(0, n * size + 1, size)),
+                      shape=(n, n))
+    want = dijkstra(graph, directed=True, indices=src, min_only=True)
+    return geo._shortest_distances(data, indices, strides, src), want, src
+
+
+@pytest.mark.parametrize("mode", [geo.GEODESIC, geo.ANISO_TIME, geo.ISO_TIME],
+                         ids=["geodesic", "aniso", "iso"])
+@pytest.mark.parametrize("d,stencil", [(1, 2), (2, 8), (2, 16), (3, 26)])
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(interior=st.booleans(), ball=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       contrast=st.sampled_from([10.0, 1e3, 1e6]), ties=st.booleans(),
+       walled=st.booleans(), n_sources=st.integers(1, 4))
+def test_shortest_distances_match_scipy_dijkstra_bit_for_bit(
+        d, stencil, mode, interior, ball, seed, contrast, ties, walled, n_sources):
+    # every distance has Dijkstra's bits, +inf on the unreached nodes and 0
+    # on every source, passable or not
+    grid, mats, speed, passable, sources = _search_inputs(
+        d, mode, interior, ball, seed, contrast, ties, walled, n_sources)
+    got, want, src = _search_and_dijkstra(grid, stencil, mode, mats, speed, passable, sources)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.all(got[src] == 0.0)
+
+
+@pytest.mark.parametrize("shape,n_sources", [
+    ((6000,), 1), ((6000,), 3), ((60, 70), 1), ((20, 22, 19), 1),
+], ids=["line", "line-3-sources", "2d", "3d"])
+@pytest.mark.parametrize("mode", [geo.GEODESIC, geo.ISO_TIME], ids=["geodesic", "iso"])
+@pytest.mark.parametrize("ties", [False, True], ids=["rough", "ties"])
+def test_long_rays_match_scipy_dijkstra_bit_for_bit(shape, n_sources, mode, ties):
+    # fronts of at most two nodes per source follow each slot on for many
+    # edges: along a line, and in the first and last rounds of a grid, where
+    # rays leave the grid or wrap to the next row across a +inf slot
+    d = len(shape)
+    for seed, walled in ((3, False), (4, True)):
+        grid, mats, speed, passable, sources = _search_inputs(
+            d, mode, False, False, seed, 1e3, ties, walled, n_sources, shape, blocked=0.0)
+        got, want, _ = _search_and_dijkstra(grid, None, mode, mats, speed, passable, sources)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert walled or np.isfinite(got).all()
 
 
 # -- divergence grading -----------------------------------------------------
