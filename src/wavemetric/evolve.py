@@ -156,11 +156,14 @@ def _check_order(order: int) -> None:
 def _weight(E: MatrixField, grid: Grid) -> np.ndarray:
     """E on the grid as ``_density`` reads it.
 
-    A diagonal E (``E.is_diagonal``) keeps only its diagonal, shape
-    grid + (k,); any other E is grid + (k, k).
+    A diagonal E (``E.is_diagonal``) is sampled on its diagonal only, and
+    kept as one C-ordered array of shape grid + (k,); any other E is
+    grid + (k, k).
     """
-    samples = E.on_grid(grid.axes)
-    return np.diagonal(samples, axis1=-2, axis2=-1).copy() if E.is_diagonal else samples
+    if not E.is_diagonal:
+        return E.on_grid(grid.axes)
+    diag = E.sample_diagonal(tuple(np.meshgrid(*grid.axes, indexing="ij", sparse=True)))
+    return np.broadcast_to(diag, grid.shape + (E.k,)).copy()
 
 
 def _density(values: np.ndarray, E: np.ndarray) -> np.ndarray:

@@ -143,7 +143,11 @@ class MetricField:
 
 
 def metric_from_velocity(fld: VelocityField) -> MetricField:
-    """Invert the majorant node-wise, capping blowup where it degenerates."""
+    """Invert the majorant node-wise, capping blowup where it degenerates.
+
+    The cap's floor scales with the largest node norm of the majorant
+    samples inverted here (``fld.majorant_norms``, taken once per samples array).
+    """
     if fld.majorant_samples is None:
         raise MajorantError(
             "velocity field carries no majorant; call majorant() before "

@@ -3,8 +3,9 @@
 Each function takes one k-by-k matrix or a stack (..., k, k), k rarely above
 9, and adds the validation and relative-tolerance conventions the rest of
 the package relies on.  The eigendecompositions are LAPACK's, via
-``numpy.linalg``, except for diagonal matrices: ``spd_inv_sqrt`` reads the
-eigenvalues off the diagonal when told the matrices are diagonal, and
+``numpy.linalg``, except for diagonal matrices: ``spd_inv_sqrt`` with
+``diagonal=True`` takes the diagonals alone, a stack (..., k), and checks
+and inverts them column by column, and
 ``sym_eigen``, the eigen kernel of the real symmetric velocity, majorant
 and metric stacks, finds a diagonal stack itself and returns its sorted
 diagonal, the bits LAPACK would return.  ``hermitian_part`` is the package's one Hermitian test
@@ -18,6 +19,8 @@ matrices compare cleanly.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -45,13 +48,36 @@ def _square(a, where: str) -> np.ndarray:
     return a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
 
 
+def _columns(a: np.ndarray) -> list[np.ndarray]:
+    """The columns a[..., 0], a[..., 1], ... of a stack of diagonals (..., k).
+
+    Folding a ufunc over them in order beats reducing the length-k last axis
+    of a long stack, with the same bits: ``np.minimum`` and ``np.maximum``
+    give ``min`` and ``max``, ``np.logical_and`` gives ``all``.
+    """
+    return [a[..., c] for c in range(a.shape[-1])]
+
+
+def _diagonals(d, where) -> np.ndarray:
+    """d as float64 or complex128, checked to hold the diagonals (..., k) of diagonal matrices."""
+    d = np.asarray(d)
+    if d.ndim < 1 or d.shape[-1] == 0:
+        raise MatrixError(f"expected the diagonal of a square matrix, got shape {d.shape}"
+                          f"{where if isinstance(where, str) else ''}")
+    return d.astype(np.complex128 if np.iscomplexobj(d) else np.float64, copy=False)
+
+
 def _hermitian_split(a: np.ndarray, axes=(-2, -1)):
     """Per matrix: 0.5 (a + a^H), whether all its entries are finite, and
     whether its defect ||a - a^H|| exceeds ``HERMITIAN_RTOL`` of ||a||.  With
-    ``axes=-1`` a holds the diagonals of diagonal matrices.  A non-finite
-    matrix becomes the identity first, so the arithmetic stays finite and the
-    finite mask alone fails it.  An exactly Hermitian a is its own part: no norms."""
-    finite = np.isfinite(a).all(axis=axes)
+    ``axes=-1`` a holds the diagonals of diagonal matrices, and finiteness is
+    checked column by column.  A non-finite matrix becomes the identity
+    first, so the arithmetic stays finite and the finite mask alone fails it.
+    An exactly Hermitian a is its own part: no norms."""
+    if axes == -1:
+        finite = functools.reduce(np.logical_and, map(np.isfinite, _columns(a)))
+    else:
+        finite = np.isfinite(a).all(axis=axes)
     if not finite.all():
         a = np.where(np.expand_dims(finite, axes), a, 1.0 if axes == -1 else np.eye(a.shape[-1]))
     adj = a if axes == -1 else a.swapaxes(-1, -2)
@@ -109,18 +135,16 @@ def hermitian_part(a, *, where="") -> np.ndarray:
 def _spd_eigen(s, where, diagonal: bool = False):
     """Eigenvalues w and eigenvectors u of the Hermitian part of each matrix of s.
 
-    For ``diagonal`` matrices w is the diagonal and u is None.  A sample that
-    is non-finite, not Hermitian, not positive definite or numerically
-    singular fails; the first in C order raises, its message ending in
-    ``where`` as for ``hermitian_part``.
+    For ``diagonal`` matrices s holds their diagonals (..., k), w is s and u
+    is None.  A sample that is non-finite, not Hermitian, not positive
+    definite or numerically singular fails; the first in C order raises, its
+    message ending in ``where`` as for ``hermitian_part``.
     """
-    a = _square(s, where if isinstance(where, str) else "")
-    if diagonal:
-        a = np.diagonal(a, axis1=-2, axis2=-1)
+    a = _diagonals(s, where) if diagonal else _square(s, where if isinstance(where, str) else "")
     h, finite, skew = _hermitian_split(a, -1 if diagonal else (-2, -1))
     if diagonal:
         w, u = h.real, None
-        lo, hi = w.min(axis=-1), w.max(axis=-1)
+        lo, hi = (functools.reduce(f, _columns(w)) for f in (np.minimum, np.maximum))
     else:
         w, u = np.linalg.eigh(h)
         lo, hi = w[..., 0], w[..., -1]
@@ -200,13 +224,15 @@ def sym_eigen(a, *, vectors: bool = False):
 
 
 def _spd_power(s, exponent: float, where, diagonal: bool = False) -> np.ndarray:
-    """u diag(w^p) u^H, Hermitian part, per matrix; diag(s)^p, shape (..., k), if ``diagonal``."""
+    """u diag(w^p) u^H, Hermitian part, per matrix; s^p for the diagonals s (..., k) if ``diagonal``."""
     w, u = _spd_eigen(s, where, diagonal)
     p = np.power(w, exponent)
     if u is None:
         return p.astype(np.complex128) if np.iscomplexobj(s) else p
     out = (u * p[..., None, :]) @ u.swapaxes(-1, -2).conj()
-    return 0.5 * (out + out.swapaxes(-1, -2).conj())
+    herm = out + out.swapaxes(-1, -2).conj()
+    herm *= 0.5
+    return herm
 
 
 def spd_sqrt(s, *, where="") -> np.ndarray:
@@ -221,9 +247,12 @@ def spd_sqrt(s, *, where="") -> np.ndarray:
 def spd_inv_sqrt(s, *, where="", diagonal: bool = False) -> np.ndarray:
     """Inverse principal square root of an SPD matrix, or of each in a stack.
 
-    ``where`` is as for ``spd_sqrt``.  With ``diagonal`` the matrices are
-    diagonal: the checks read the eigenvalues off the diagonal, nothing is
-    decomposed, and the result is diag(s)^{-1/2}, shape (..., k).
+    ``where`` is as for ``spd_sqrt``.  With ``diagonal`` s holds the
+    diagonals (..., k) of diagonal matrices, as ``MatrixField.sample_diagonal``
+    gives them: the checks read the eigenvalues off them column by column,
+    nothing is decomposed, and the result is s^{-1/2}, shape (..., k), in s's
+    memory layout.  A sample fails with the message the (..., k, k) stack of
+    the same matrices would give.
     """
     return _spd_power(s, -0.5, where, diagonal)
 

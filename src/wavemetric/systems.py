@@ -9,21 +9,29 @@ points and tensor grids both go through it and agree bit for bit.
 
 Every field also answers, from its structure alone, whether it is diagonal
 (``is_diagonal``): a constant field whose off-diagonal entries are all zero,
-or an expression field whose off-diagonal cells are all the literal 0.
+or an expression field whose off-diagonal cells are all the literal 0.  A
+diagonal field is read through ``sample_diagonal(coords)``, shape S + (k,);
+an expression field then evaluates its diagonal cells only.
 
 The canonical transform re-expresses a system with weight E in an equivalent
 E = identity form: the state is multiplied pointwise by E^{1/2}, the first
 order coefficients become E^{-1/2} A^j E^{-1/2}, and a zero-order Hermitian
-term built from the gradient of E^{-1/2} appears.  ``canonical_A`` samples
-and inverts E once for all the B^j.  E^{-1/2} comes from ``spd_inv_sqrt``,
-the one kernel for a point and a stack of samples (diag(E)^{-1/2} with no
-eigendecomposition for a diagonal E), so a point and a grid node agree bit
-for bit; the first sample in C order that is non-finite, not Hermitian
-positive definite or numerically singular raises the kernel's error, naming
-that sample's point.  Gradients come from an analytic evaluator when
-supplied, otherwise from central finite differences with step 1e-5 (scaled
-by axis extent), shrunk per sample near a bounded side with one warning per
-evaluation; a sample on or outside the boundary raises ``ValidationError``.
+term built from the gradient of E^{-1/2} appears.  ``canonical_planes``, the
+one canonical sampler, samples and inverts E once for all the B^j and hands
+each out as ``EntryPlanes``: the sample planes of its nonzero entries.
+Under a diagonal E a constant A^j gives the planes of the nonzeros of
+A^j + A^j^T alone, with no k-by-k stack per sample; any other B^j gives the
+planes of its stack that are not zero everywhere.  ``canonical_A`` gives
+the same B^j as matrices.  E^{-1/2} comes from ``spd_inv_sqrt``, the one
+kernel for a point and a stack of samples (diag(E)^{-1/2} from the
+diagonals alone, with no eigendecomposition, for a diagonal E), so a point
+and a grid node agree bit for bit; the first sample in C order that is
+non-finite, not Hermitian positive definite or numerically singular raises
+the kernel's error, naming that sample's point.  Gradients come from an
+analytic evaluator when supplied, otherwise from central finite differences
+with step 1e-5 (scaled by axis extent), shrunk per sample near a bounded
+side with one warning per evaluation; a sample on or outside the boundary
+raises ``ValidationError``.
 
 Whether the coefficients are admissible (Hermitian A^j and V, E positive
 definite) is decided by the ``matkernel`` kernels alone: ``validate_system``
@@ -39,6 +47,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +68,8 @@ __all__ = [
     "symbol",
     "canonicalize",
     "canonical_A",
+    "canonical_planes",
+    "EntryPlanes",
     "zero_order_term",
     "validate_system",
     "telegraph",
@@ -191,7 +202,9 @@ class MatrixField:
 
     ``is_diagonal`` is true only when the field's structure makes every
     off-diagonal entry zero at every point; a field whose callable or
-    formula happens to give a diagonal matrix still answers no.
+    formula happens to give a diagonal matrix still answers no.  Such a
+    field is read through ``sample_diagonal(coords)``, which gives the
+    diagonals alone, shape S + (k,) (or one that broadcasts to it).
     """
 
     k: int
@@ -199,6 +212,10 @@ class MatrixField:
 
     def sample(self, coords: tuple) -> np.ndarray:
         raise NotImplementedError
+
+    def sample_diagonal(self, coords: tuple) -> np.ndarray:
+        """The diagonals of the samples at coords; the whole field only when ``is_diagonal``."""
+        return np.diagonal(self.sample(coords), axis1=-2, axis2=-1)
 
     def __call__(self, x) -> np.ndarray:
         """The matrix at one point."""
@@ -273,15 +290,26 @@ class ExprMatrixField(MatrixField):
             _is_literal_zero(self.entries[i][j]) for i in range(k) for j in range(k) if i != j
         )
 
+    def _cell(self, i: int, j: int, coords):
+        cell = self.entries[i][j]
+        if isinstance(cell, dsl.Expr):
+            cell = dsl.eval_expr(cell, coords, source=self.sources[i][j])
+        return cell
+
     def sample(self, coords) -> np.ndarray:
         out = np.empty(_shape(coords) + (self.k, self.k), dtype=self.dtype)
         for i in range(self.k):
             for j in range(self.k):
-                cell = self.entries[i][j]
-                if isinstance(cell, dsl.Expr):
-                    cell = dsl.eval_expr(cell, coords, source=self.sources[i][j])
-                out[..., i, j] = cell
+                out[..., i, j] = self._cell(i, j, coords)
         return out
+
+    def sample_diagonal(self, coords) -> np.ndarray:
+        """The diagonal cells only, each evaluated into one contiguous plane:
+        the (k,) + S buffer is returned as its S + (k,) view."""
+        out = np.empty((self.k,) + _shape(coords), dtype=self.dtype)
+        for i in range(self.k):
+            out[i] = self._cell(i, i, coords)
+        return np.moveaxis(out, 0, -1)
 
 
 class FuncMatrixField(MatrixField):
@@ -307,22 +335,25 @@ class FuncMatrixField(MatrixField):
 
 
 def _run(check, coords):
-    """A (name, field, kernel) check on the field's samples at coords: the kernel's
+    """A (name, sampler, kernel) check on a field's samples at coords: the kernel's
     result, or its error naming the field and the first failing sample's point."""
-    name, fld, kernel = check
-    return kernel(fld.sample(coords),
+    name, sample, kernel = check
+    return kernel(sample(coords),
                   where=lambda bad: f" ({name} at {dsl.point_where(coords, bad)})")
 
 
 def _weight_check(E: MatrixField):
-    return ("E", E, functools.partial(spd_inv_sqrt, diagonal=E.is_diagonal))
+    """The E^{-1/2} check; a diagonal E is sampled and checked as its diagonals."""
+    if E.is_diagonal:
+        return ("E", E.sample_diagonal, functools.partial(spd_inv_sqrt, diagonal=True))
+    return ("E", E.sample, spd_inv_sqrt)
 
 
 def _inv_sqrt_samples(E: MatrixField, coords) -> np.ndarray:
     """E^{-1/2} at every sample from the kernel ``spd_inv_sqrt``, shape S + (k, k).
 
-    A diagonal E (``E.is_diagonal``) is not decomposed, and gives the vectors
-    diag(E)^{-1/2}, shape S + (k,).
+    A diagonal E (``E.is_diagonal``) is sampled on its diagonal only, not
+    decomposed, and gives the vectors diag(E)^{-1/2}, shape S + (k,).
     """
     return _run(_weight_check(E), coords)
 
@@ -333,26 +364,86 @@ def _inv_sqrt(E: MatrixField, coords) -> np.ndarray:
     return R[..., :, None] * np.eye(E.k) if E.is_diagonal else R
 
 
-def _sandwiches(E: MatrixField, A_fields, coords) -> list[np.ndarray]:
+class EntryPlanes(NamedTuple):
+    """Samples of a k-by-k matrix field as the planes of its nonzero entries.
+
+    ``entries`` lists (row, column) pairs in row-major order and
+    ``values[i]`` holds entry ``entries[i]`` at every sample, so ``values``
+    has shape (len(entries),) + S, S = () for one constant matrix.  Every
+    entry not listed is zero at every sample.
+    """
+
+    k: int
+    entries: tuple[tuple[int, int], ...]
+    values: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        """The samples as matrices, shape S + (k, k)."""
+        out = np.zeros(self.values.shape[1:] + (self.k, self.k), dtype=self.values.dtype)
+        for (a, b), plane in zip(self.entries, self.values):
+            out[..., a, b] = plane
+        return out
+
+
+def _stack_planes(B: np.ndarray, hermitian_part: bool = False) -> EntryPlanes:
+    """B, or 0.5 (B + B^H) with ``hermitian_part``, as the planes of its entries
+    that are nonzero somewhere: one constant matrix (k, k) gives its nonzero
+    entries, a stack S + (k, k) the planes not zero at every sample, taken
+    from one plane-major copy (a strided plane read one at a time is slow)."""
+    k = B.shape[-1]
+    if hermitian_part:
+        Bt = B.swapaxes(-1, -2)
+        B = B + (Bt.conj() if np.iscomplexobj(Bt) else Bt)
+        B *= 0.5
+    if B.ndim == 2:
+        rows, cols = np.nonzero(B)
+        return EntryPlanes(k, tuple(zip(rows.tolist(), cols.tolist())), B[rows, cols])
+    shape = B.shape[:-2]
+    flat = B.reshape(-1, k * k)
+    live = np.flatnonzero(flat.any(axis=0))
+    values = flat.T[live] if len(live) < k * k else np.ascontiguousarray(flat.T)
+    entries = tuple(divmod(int(i), k) for i in live)
+    return EntryPlanes(k, entries, values.reshape((len(live),) + shape))
+
+
+def _diagonal_sandwich(r: np.ndarray, a: np.ndarray) -> EntryPlanes:
+    """Hermitian part of diag(r) a diag(r), r = diag(E)^{-1/2} of shape S + (k,),
+    for a constant a: the planes of the nonzeros of a + a^T alone, entry (i, j)
+    being 0.5 ((r_i a_ij) r_j + conj((r_j a_ji) r_i)), the products and sums the
+    whole-stack formula makes there."""
+    rows, cols = np.nonzero((a != 0) | (a.T != 0))
+    values = np.empty((len(rows),) + r.shape[:-1], dtype=np.result_type(r, a))
+    for n, (i, j) in enumerate(zip(rows, cols)):
+        ri, rj = r[..., i], r[..., j]
+        back = (rj * a[j, i]) * ri
+        plane = values[n, ...]
+        np.add((ri * a[i, j]) * rj, back.conj() if np.iscomplexobj(back) else back, out=plane)
+        plane *= 0.5
+    return EntryPlanes(a.shape[0], tuple(zip(rows.tolist(), cols.tolist())), values)
+
+
+def _sandwiches(E: MatrixField, A_fields, coords) -> list[EntryPlanes]:
     """E^{-1/2} A^j E^{-1/2}, Hermitian part, for every field, E sampled and inverted once.
 
-    A diagonal E scales each A^j by r = diag(E)^{-1/2} on both sides, so no
-    k-by-k E^{-1/2} stack is formed.
+    A diagonal E is sampled on its diagonal and scales each A^j by
+    r = diag(E)^{-1/2} on both sides, so no k-by-k E^{-1/2} stack is formed;
+    a constant A^j then gives only the planes of its nonzeros
+    (``_diagonal_sandwich``).  Any other B^j is formed as a whole stack and
+    handed out by ``_stack_planes``.
     """
-    diagonal = E.is_diagonal
     R = _inv_sqrt_samples(E, coords)
     out = []
     for A in A_fields:
+        if E.is_diagonal and isinstance(A, ConstMatrixField):
+            out.append(_diagonal_sandwich(R, A.mat))
+            continue
         a = A.sample(coords)
-        if diagonal:
+        if E.is_diagonal:
             b = R[..., :, None] * a
             b *= R[..., None, :]
         else:
             b = R @ a @ R
-        bt = b.swapaxes(-1, -2)
-        b = b + (bt.conj() if np.iscomplexobj(bt) else bt)
-        b *= 0.5
-        out.append(b)
+        out.append(_stack_planes(b, hermitian_part=True))
     return out
 
 
@@ -383,7 +474,7 @@ class _CanonicalAField(MatrixField):
         self.k = A.k
 
     def sample(self, coords) -> np.ndarray:
-        return _sandwiches(self.E, (self.A,), coords)[0]
+        return _sandwiches(self.E, (self.A,), coords)[0].dense()
 
 
 class _CanonicalVField(MatrixField):
@@ -521,15 +612,23 @@ def _is_canonical(sys: CoefficientSystem) -> bool:
     return sys.canonical or (isinstance(sys.E, ConstMatrixField) and sys.E.is_identity)
 
 
-def canonical_A(sys: CoefficientSystem, coords) -> list[np.ndarray]:
-    """The canonical B^j of sys at coords, one array per axis, each at the shape its field gives.
+def canonical_planes(sys: CoefficientSystem, coords) -> list[EntryPlanes]:
+    """The canonical B^j of sys at coords as ``EntryPlanes``, one per axis.
 
-    The same matrices as sampling ``canonicalize(sys).A``, but E is sampled
-    and inverted once for all axes.  A constant B^j stays one (k, k) matrix.
+    The one canonical sampler: the same matrices as sampling
+    ``canonicalize(sys).A``, but E is sampled and inverted once for all
+    axes.  Under a diagonal E a constant A^j gives the planes of the
+    nonzeros of A^j + A^j^T; any other B^j gives the planes of its samples
+    that are not zero everywhere, and a constant B^j its nonzero entries.
     """
     if _is_canonical(sys):
-        return [A.sample(coords) for A in sys.A]
+        return [_stack_planes(A.sample(coords)) for A in sys.A]
     return _sandwiches(sys.E, sys.A, coords)
+
+
+def canonical_A(sys: CoefficientSystem, coords) -> list[np.ndarray]:
+    """The canonical B^j of sys at coords as matrices, S + (k, k) each, S = () for a constant."""
+    return [planes.dense() for planes in canonical_planes(sys, coords)]
 
 
 def canonicalize(sys: CoefficientSystem) -> CoefficientSystem:
@@ -584,7 +683,7 @@ def _sample_points(domain: BoxDomain, count: int) -> tuple[np.ndarray, ...]:
 
 
 def _failures(checks, coords):
-    """The kernel error of each failing (name, field, kernel) check, in order; the
+    """The kernel error of each failing (name, sampler, kernel) check, in order; the
     kernels are ``hermitian_part``, ``spd_sqrt`` and ``spd_inv_sqrt``."""
     for check in checks:
         try:
@@ -604,11 +703,11 @@ def validate_system(sys: CoefficientSystem, samples: int = 256) -> ValidationRep
     """
     coords = _sample_points(sys.domain, samples)
     checks = [_weight_check(sys.E)]
-    checks += [(f"A[{j}]", A, hermitian_part) for j, A in enumerate(sys.A, 1)]
-    checks.append(("V", sys.V, hermitian_part))
+    checks += [(f"A[{j}]", A.sample, hermitian_part) for j, A in enumerate(sys.A, 1)]
+    checks.append(("V", sys.V.sample, hermitian_part))
     stiffness = (sys.parts or {}).get("stiffness")
     if stiffness is not None:
-        checks.append(("stiffness", stiffness, spd_sqrt))
+        checks.append(("stiffness", stiffness.sample, spd_sqrt))
     issues = list(_failures(checks, coords))
     return ValidationReport(ok=not issues, samples=samples, issues=issues)
 
@@ -642,7 +741,7 @@ def _spd_probe(domain, parts, E: MatrixField, count=8):
     is decomposed.  The first failure raises ``ValidationError`` with the
     kernel's message.
     """
-    checks = [(name, fld, spd_sqrt) for name, fld in parts] + [_weight_check(E)]
+    checks = [(name, fld.sample, spd_sqrt) for name, fld in parts] + [_weight_check(E)]
     failure = next(_failures(checks, _sample_points(domain, count)), None)
     if failure is not None:
         raise ValidationError(failure)

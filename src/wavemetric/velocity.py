@@ -13,7 +13,13 @@ over directions has no closed form when the coefficients do not commute),
 the per-axis coefficient-norm maximum, and a radial growth envelope for
 unbounded domains.  Each pointwise function takes a point (d,) or a stack
 (..., d); all of them, the envelope and the grid field read the canonical
-coefficients through one batched sampler.
+coefficients through one batched sampler, ``systems.canonical_planes``, as
+the sample planes of their nonzero entries.  One trace kernel sums
+Tr(B^j B^l) from those planes for points, grids and the speed bounds, in
+the order ``np.einsum("...ab,...ba->...")`` sums the dense stacks: each
+row's terms in column order, then the row sums in row order onto +0.  So a
+point and a grid node agree bit for bit, and a diagonal weight costs only
+the products of the coefficients' nonzero entries.
 
 ``majorant`` produces a node-wise upper bound that is smooth at the grid
 scale: the sampled matrix is mollified with a separable binomial kernel
@@ -39,7 +45,7 @@ from .errors import MajorantError, UnsupportedSystemError, ValidationError
 from .grids import Grid, write_csv
 from .matkernel import op_norm, sym_eigen
 from .sampling import unit_directions
-from .systems import CoefficientSystem, canonical_A
+from .systems import CoefficientSystem, EntryPlanes, canonical_planes
 
 __all__ = [
     "SpeedBracket",
@@ -68,14 +74,14 @@ def _check_inside(sys: CoefficientSystem, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     outside = ~np.asarray(sys.domain.contains(x, strict=True))
     if outside.any():
-        raise ValueError(f"point {x[outside][0]} is not inside the domain")
+        raise ValidationError(f"point {x[outside][0]} is not inside the domain")
     return x
 
 
-def _sample_inside(sys: CoefficientSystem, x) -> tuple[tuple[int, ...], list[np.ndarray]]:
+def _sample_inside(sys: CoefficientSystem, x) -> tuple[tuple[int, ...], list[EntryPlanes]]:
     """The shape S of a point (d,) or a stack S + (d,) inside the domain, and B^j there."""
     x = _check_inside(sys, x)
-    return x.shape[:-1], canonical_A(sys, tuple(np.moveaxis(x, -1, 0)))
+    return x.shape[:-1], canonical_planes(sys, tuple(np.moveaxis(x, -1, 0)))
 
 
 def _at_points(value, shape: tuple[int, ...]):
@@ -85,31 +91,58 @@ def _at_points(value, shape: tuple[int, ...]):
     return float(value) if not shape else value
 
 
-def _traces(B: list[np.ndarray]) -> np.ndarray:
-    """Tr(B^j B^l) over the trailing (k, k) axes: shape S + (d, d) for samples S + (k, k)."""
-    d = len(B)
-    M = np.empty(np.broadcast_shapes(*(b.shape[:-2] for b in B)) + (d, d))
+def _trace(P: EntryPlanes, Q: EntryPlanes):
+    """Re Tr(P Q) per sample, from the planes of P and Q.
+
+    The sum runs as ``np.einsum("...ab,...ba->...", P, Q).real`` runs it on
+    the dense stacks: row a's terms P_ab Q_ba are added in column order b,
+    then the row sums in row order onto +0, and a complex term is
+    Re P_ab Re Q_ba - Im P_ab Im Q_ba.  A term with an unlisted entry is
+    +-0 and is left out, which changes no bit of a sum that starts at +0.
+    """
+    cplx = np.iscomplexobj(P.values) or np.iscomplexobj(Q.values)
+    find = {entry: m for m, entry in enumerate(Q.entries)}
+    total, row, row_a = 0.0, None, None
+    for (a, b), x in zip(P.entries, P.values):
+        m = find.get((b, a))
+        if m is None:
+            continue
+        y = Q.values[m]
+        term = x.real * y.real - x.imag * y.imag if cplx else x * y
+        if a == row_a:
+            row += term
+            continue
+        if row is not None:
+            total = total + row
+        row, row_a = term, a
+    return total if row is None else total + row
+
+
+def _traces(planes: list[EntryPlanes]) -> np.ndarray:
+    """The velocity matrices Tr(B^j B^l), shape S + (d, d), from the planes of the B^j."""
+    d = len(planes)
+    M = np.empty(np.broadcast_shapes(*(p.values.shape[1:] for p in planes)) + (d, d))
     for j in range(d):
         for l in range(j, d):
-            M[..., j, l] = M[..., l, j] = np.einsum("...ab,...ba->...", B[j], B[l]).real
+            M[..., j, l] = M[..., l, j] = _trace(planes[j], planes[l])
     return M
 
 
 def velocity_matrix(sys: CoefficientSystem, x) -> np.ndarray:
     """The d-by-d matrix of traces Tr(B^j B^l) of canonical coefficients (..., d, d)."""
-    shape, B = _sample_inside(sys, x)
-    return _at_points(_traces(B), shape + (sys.d, sys.d))
+    shape, planes = _sample_inside(sys, x)
+    return _at_points(_traces(planes), shape + (sys.d, sys.d))
 
 
 def char_speed(sys: CoefficientSystem, x, n) -> float:
     """Largest characteristic speed in direction n (normalized internally), per point."""
-    shape, B = _sample_inside(sys, x)
+    shape, planes = _sample_inside(sys, x)
     n = np.atleast_1d(np.asarray(n, dtype=float))
     norm = float(np.linalg.norm(n))
     if norm == 0.0:
-        raise ValueError("direction must be nonzero")
+        raise ValidationError("direction must be nonzero")
     n = n / norm
-    return _at_points(op_norm(sum(c * b for c, b in zip(n, B))), shape)
+    return _at_points(op_norm(sum(c * p.dense() for c, p in zip(n, planes))), shape)
 
 
 def _axis_norm_max(B: list[np.ndarray]):
@@ -117,16 +150,17 @@ def _axis_norm_max(B: list[np.ndarray]):
     return functools.reduce(np.maximum, (op_norm(b) for b in B))
 
 
-def _speed_upper(B: list[np.ndarray]):
-    """min(sqrt(lambda_max(M)), sqrt(d) max_j ||B^j||) per sample, M = Tr(B^j B^l)."""
-    lam_max = sym_eigen(_traces(B))[..., -1]
+def _speed_upper(planes: list[EntryPlanes], B: list[np.ndarray]):
+    """min(sqrt(lambda_max(M)), sqrt(d) max_j ||B^j||) per sample, M = Tr(B^j B^l);
+    B holds the B^j of the planes as matrices."""
+    lam_max = sym_eigen(_traces(planes))[..., -1]
     return np.minimum(np.sqrt(np.maximum(lam_max, 0.0)), math.sqrt(len(B)) * _axis_norm_max(B))
 
 
 def fattorini_r(sys: CoefficientSystem, x) -> float:
     """Maximum over axes of the operator norm of the canonical coefficients, per point."""
-    shape, B = _sample_inside(sys, x)
-    return _at_points(_axis_norm_max(B), shape)
+    shape, planes = _sample_inside(sys, x)
+    return _at_points(_axis_norm_max([p.dense() for p in planes]), shape)
 
 
 def chernoff_c(sys: CoefficientSystem, x) -> SpeedBracket:
@@ -137,12 +171,13 @@ def chernoff_c(sys: CoefficientSystem, x) -> SpeedBracket:
     sqrt(largest eigenvalue of the velocity matrix) and sqrt(d) times the
     per-axis coefficient-norm maximum.  A stack (..., d) gives one pair per point.
     """
-    shape, B = _sample_inside(sys, x)
+    shape, planes = _sample_inside(sys, x)
+    B = [p.dense() for p in planes]
     # every direction at once: the symbols have shape (..., directions, k, k)
     dirs = unit_directions(sys.d)
     sym = sum(c[:, None, None] * b[..., None, :, :] for c, b in zip(dirs.T, B))
     lower = op_norm(sym).max(axis=-1)
-    upper = np.maximum(_speed_upper(B), lower)  # guard against rounding at the crossover
+    upper = np.maximum(_speed_upper(planes, B), lower)  # guard against rounding at the crossover
     return SpeedBracket(_at_points(lower, shape), _at_points(upper, shape))
 
 
@@ -161,21 +196,22 @@ def radial_envelope(sys: CoefficientSystem, radii, center=None) -> np.ndarray:
         )
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or len(radii) == 0:
-        raise ValueError("radii must be a non-empty 1-D sequence")
+        raise ValidationError("radii must be a non-empty 1-D sequence")
     if np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
-        raise ValueError("radii must be positive and strictly increasing")
+        raise ValidationError("radii must be positive and strictly increasing")
     center = np.zeros(sys.d) if center is None else np.asarray(center, dtype=float)
     shells = center + radii[:, None, None] * unit_directions(sys.d)
     inside = sys.domain.contains(shells, strict=True)
     empty = ~inside.any(axis=1)
     if empty.any():
-        raise ValueError(
+        raise ValidationError(
             f"no admissible sample on the sphere of radius {radii[empty][0]} "
             "(inside the excluded region?)"
         )
-    shape, B = _sample_inside(sys, shells[inside])
+    shape, planes = _sample_inside(sys, shells[inside])
+    upper = _speed_upper(planes, [p.dense() for p in planes])
     shell_max = np.zeros(len(radii))
-    np.maximum.at(shell_max, np.nonzero(inside)[0], _at_points(_speed_upper(B), shape))
+    np.maximum.at(shell_max, np.nonzero(inside)[0], _at_points(upper, shape))
     return np.maximum.accumulate(shell_max)
 
 
@@ -201,10 +237,8 @@ class VelocityField:
     symmetry, positive semi-definiteness to a relative tolerance, and (when
     present) that the majorant dominates the samples node-wise.  ``lam_max``
     keeps each node's largest eigenvalue of M, its squared speed bound, and
-    ``M_norms`` and ``majorant_norms`` the node-wise Frobenius norms of M and
-    of the majorant (None without one), taken once when each is validated or
-    attached, for the regularization scales of ``majorant`` and
-    ``metric_from_velocity``.
+    ``M_norms`` the node-wise Frobenius norms of M, taken once when M is
+    validated, for the regularization scale of ``majorant``.
     """
 
     grid: Grid
@@ -213,8 +247,9 @@ class VelocityField:
     delta: float | None = None
     lam_max: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     M_norms: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
-    majorant_norms: np.ndarray | None = dataclasses.field(init=False, repr=False,
-                                                          compare=False, default=None)
+    # (samples, their node norms): the norms belong to that very array
+    _majorant_norms: tuple | None = dataclasses.field(init=False, repr=False,
+                                                      compare=False, default=None)
 
     def __post_init__(self):
         d = self.grid.d
@@ -242,19 +277,33 @@ class VelocityField:
             if H.shape != want:
                 raise ValidationError(f"majorant shape {H.shape}, expected {want}")
             _require_finite(H, self.grid.shape, "majorant")
-            self.majorant_norms = _node_norms(H)
-            _check_dominates(H, M, self.majorant_norms)
             self.majorant_samples = H
+            _check_dominates(H, M, self.majorant_norms)
 
     @classmethod
     def from_system(cls, sys: CoefficientSystem, grid: Grid) -> "VelocityField":
         coords = tuple(np.meshgrid(*grid.axes, indexing="ij", sparse=True))
-        M = _traces(canonical_A(sys, coords))
+        M = _traces(canonical_planes(sys, coords))
         return cls(grid, _at_points(M, grid.shape + (grid.d, grid.d)))
 
     @property
     def d(self) -> int:
         return self.grid.d
+
+    @property
+    def majorant_norms(self) -> np.ndarray | None:
+        """Node-wise Frobenius norms of ``majorant_samples`` (None without a
+        majorant), for the regularization floor of ``metric_from_velocity``.
+
+        Taken once per samples array: after a caller assigns new samples
+        the norms are theirs, not the replaced array's.
+        """
+        H = self.majorant_samples
+        if H is None:
+            return None
+        if self._majorant_norms is None or self._majorant_norms[0] is not H:
+            self._majorant_norms = (H, _node_norms(H))
+        return self._majorant_norms[1]
 
 
 def _domination_gap(H: np.ndarray, M: np.ndarray,
@@ -329,7 +378,7 @@ def majorant(field: VelocityField, delta: float) -> VelocityField:
     of ``field`` whose already validated M is not checked again.
     """
     if not 0.0 < delta < 1.0:
-        raise ValueError(f"slack must lie in (0, 1), got {delta}")
+        raise ValidationError(f"slack must lie in (0, 1), got {delta}")
     M = field.M_samples
     d = field.d
     norms = field.M_norms
@@ -349,7 +398,7 @@ def majorant(field: VelocityField, delta: float) -> VelocityField:
         gap, scale = _domination_gap(H, M, H_norms)
         if float((gap + MAJORANT_RTOL * scale).min()) >= 0.0:
             out = copy.copy(field)
-            out.majorant_samples, out.majorant_norms, out.delta = H, H_norms, cur
+            out.majorant_samples, out._majorant_norms, out.delta = H, (H, H_norms), cur
             return out
         cur *= 2.0
     raise MajorantError(

@@ -92,14 +92,17 @@ def _random_spd(rng, k: int) -> np.ndarray:
 
 
 def _random_system(rng) -> CoefficientSystem:
+    """Constant coefficients under a constant weight: dense half the time,
+    diagonal otherwise (the weight the canonical transform scales entry by entry)."""
     d = int(rng.integers(1, 4))
     k = int(rng.integers(2, 5))
     dom = BoxDomain((0.0,) * d, (1.0,) * d)
     A = tuple(ConstMatrixField(_random_hermitian(rng, k)) for _ in range(d))
+    E = np.diag(rng.uniform(0.5, 2.0, k)) if rng.random() < 0.5 else _random_spd(rng, k)
     return CoefficientSystem(
         domain=dom,
         k=k,
-        E=ConstMatrixField(_random_spd(rng, k)),
+        E=ConstMatrixField(E),
         A=A,
         V=ConstMatrixField(np.zeros((k, k))),
     )

@@ -434,6 +434,48 @@ def test_diagonal_weight_point_error_names_the_point(eps, x, error, message):
         assert str(info.value) == message
 
 
+_OFFDIAG = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+# A diagonal weight is sampled and checked as its diagonals alone; it must be
+# rejected where the same weight behind a callable is, with the same message
+# naming the same first failing sample in C order.  Only the complex weight
+# fails at the first sample point or grid node of the checks below.
+@pytest.mark.parametrize("cells", [
+    ["exp(1000*x)", "exp(1000*x)"],
+    ["1", "(x - 0.2)*(x - 0.4) + 1e-3"],
+    ["1e-12*((x - 0.3)^2 + 1e-6)", "1 + y"],
+    [1.0 + 1e-3j, "1 + x"],
+], ids=["non-finite", "non-positive", "singular", "complex"])
+def test_bad_diagonal_weight_fails_as_the_general_path_fails(cells):
+    E = wm.ExprMatrixField([[cells[0], 0.0], [0.0, cells[1]]])
+    assert E.is_diagonal
+    sysm = wm.CoefficientSystem(domain=UNIT_BOX_2, k=2, E=E,
+                                A=(wm.ConstMatrixField(_OFFDIAG), wm.ConstMatrixField(np.eye(2))),
+                                V=wm.ConstMatrixField(np.zeros((2, 2))))
+    hidden = hide_structure(sysm)
+    report = wm.validate_system(sysm, samples=64)
+    assert not report.ok and report.issues == wm.validate_system(hidden, samples=64).issues
+    probes = []
+    for s in (sysm, hidden):
+        with pytest.raises(ValidationError) as info:
+            systems._spd_probe(UNIT_BOX_2, (), s.E, count=16)
+        probes.append(str(info.value))
+    assert probes == [report.issues[0]] * 2
+    grid = wm.Grid(UNIT_BOX_2, (16, 16))
+    failures = []
+    for s in (sysm, hidden):
+        with pytest.raises(MatrixError) as info:
+            wm.VelocityField.from_system(s, grid)
+        failures.append((type(info.value), str(info.value)))
+    assert failures[0] == failures[1]
+    everywhere = isinstance(cells[0], complex)
+    first = wm.dsl.point_where(systems._sample_points(UNIT_BOX_2, 1), np.ones(1, dtype=bool))
+    assert (f"(E at {first})" in report.issues[0]) == everywhere
+    node = f"(E at {grid.node_coords((0, 0))})"
+    assert failures[0][1].endswith(node) == everywhere
+
+
 _CUSTOM_E = [["2 + x", "0.3*x*y", "0.1"],
              ["0.3*x*y", "1 + y^2", "0.2*sin(x)"],
              ["0.1", "0.2*sin(x)", "1.5 + 0.5*x"]]

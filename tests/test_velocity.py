@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wavemetric as wm
+from wavemetric import evolve as ev
+from wavemetric import systems
 from wavemetric import velocity as vel
 from wavemetric.errors import (
     MajorantError,
@@ -19,7 +22,7 @@ from wavemetric.matkernel import op_norm
 from wavemetric.sampling import unit_directions
 
 from metric_oracle import mollify_every_plane
-from velocity_oracle import velocity_matrix_structured
+from velocity_oracle import canonical_stacks, stack_traces, velocity_matrix_structured
 
 
 UNIT_BOX_3 = wm.BoxDomain((0.0,) * 3, (1.0,) * 3)
@@ -370,6 +373,175 @@ def test_radial_envelope_samples_all_shells_at_once():
     np.testing.assert_allclose(env, ref, rtol=1e-15, atol=0.0)
 
 
+# -- the plane trace kernel against the whole-stack einsum ------------------
+
+_VARS = "xyz"
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _constant_coefficient(rng, k, per_row, cplx):
+    """A constant Hermitian k x k matrix: one nonzero per row (pairs of an
+    involution) or several, complex with an antisymmetric imaginary part; its
+    sign is flipped half the time, so its zeros are -0 as in the Maxwell curls."""
+    if per_row == "one":
+        perm = rng.permutation(k)
+        mask = np.zeros((k, k), dtype=bool)
+        for i in range(0, k - 1, 2):
+            mask[perm[i], perm[i + 1]] = mask[perm[i + 1], perm[i]] = True
+        if k % 2:
+            mask[perm[-1], perm[-1]] = True
+    else:
+        mask = rng.random((k, k)) < 0.6
+        mask |= mask.T
+    a = np.where(mask, rng.uniform(-2.0, 2.0, (k, k)), 0.0)
+    a = a + a.T
+    if cplx:
+        b = np.where(mask, rng.uniform(-1.0, 1.0, (k, k)), 0.0)
+        a = a + 1j * (b - b.T)
+    return -a if rng.random() < 0.5 else a
+
+
+def _diagonal_weight_system(rng, d, per_row, cplx, expression_axis):
+    """A custom system with a diagonal expression weight (some cells constant)
+    and constant coefficients, one of them an expression field when asked."""
+    k = int(rng.integers(2, 6))
+    cells = []
+    for i in range(k):
+        if rng.random() < 0.25:
+            cells.append(float(rng.uniform(0.5, 2.0)))
+            continue
+        v = _VARS[int(rng.integers(d))]
+        c, amp, w = rng.uniform(1.0, 2.0), rng.uniform(0.0, 0.9), rng.uniform(1.0, 6.0)
+        cells.append(f"{c:.4f} + {amp:.4f}*sin({w:.4f}*{v} + {i})")
+    E = wm.ExprMatrixField([[cells[i] if i == j else 0.0 for j in range(k)] for i in range(k)])
+    A = [wm.ConstMatrixField(_constant_coefficient(rng, k, per_row, cplx)) for _ in range(d)]
+    if expression_axis:
+        a = A[0].mat.real
+        A[0] = wm.ExprMatrixField([[f"{a[i, j]:.6f}*(1 + x)" if a[i, j] else 0.0 for j in range(k)]
+                                   for i in range(k)])
+    return wm.CoefficientSystem(domain=wm.BoxDomain((0.0,) * d, (1.0,) * d), k=k, E=E,
+                                A=tuple(A), V=wm.ConstMatrixField(np.zeros((k, k))))
+
+
+def _oracle_system(kind, d, rng):
+    dom = wm.BoxDomain((0.0,) * d, (1.0,) * d)
+    if kind == "diagonal-one":
+        return _diagonal_weight_system(rng, d, "one", False, False)
+    if kind == "diagonal-several":
+        return _diagonal_weight_system(rng, d, "several", False, False)
+    if kind == "diagonal-expression-A":
+        return _diagonal_weight_system(rng, d, "several", False, True)
+    if kind == "diagonal-complex":
+        return _diagonal_weight_system(rng, d, "several", True, False)
+    if kind == "dirac":
+        return wm.dirac_free()
+    if kind == "identity-complex":
+        k = int(rng.integers(2, 5))
+        A = tuple(wm.ConstMatrixField(_constant_coefficient(rng, k, "several", True))
+                  for _ in range(d))
+        return wm.CoefficientSystem(domain=dom, k=k, E=wm.ConstMatrixField(np.eye(k)), A=A,
+                                    V=wm.ConstMatrixField(np.zeros((k, k))))
+    a, b, c = rng.uniform(0.1, 0.4, 3)
+    if kind == "elastic":
+        return wm.elastic_isotropic(rho=f"1 + {a:.4f}*x", K=f"2 + {b:.4f}*sin(3*x)",
+                                    mu=f"1 + {c:.4f}*x*x", domain=dom)
+    dom = wm.BoxDomain((0.0,) * max(d, 2), (1.0,) * max(d, 2))
+    eps = [["2 + x", f"{a:.4f}*y", "0"], [f"{a:.4f}*y", f"2 + {b:.4f}*x", "0.1"],
+           ["0", "0.1", f"1.5 + {c:.4f}*y"]]
+    return wm.maxwell_anisotropic(eps, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], domain=dom)
+
+
+# The plane kernels must give every bit of the whole-stack formula: the
+# canonical B^j as dense stacks and their traces contracted with einsum.
+@pytest.mark.parametrize("kind", ["diagonal-one", "diagonal-several", "diagonal-expression-A",
+                                  "diagonal-complex", "identity-complex", "dirac", "elastic",
+                                  "maxwell-anisotropic"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(d=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_plane_traces_have_the_bits_of_the_einsum_over_whole_stacks(kind, d, seed):
+    rng = np.random.default_rng(seed)
+    sysm = _oracle_system(kind, d, rng)
+    d = sysm.d
+    grid = wm.Grid(sysm.domain, tuple(int(n) for n in rng.integers(8, 11, d)))
+    coords = tuple(np.meshgrid(*grid.axes, indexing="ij", sparse=True))
+    full = grid.shape + (d, d)
+    want = np.broadcast_to(stack_traces(canonical_stacks(sysm, coords)), full)
+    got = np.broadcast_to(vel._traces(systems.canonical_planes(sysm, coords)), full)
+    assert np.array_equal(bits(got), bits(want))
+    fld = vel.VelocityField.from_system(sysm, grid)
+    assert np.array_equal(bits(fld.M_samples), bits(want))
+    nodes = grid.coords().reshape(-1, d)
+    inside = nodes[sysm.domain.contains(nodes, strict=True)]
+    points = inside[rng.permutation(len(inside))[:5]]
+    stack = vel.velocity_matrix(sysm, points)
+    want = stack_traces(canonical_stacks(sysm, tuple(points.T)))
+    assert np.array_equal(bits(stack), bits(np.broadcast_to(want, stack.shape)))
+    for x, m in zip(points, stack):
+        one = vel.velocity_matrix(sysm, x)
+        assert np.array_equal(bits(one), bits(stack_traces(canonical_stacks(sysm, tuple(x)))))
+        assert np.array_equal(bits(one), bits(m))
+
+
+def test_velocity_matrix_at_a_node_is_the_grid_sample_there():
+    sysm = wm.maxwell_isotropic("1 + 0.4*sin(6*x + 1.0)*cos(4*y)", "2 - x*y",
+                                domain=wm.BoxDomain((0.0,) * 2, (1.0,) * 2))
+    grid = wm.Grid(sysm.domain, (16, 17))
+    fld = vel.VelocityField.from_system(sysm, grid)
+    for idx in [(0, 0), (5, 11), (15, 16)]:
+        assert np.array_equal(bits(vel.velocity_matrix(sysm, grid.node_coords(idx))),
+                              bits(fld.M_samples[idx]))
+
+
+def test_diagonal_weight_with_constant_coefficients_keeps_only_their_nonzeros():
+    # each 2-D Maxwell curl coefficient has 4 nonzero entries out of 36
+    sysm = wm.maxwell_isotropic("1 + x*y", "2", domain=wm.BoxDomain((0.0,) * 2, (1.0,) * 2))
+    coords = tuple(np.meshgrid(np.linspace(0.1, 0.9, 8), np.linspace(0.1, 0.9, 9),
+                               indexing="ij", sparse=True))
+    planes = systems.canonical_planes(sysm, coords)
+    assert [p.entries for p in planes] == [((1, 5), (2, 4), (4, 2), (5, 1)),
+                                           ((0, 5), (2, 3), (3, 2), (5, 0))]
+    assert all(p.values.shape == (4, 8, 9) for p in planes)
+    for p, B in zip(planes, canonical_stacks(sysm, coords)):
+        assert np.array_equal(p.dense(), B)
+
+
+def test_field_and_cfl_step_stay_below_one_dense_matrix_stack():
+    # one 6x6 float64 matrix per node of the 128^2 grid is 4.72 MB
+    sysm = wm.maxwell_isotropic("1 + 0.4*sin(6*x + 1.0)*cos(4*y)", "1",
+                                domain=wm.BoxDomain((0.0,) * 2, (1.0,) * 2))
+    grid = wm.Grid(sysm.domain, (128, 128))
+    stack = 128 * 128 * 6 * 6 * 8
+    for build in (lambda: vel.VelocityField.from_system(sysm, grid),
+                  lambda: ev.cfl_dt(sysm, grid, 0.4)):
+        build()
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stack, peak
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: vel.velocity_matrix(wm.telegraph(), [1.5]), "is not inside the domain"),
+    (lambda: vel.char_speed(wm.telegraph(), [0.5], [0.0]), "direction must be nonzero"),
+    (lambda: vel.radial_envelope(coupling_system("1"), []), "non-empty 1-D sequence"),
+    (lambda: vel.radial_envelope(coupling_system("1"), [1.0, 1.0]), "strictly increasing"),
+    (lambda: vel.radial_envelope(wm.dirac_free(radius=0.5), [0.3, 1.0]),
+     "no admissible sample"),
+    (lambda: vel.majorant(vel.VelocityField(wm.Grid(wm.BoxDomain((0.0,), (1.0,)), (8,)),
+                                            np.ones((8, 1, 1))), 1.5),
+     r"slack must lie in \(0, 1\)"),
+], ids=["outside", "zero-direction", "no-radii", "radii-order", "empty-shell", "slack"])
+def test_bad_arguments_raise_validation_error(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
 # -- sampled fields and majorants -------------------------------------------
 
 def test_field_from_system_matches_pointwise():
@@ -542,6 +714,27 @@ def test_node_norms_are_taken_once_per_field_and_majorant(monkeypatch):
     assert np.array_equal(bits(direct.majorant_norms), bits(maj.majorant_norms))
     again = geo.metric_from_velocity(direct)
     assert np.array_equal(bits(again.G_samples), bits(metric.G_samples))
+
+
+def test_metric_floor_follows_assigned_majorant_samples():
+    from wavemetric import geometry as geo
+
+    sysm = wm.telegraph("0.5/sin(pi*x)^2", "0.5/sin(pi*x)^2")
+    grid = wm.Grid(sysm.domain, (64,))
+    fld = vel.majorant(vel.VelocityField.from_system(sysm, grid), 0.1)
+    before = geo.metric_from_velocity(fld)
+    # scaling one node by 1e13 raises the floor above the majorant elsewhere
+    H = fld.majorant_samples.copy()
+    H[32] *= 1e13
+    fld.majorant_samples = H
+    fresh = vel.VelocityField(grid, fld.M_samples, majorant_samples=H)
+    with pytest.warns(UserWarning, match="metric eigenvalues capped"):
+        got = geo.metric_from_velocity(fld)
+    with pytest.warns(UserWarning, match="metric eigenvalues capped"):
+        want = geo.metric_from_velocity(fresh)
+    assert got.degenerate and not before.degenerate
+    assert np.array_equal(bits(got.G_samples), bits(want.G_samples))
+    assert np.array_equal(bits(fld.majorant_norms), bits(np.linalg.norm(H, axis=(-2, -1))))
 
 
 def test_majorant_rejects_bad_slack():
