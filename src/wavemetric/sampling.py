@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 HALTON_BASES = (2, 3, 5)
 
 
@@ -18,7 +20,7 @@ def halton_unit(n: int, d: int, *, skip: int = 1) -> np.ndarray:
     interior.
     """
     if not 1 <= d <= len(HALTON_BASES):
-        raise ValueError(f"Halton points need 1 <= d <= {len(HALTON_BASES)}, got {d}")
+        raise ValidationError(f"Halton points need 1 <= d <= {len(HALTON_BASES)}, got {d}")
     index = np.arange(skip, skip + n, dtype=np.int64)
     out = np.zeros((n, d))
     for j, base in enumerate(HALTON_BASES[:d]):
@@ -54,4 +56,4 @@ def unit_directions(d: int) -> np.ndarray:
         return circle_directions(128)
     if d == 3:
         return fibonacci_sphere(256)
-    raise ValueError(f"unsupported dimension {d}")
+    raise ValidationError(f"unsupported dimension {d}")

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavemetric import BoxDomain, Grid
-from wavemetric.grids import CSV_CHUNK_ROWS, write_csv
+from wavemetric import BoxDomain, Grid, ValidationError
+from wavemetric.grids import CSV_CHUNK_ROWS, _formatted, _powers, _significand, write_csv
 
 
 def test_interior_grid_excludes_endpoints():
@@ -68,6 +68,19 @@ def test_nearest_node_clips_outside_points():
     g = Grid(BoxDomain((0.0,), (1.0,)), (16,))
     assert g.nearest_node(np.array([-5.0])) == (0,)
     assert g.nearest_node(np.array([5.0])) == (15,)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Grid(BoxDomain((0.0, 0.0), (1.0, 1.0)), (16,)), "grid rank 1 does not match"),
+    (lambda: Grid(BoxDomain((0.0,), (1.0,)), (7,)), "need at least 8 nodes per axis"),
+    (lambda: Grid(BoxDomain((0.0,), (np.inf,), unbounded_upper=(True,)), (16,)),
+     "finite sampling window"),
+    (lambda: Grid(BoxDomain((0.0,), (1.0,)), (16,)).nearest_node([0.5, 0.5]),
+     r"expected a 1-vector, got shape \(2,\)"),
+])
+def test_bad_grid_arguments_raise_validation_error(make, message):
+    with pytest.raises(ValidationError, match=message):
+        make()
 
 
 def test_trapezoid_weights_integrate_linear_exactly():
@@ -251,6 +264,76 @@ def test_write_csv_matches_csv_writer(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("csv") / "table.csv"
     write_csv(path, names, table)
     assert path.read_bytes() == _csv_oracle(names, table)
+
+
+# -- the %.17g conversion ------------------------------------------------------
+
+def _assert_formatted_like_python(values):
+    """``_formatted`` gives the bytes of f"{v:.17g}" for every value, NUL-padded."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    text, lengths = _formatted(values)
+    oracle = np.array(("%.17g\n" * len(values) % tuple(values.tolist())).encode().split(b"\n")[:-1],
+                      dtype="S24")
+    got = text.view("S24").ravel()
+    bad = np.flatnonzero((got != oracle) | (lengths != np.strings.str_len(oracle)))
+    assert text.shape == (len(values), 24) and not text[np.arange(24) >= lengths[:, None]].any()
+    assert len(bad) == 0, (f"{len(bad)} mismatches, first "
+                           f"{[(values[i], got[i], oracle[i]) for i in bad[:5]]}")
+
+
+def _around(x, ulps):
+    """x and its neighbours up to ``ulps`` steps away on either side."""
+    out, up, down = [x], x, x
+    for _ in range(ulps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+def test_formatted_matches_python_at_powers_of_ten_and_two():
+    tens = np.array([float(f"1e{j}") for j in range(-307, 308)])
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    values = np.concatenate([_around(tens, 4), _around(twos, 2)])
+    _assert_formatted_like_python(np.concatenate([values, -values]))
+
+
+def test_formatted_matches_python_on_special_bit_patterns():
+    rng = np.random.default_rng(7)
+    mantissa = rng.integers(1, 2 ** 52, 2000, dtype=np.uint64)
+    subnormals = mantissa.view(np.float64)
+    nan_payloads = (mantissa | np.uint64(0x7FF0000000000000)).view(np.float64)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072014e-308,
+                         2.225073858507201e-308, 1.7976931348623157e308])
+    values = np.concatenate([subnormals, nan_payloads, specials])
+    _assert_formatted_like_python(np.concatenate([values, -values]))
+
+
+def test_formatted_matches_python_at_ties_and_decade_edges():
+    quarters = 1e15 + np.arange(1, 40001) / 4          # exact ties k/4 above 1e15
+    integers = np.concatenate([_around(np.array([2.0 ** 53, 1e16, 1e17]), 64),
+                               2.0 ** 53 + np.arange(-500, 500)])
+    # values whose 17-digit rounding carries into the next decade, or just fails to
+    edges = np.array([9.9999999999999999e22, 9.9999999999999999e-300, 99999999999999999.0,
+                      9.99999999999999999e-5, 9.999999999999999e15, 0.00099999999999999999])
+    # exact ties at k = -7 and -8, where 10**(16 - k) is not a double: the
+    # error bound cannot settle them, and Python's conversion rounds them
+    tiny_ties = np.concatenate([np.ldexp(np.arange(3.0, 17.0, 2.0), -24),
+                                np.ldexp(np.array([1.0, 3.0]), -25)])
+    estimate = np.floor(np.log10(tiny_ties)).astype(np.int64)
+    assert _significand(tiny_ties, estimate, _powers(16 - estimate))[2].all()
+    values = np.concatenate([quarters, integers, _around(edges, 8), tiny_ties])
+    _assert_formatted_like_python(np.concatenate([values, -values]))
+
+
+def test_formatted_matches_python_on_a_million_bit_patterns():
+    bits = np.random.default_rng(20231).integers(0, 2 ** 64, 1_000_000, dtype=np.uint64)
+    _assert_formatted_like_python(bits.view(np.float64))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.lists(st.floats(), min_size=1, max_size=300))
+def test_formatted_matches_python_on_hypothesis_floats(values):
+    _assert_formatted_like_python(values)
 
 
 def test_write_csv_memory_is_bounded_by_the_chunk(tmp_path):

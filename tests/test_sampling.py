@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
-from wavemetric.sampling import HALTON_BASES, halton_unit
+from wavemetric import ValidationError
+from wavemetric.sampling import HALTON_BASES, halton_unit, unit_directions
 
 
 @pytest.mark.parametrize("n", [1, 576, 2112, 100000])
@@ -30,5 +31,11 @@ def test_halton_first_points():
 
 @pytest.mark.parametrize("d", [0, len(HALTON_BASES) + 1])
 def test_halton_rejects_dimension_outside_prime_table(d):
-    with pytest.raises(ValueError, match="Halton"):
+    with pytest.raises(ValidationError, match="Halton"):
         halton_unit(4, d)
+
+
+@pytest.mark.parametrize("d", [0, 4])
+def test_unit_directions_reject_unsupported_dimension(d):
+    with pytest.raises(ValidationError, match=f"unsupported dimension {d}"):
+        unit_directions(d)
