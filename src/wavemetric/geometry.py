@@ -92,7 +92,7 @@ def stencil_offsets(d: int, stencil: int | None = None) -> tuple[int, np.ndarray
     if stencil is None:
         stencil = _DEFAULT_STENCIL[d]
     if stencil not in _ALLOWED_STENCILS.get(d, ()):
-        raise ValueError(
+        raise ValidationError(
             f"stencil {stencil} not available in {d}-D; "
             f"choose from {_ALLOWED_STENCILS.get(d, ())}"
         )
@@ -147,6 +147,8 @@ def metric_from_velocity(fld: VelocityField) -> MetricField:
 
     The cap's floor scales with the largest node norm of the majorant
     samples inverted here (``fld.majorant_norms``, taken once per samples array).
+    A diagonal majorant gives a diagonal metric, which is returned without
+    ``MetricField``'s check.
     """
     if fld.majorant_samples is None:
         raise MajorantError(
@@ -177,7 +179,13 @@ def metric_from_velocity(fld: VelocityField) -> MetricField:
             "the degenerate region are unreliable",
             stacklevel=2,
         )
-    return MetricField(fld.grid, G, degenerate=degenerate)
+    if u is not None:
+        return MetricField(fld.grid, G, degenerate=degenerate)
+    # diag(c) with finite c > 0 is exactly symmetric and positive definite,
+    # all that MetricField's symmetrisation and eigen check would establish
+    metric = object.__new__(MetricField)
+    metric.grid, metric.G_samples, metric.degenerate = fld.grid, G, degenerate
+    return metric
 
 
 @dataclass
@@ -252,41 +260,57 @@ def _normalize_sources(grid: Grid, sources) -> np.ndarray:
 
 
 def _lattice_graph(grid, offsets, mode, mats, speed, passable):
-    """The lattice graph as slot arrays ``(data, indices, strides)``.
+    """The lattice graph as ``(data, strides)``: one weight array per slot
+    plus each offset's stride.
 
-    ``data`` and ``indices`` have shape (n, size): slot k of node u holds
-    the edge u -> u + offsets[k], whose head is the flat node u + strides[k].
+    ``data`` has shape (n, size): slot k of node u holds the weight of the
+    edge u -> u + offsets[k], whose head is the flat node u + strides[k].
     An edge exists only when its head is on the grid and passable and its
     weight is defined: geodesic weights sqrt(q) with q = dx . G_mid . dx (a
     NaN weight is no edge), anisotropic times |dx|^2 / sqrt(q) with q from M
     (dropped for q <= 0), isotropic times |dx| / midpoint speed (dropped for
-    a midpoint <= 0).  A slot without an edge holds a +inf self-loop, so
-    every node has the same number of slots and the arrays need no
-    compaction copy.
+    a midpoint <= 0).  A slot without an edge holds +inf, so every node has
+    the same number of slots and no head needs storing.  ``strides`` has
+    the graph's index dtype, int32 below 2**31 slots.
 
     The sorted offsets are mirrored, offsets[size-1-k] == -offsets[k], so
     each undirected edge is weighed once, from the first half of the
     offsets, and written into both of its slots, (tail, k) and
-    (head, size-1-k); each slot keeps its own passable-head mask.  The two
+    (head, size-1-k), each where its own head is passable.  The two
     directions would get the same bits anyway: 0.5*(a + b) is commutative
-    and (-x)*y*(-z) == x*y*z exactly.  Only the terms of q whose offset
-    components dx[a] and dx[b] are both nonzero are summed (63 of 234 per
-    26-neighbour graph).  A skipped term is +-0 for finite samples whose
-    midpoints stay finite, and adding +-0 to q, which starts at +0, leaves
-    its bits unchanged; the fields that build the samples reject NaN and inf.
+    and (-x)*y*(-z) == x*y*z exactly.
+
+    The metric (or M) is read as contiguous (a, b) entry planes, and q sums
+    only the terms whose plane is not zero everywhere and whose offset
+    components dx[a] and dx[b] are both nonzero: of the 234 terms of the
+    26 offsets, 63 for a full metric and 27 for a diagonal one.  A skipped
+    term is +-0 for finite samples whose midpoints stay finite, and adding
+    +-0 to q, which starts at +0, leaves its bits unchanged; the fields that
+    build the samples reject NaN and inf.  Each term is formed in one
+    reused buffer with the products of ``q += dx[a] * (0.5*(mt + mh)) *
+    dx[b]``, in that order.
     """
     shape = grid.shape
     n = grid.node_count
     size = len(offsets)
     itype = np.int32 if n * size < 2**31 else np.int64
-    node = np.arange(n, dtype=itype).reshape(shape)
     data = np.full(shape + (size,), np.inf)
-    indices = np.repeat(node[..., None], size, axis=-1)
     spacing = np.asarray(grid.spacing)
+    planes = {}
+    if mode != ISO_TIME:
+        for a, b in itertools.product(range(grid.d), repeat=2):
+            if mats[..., a, b].any():
+                planes[a, b] = np.ascontiguousarray(mats[..., a, b])
+    # q (or the midpoint speed) and the weight, a term, and the two masks,
+    # each in a buffer that holds every offset's box of tails
+    qbuf, tbuf = np.empty(n), np.empty(n)
+    kbuf, ebuf = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     for k in range(size // 2):
         off = offsets[k]
         tail = tuple(slice(max(-o, 0), m - max(o, 0)) for o, m in zip(off, shape))
         head = tuple(slice(max(o, 0), m - max(-o, 0)) for o, m in zip(off, shape))
+        box = passable[tail].shape
+        q, t, keep, edge = (buf[:math.prod(box)].reshape(box) for buf in (qbuf, tbuf, kbuf, ebuf))
         dx = off * spacing
         moved = [a for a in range(grid.d) if dx[a] != 0.0]
         len2 = 0.0
@@ -294,43 +318,50 @@ def _lattice_graph(grid, offsets, mode, mats, speed, passable):
             len2 += dx[a] * dx[a]
         with np.errstate(invalid="ignore", divide="ignore"):
             if mode == ISO_TIME:
-                mid = 0.5 * (speed[tail] + speed[head])
-                keep = mid > 0.0
-                w = np.sqrt(len2) / mid
+                np.add(speed[tail], speed[head], out=q)
+                np.multiply(q, 0.5, out=q)
+                np.greater(q, 0.0, out=keep)
+                np.divide(np.sqrt(len2), q, out=q)
             else:
-                mt, mh = mats[tail], mats[head]
-                q = np.zeros(mt.shape[:-2])
+                q.fill(0.0)
                 for a in moved:
                     for b in moved:
-                        q += dx[a] * (0.5 * (mt[..., a, b] + mh[..., a, b])) * dx[b]
+                        if (a, b) in planes:
+                            np.add(planes[a, b][tail], planes[a, b][head], out=t)
+                            np.multiply(t, 0.5, out=t)
+                            np.multiply(t, dx[a], out=t)
+                            np.multiply(t, dx[b], out=t)
+                            np.add(q, t, out=q)
                 if mode == GEODESIC:
-                    w = np.sqrt(q)
-                    keep = ~np.isnan(w)
+                    np.sqrt(q, out=q)
+                    np.isnan(q, out=keep)
+                    np.logical_not(keep, out=keep)
                 else:
-                    keep = q > 0.0
-                    w = len2 / np.sqrt(q)
+                    np.greater(q, 0.0, out=keep)
+                    np.sqrt(q, out=q)
+                    np.divide(len2, q, out=q)
         for src, dst, slot in ((tail, head, k), (head, tail, size - 1 - k)):
-            edge = keep & passable[dst]
-            data[src + (slot,)][edge] = w[edge]
-            indices[src + (slot,)][edge] = node[dst][edge]
-        # free this edge's arrays before the next offset allocates its own
-        del w, keep, edge
+            np.logical_and(keep, passable[dst], out=edge)
+            np.copyto(data[src + (slot,)], q, where=edge)
     strides = offsets @ np.array([math.prod(shape[a + 1:]) for a in range(grid.d)])
-    return data.reshape(n, size), indices.reshape(n, size), strides
+    return data.reshape(n, size), strides.astype(itype)
 
 
-def _shortest_distances(data, indices, strides, src) -> np.ndarray:
-    """Multi-source shortest distances over the slot arrays of a lattice graph.
+def _shortest_distances(data, strides, src) -> np.ndarray:
+    """Multi-source shortest distances over the slot weights of a lattice graph.
 
-    Slot k of node u leads to ``indices[u, k]``, which is u + strides[k]
-    when the slot holds an edge.  Sources start at 0 even when impassable;
-    unreached nodes stay +inf.  A round relaxes every out-slot of the nodes
-    whose distance dropped since their last relaxation (``dist < last``),
-    scattering dist[u] + w with one ``np.minimum.at``, until no distance
-    drops.  Float addition is monotone and the weights are nonnegative, so
-    any such label-correcting search ends at Dijkstra's fixed point, bit for
-    bit: for each node, the least left-to-right sum over the paths from a
-    source.
+    Slot k of node u leads to u + strides[k], computed per round in the
+    strides' dtype.  A slot without an edge holds +inf, so its head
+    receives nothing wherever it lands: the distances sit inside a halo of
+    max |strides| +inf entries on each side, which every such head stays
+    within, so no head needs clipping.  Sources start at 0 even when
+    impassable; unreached nodes stay +inf.  A round relaxes every out-slot
+    of the nodes whose distance dropped since their last relaxation
+    (``dist < last``), scattering dist[u] + w with one ``np.minimum.at``,
+    until no distance drops.  Float addition is monotone and the weights
+    are nonnegative, so any such label-correcting search ends at Dijkstra's
+    fixed point, bit for bit: for each node, the least left-to-right sum
+    over the paths from a source.
 
     The order only sets the work.  While each node is relaxed once, a round
     takes every dropped node.  A round that spends more than n/16 slot
@@ -350,8 +381,11 @@ def _shortest_distances(data, indices, strides, src) -> np.ndarray:
     such fronts.
     """
     n, size = data.shape
-    dist = np.full(n, np.inf)
+    pad = int(np.abs(strides).max())
+    halo = np.full(n + 2 * pad, np.inf)
+    dist = halo[pad:pad + n]
     dist[src] = 0.0
+    shifted = strides + strides.dtype.type(pad)  # heads as positions in halo
     last = np.full(n, np.inf)  # each node's distance when its slots were last relaxed
     chain = 2 * np.unique(src).size
     delta = np.inf
@@ -371,20 +405,22 @@ def _shortest_distances(data, indices, strides, src) -> np.ndarray:
         elif 128 * size * again < n and front.size < dropped.size:
             delta = 2.0 * delta if delta > 0.0 else np.inf
         last[front] = du
-        heads = indices.take(front, axis=0)
+        heads = front.astype(strides.dtype)[:, None] + shifted
         cand = data.take(front, axis=0)
         cand += du[:, None]
         if front.size <= chain and not again:
             hops = min(2 * hops, max(2, n // (64 * front.size * size)))
-            # ray[u, k, j] is the node j + 1 steps along slot k; a step off
-            # the grid crosses a +inf slot, so clipping changes no finite sum
+            # ray[u, k, j] is the halo position j + 1 steps along slot k; a
+            # step off the grid crosses a +inf slot, so clipping onto the grid
+            # changes no finite sum
             ray = heads[..., None] + strides[:, None] * np.arange(hops)
-            np.clip(ray, 0, n - 1, out=ray)
-            more = data.ravel().take(ray[..., :-1] * size + np.arange(size)[:, None])
+            np.clip(ray, pad, pad + n - 1, out=ray)
+            slots = ray[..., :-1] * size + (np.arange(size) - pad * size)[:, None]
+            more = data.ravel().take(slots)
             more[..., 0] += cand
             np.cumsum(more, axis=-1, out=more)
-            np.minimum.at(dist, ray[..., 1:].ravel(), more.ravel())
-        np.minimum.at(dist, heads.ravel(), cand.ravel())
+            np.minimum.at(halo, ray[..., 1:].ravel(), more.ravel())
+        np.minimum.at(halo, heads.ravel(), cand.ravel())
 
 
 def lattice_geodesic(metric: MetricField, sources, *, stencil: int | None = None) -> DistanceField:
@@ -671,18 +707,18 @@ def ray_completeness(
     t0 = float(t0)
     t_end = float(t_end)
     if not t_end > t0:
-        raise ValueError(f"need t0 < t_end, got [{t0}, {t_end}]")
+        raise ValidationError(f"need t0 < t_end, got [{t0}, {t_end}]")
     if n_cutoffs < 4:
-        raise ValueError("need at least 4 cutoffs")
+        raise ValidationError("need at least 4 cutoffs")
     if tail not in (None, "const-over-t"):
-        raise ValueError(f"unknown tail model {tail!r}")
+        raise ValidationError(f"unknown tail model {tail!r}")
     if callable(speed):
         src = "<callable>"
     else:
         expr = dsl.parse(speed) if isinstance(speed, str) else speed
         free = dsl.expr_variables(expr)
         if not free <= {"x"}:
-            raise ValueError(
+            raise ValidationError(
                 f"ray speed must be a function of x alone, found {sorted(free)}"
             )
         src = speed if isinstance(speed, str) else dsl.to_text(expr)
@@ -761,16 +797,16 @@ def boundary_distance_probe(
         )
     probe = np.atleast_1d(np.asarray(probe, dtype=float))
     if not dom.contains(probe, strict=True):
-        raise ValueError(f"probe point {probe} must lie inside the domain")
+        raise ValidationError(f"probe point {probe} must lie inside the domain")
     m_arr = np.asarray(margins, dtype=float)
     if m_arr.ndim != 1 or len(m_arr) < 2:
-        raise ValueError("margins must be a 1-D sequence with at least 2 entries")
+        raise ValidationError("margins must be a 1-D sequence with at least 2 entries")
     if np.any(m_arr <= 0) or np.any(np.diff(m_arr) >= 0):
-        raise ValueError("margins must be positive and strictly decreasing")
+        raise ValidationError("margins must be positive and strictly decreasing")
     bdist = node_boundary_distances(grid)
     deepest = float(bdist[np.isfinite(bdist)].max())
     if float(m_arr[0]) >= deepest:
-        raise ValueError(
+        raise ValidationError(
             f"margin {m_arr[0]:.6g} reaches the deepest interior node "
             f"({deepest:.6g} from the boundary); start below that"
         )

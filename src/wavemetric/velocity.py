@@ -348,23 +348,31 @@ def _mollify(samples: np.ndarray, spatial_ndim: int) -> np.ndarray:
     of symmetric matrices, entry plane by entry plane.
 
     Only the upper-triangle planes that are not zero everywhere are
-    smoothed, together, and mirrored into the lower triangle; the others
-    stay +0, which is what smoothing a zero plane gives.  Smoothing is
-    linear and entry-wise, so this has the bits of smoothing all d*d planes.
+    smoothed, and mirrored into the lower triangle; the others stay +0,
+    which is what smoothing a zero plane gives.  A plane that holds one
+    value everywhere smooths to one value, since with edge padding each of
+    its nodes sees five equal samples along every axis, so only one node of
+    it is smoothed and the plane filled with the result.  The other live
+    planes are smoothed together.  Smoothing is linear and entry-wise, so
+    this has the bits of smoothing all d*d planes.
     """
     upper = zip(*np.triu_indices(samples.shape[-1]))
     live = [(i, j) for i, j in upper if samples[..., i, j].any()]
+    first = samples[(0,) * spatial_ndim]
+    constant = [(i, j) for i, j in live if (samples[..., i, j] == first[i, j]).all()]
+    varying = [p for p in live if p not in constant]
     out = np.zeros_like(samples)
-    if not live:
-        return out
-    # one contiguous plane each: _smooth_axis runs about half as fast on a
-    # fancy-indexed gather, whose plane axis is last in shape but first in memory
-    planes = np.stack([samples[..., i, j] for i, j in live])
-    for _ in range(2):
-        for ax in range(1, spatial_ndim + 1):
-            planes = _smooth_axis(planes, ax)
-    for (i, j), plane in zip(live, planes):
-        out[..., i, j] = out[..., j, i] = plane
+    for group, nodes in ((constant, (slice(0, 1),) * spatial_ndim), (varying, ())):
+        if not group:
+            continue
+        # one contiguous plane each: _smooth_axis runs about half as fast on a
+        # fancy-indexed gather, whose plane axis is last in shape but first in memory
+        planes = np.stack([samples[nodes + (..., i, j)] for i, j in group])
+        for _ in range(2):
+            for ax in range(1, spatial_ndim + 1):
+                planes = _smooth_axis(planes, ax)
+        for (i, j), plane in zip(group, planes):
+            out[..., i, j] = out[..., j, i] = plane
     return out
 
 
@@ -372,7 +380,9 @@ def majorant(field: VelocityField, delta: float) -> VelocityField:
     """Attach a smooth node-wise upper bound (1+delta)*(mollified M) + eps*I.
 
     The mollifier smooths only the entry planes of M that are not zero
-    everywhere (see ``_mollify``), so a diagonal M costs d planes, not d*d.
+    everywhere, and a plane that is constant everywhere as one node (see
+    ``_mollify``), so a diagonal M costs d planes, not d*d, and a constant
+    M almost nothing.
     If domination fails at some node the slack is doubled, up to three times;
     the slack that finally worked is recorded on the returned field, a copy
     of ``field`` whose already validated M is not checked again.

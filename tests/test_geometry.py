@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -535,27 +536,69 @@ def _graph_inputs(d, interior):
     return grid, mats, s, passable
 
 
+def _plane_case(grid, mats, case):
+    """The metric or M of a case whose entry planes are zero or constant.
+
+    ``diagonal``: the random G with its off-diagonal planes zeroed.
+    ``zero-off-diagonal``: the random M with its (0, d-1) plane pair zeroed
+    (in 1-D, the random M).  ``constant``: one SPD G at every node.  ``constant-diagonal``:
+    M = diag(0.5, 1, 2, ...) at every node; the ball stays impassable.
+    """
+    d = grid.d
+    if case == "diagonal":
+        G = mats[geo.GEODESIC] * np.eye(d)
+        return geo.MetricField(grid, G).G_samples
+    if case == "zero-off-diagonal":
+        # adding [[|e|, -e], [-e, |e|]] on axes 0 and d-1 zeroes e and keeps M PSD
+        M = mats[geo.ANISO_TIME].copy()
+        if d > 1:
+            e = np.abs(M[..., 0, d - 1])
+            M[..., 0, 0] += e
+            M[..., d - 1, d - 1] += e
+            M[..., 0, d - 1] = M[..., d - 1, 0] = 0.0
+        return vel.VelocityField(grid, M).M_samples
+    if case == "constant":
+        A = np.arange(1.0, d * d + 1.0).reshape(d, d) / (d * d)
+        G = np.broadcast_to(A @ A.T + 0.3 * np.eye(d), grid.shape + (d, d))
+        return geo.MetricField(grid, G.copy()).G_samples
+    M = np.broadcast_to(np.diag(2.0 ** np.arange(-1.0, d - 1.0)), grid.shape + (d, d))
+    return vel.VelocityField(grid, M.copy()).M_samples
+
+
+# the random inputs of each mode, then metrics and M with whole zero or
+# constant entry planes, which the builder skips or reads as planes
+_GRAPH_CASES = {
+    "geodesic": (geo.GEODESIC, None),
+    "aniso": (geo.ANISO_TIME, None),
+    "iso": (geo.ISO_TIME, None),
+    "geodesic-diagonal": (geo.GEODESIC, "diagonal"),
+    "aniso-zero-off-diagonal": (geo.ANISO_TIME, "zero-off-diagonal"),
+    "geodesic-constant": (geo.GEODESIC, "constant"),
+    "aniso-constant-diagonal": (geo.ANISO_TIME, "constant-diagonal"),
+}
+
+
 @pytest.mark.parametrize("interior", [True, False], ids=["interior", "closure"])
-@pytest.mark.parametrize("mode", [geo.GEODESIC, geo.ANISO_TIME, geo.ISO_TIME],
-                         ids=["geodesic", "aniso", "iso"])
+@pytest.mark.parametrize("case", list(_GRAPH_CASES))
 @pytest.mark.parametrize("d,stencil", [(1, 2), (2, 8), (2, 16), (3, 26)])
-def test_lattice_graph_matches_every_slot_oracle_bit_for_bit(d, stencil, mode, interior):
+def test_lattice_graph_matches_every_slot_oracle_bit_for_bit(d, stencil, case, interior):
+    mode, planes = _GRAPH_CASES[case]
     grid, mats, speed, passable = _graph_inputs(d, interior)
+    m = mats[mode] if planes is None else _plane_case(grid, mats, planes)
     _, offsets = geo.stencil_offsets(d, stencil)
     sp = speed if mode == geo.ISO_TIME else None
-    data, indices, strides = geo._lattice_graph(grid, offsets, mode, mats[mode], sp, passable)
-    want = lattice_graph_every_slot(grid, offsets, mode, mats[mode], sp, passable)
+    data, strides = geo._lattice_graph(grid, offsets, mode, m, sp, passable)
+    want = lattice_graph_every_slot(grid, offsets, mode, m, sp, passable)
     # the oracle's CSR rows hold one slot per offset, so its arrays reshape to (n, size)
     slots = (grid.node_count, len(offsets))
     assert np.array_equal(want.indptr, np.arange(0, want.data.size + 1, slots[1]))
     assert np.array_equal(data.view(np.uint64), want.data.reshape(slots).view(np.uint64))
-    assert indices.dtype == want.indices.dtype
-    assert np.array_equal(indices, want.indices.reshape(slots))
-    # every edge's head is its tail plus the slot's stride
+    # every edge's head is its tail plus the slot's stride, in the oracle's index dtype
+    assert strides.dtype == want.indices.dtype
     tails = np.broadcast_to(np.arange(grid.node_count)[:, None], slots)
     edge = np.isfinite(data)
-    assert np.array_equal(indices[edge], (tails + strides)[edge])
-    if mode != geo.GEODESIC:
+    assert np.array_equal((tails + strides)[edge], want.indices.reshape(slots)[edge])
+    if mode != geo.GEODESIC and planes is None:
         # the inputs drop edges that unit speeds and M = I would keep
         eye = np.broadcast_to(np.eye(d), grid.shape + (d, d))
         kept = lattice_graph_every_slot(grid, offsets, mode, eye, np.ones(grid.shape), passable)
@@ -609,13 +652,16 @@ def _search_and_dijkstra(grid, stencil, mode, mats, speed, passable, sources):
     from scipy.sparse.csgraph import dijkstra
 
     _, offsets = geo.stencil_offsets(grid.d, stencil)
-    data, indices, strides = geo._lattice_graph(grid, offsets, mode, mats, speed, passable)
+    data, strides = geo._lattice_graph(grid, offsets, mode, mats, speed, passable)
     src = geo._normalize_sources(grid, sources)
     n, size = data.shape
+    # the CSR heads from the strides, a +inf self-loop where a slot has no edge
+    tails = np.arange(n)[:, None]
+    indices = np.where(np.isfinite(data), tails + strides, tails)
     graph = csr_array((data.ravel(), indices.ravel(), np.arange(0, n * size + 1, size)),
                       shape=(n, n))
     want = dijkstra(graph, directed=True, indices=src, min_only=True)
-    return geo._shortest_distances(data, indices, strides, src), want, src
+    return geo._shortest_distances(data, strides, src), want, src
 
 
 @pytest.mark.parametrize("mode", [geo.GEODESIC, geo.ANISO_TIME, geo.ISO_TIME],
@@ -889,3 +935,68 @@ def test_boundary_probe_rejects_exterior_probe():
     metric = geo.MetricField(grid, np.ones((64, 1, 1)))
     with pytest.raises(ValueError, match="inside"):
         geo.boundary_distance_probe(metric, [1.5], [0.2, 0.1])
+
+
+def _line_metric():
+    grid = wm.Grid(wm.BoxDomain((0.0,), (1.0,)), (64,))
+    return geo.MetricField(grid, np.ones((64, 1, 1)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: geo.stencil_offsets(3, 16), r"stencil 16 not available in 3-D; choose from \(26,\)"),
+    (lambda: geo.boundary_distance_probe(_line_metric(), [1.5], [0.2, 0.1]),
+     r"probe point \[1.5\] must lie inside the domain"),
+    (lambda: geo.boundary_distance_probe(_line_metric(), [0.5], [0.2]),
+     "margins must be a 1-D sequence with at least 2 entries"),
+    (lambda: geo.boundary_distance_probe(_line_metric(), [0.5], [[0.2, 0.1]]),
+     "margins must be a 1-D sequence with at least 2 entries"),
+    (lambda: geo.boundary_distance_probe(_line_metric(), [0.5], [0.2, -0.1]),
+     "margins must be positive and strictly decreasing"),
+    (lambda: geo.boundary_distance_probe(_line_metric(), [0.5], [0.2, 0.2]),
+     "margins must be positive and strictly decreasing"),
+    (lambda: geo.boundary_distance_probe(_line_metric(), [0.5], [0.7, 0.3]),
+     r"margin 0.7 reaches the deepest interior node \(0.492308 from the boundary\); "
+     "start below that"),
+    (lambda: geo.ray_completeness("1", 1.0, 1.0), r"need t0 < t_end, got \[1.0, 1.0\]"),
+    (lambda: geo.ray_completeness("1", 0.0, 1.0, n_cutoffs=3), "need at least 4 cutoffs"),
+    (lambda: geo.ray_completeness("1", 0.0, 1.0, tail="exp"), "unknown tail model 'exp'"),
+    (lambda: geo.ray_completeness("x + y", 0.0, 1.0),
+     r"ray speed must be a function of x alone, found \['x', 'y'\]"),
+], ids=["stencil", "probe-outside", "one-margin", "margins-2-d", "margin-negative",
+        "margins-not-decreasing", "margin-too-deep", "ray-interval", "ray-cutoffs",
+        "ray-tail", "ray-variable"])
+def test_bad_arguments_raise_validation_error(call, message):
+    # argument errors are the package's own class, with their messages kept;
+    # inside a CLI command they still exit 3 like any other ValueError
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()
+
+
+def test_margin_without_nodes_stays_a_numerical_error():
+    # a margin band between lattice nodes is a property of the grid, not a bad argument
+    with pytest.raises(ValueError, match="captures no grid nodes") as info:
+        geo.boundary_distance_probe(_line_metric(), [0.5], [0.2, 0.001])
+    assert not isinstance(info.value, ValidationError)
+
+
+def test_lattice_graph_peak_stays_near_its_weight_array():
+    # The 32^3 26-neighbour geodesic graph of a diagonal metric, as in the
+    # punctured Dirac demo.  Its weights take 6.8 MB.  Beyond them the build
+    # holds the three live entry planes, two float and two bool node
+    # buffers (1.38 MB) and numpy's own small buffers: 1.51 MB measured
+    # with tracemalloc.  A head index per slot (int32, 3.4 MB) or one more
+    # pair of full-size temporaries per metric term (0.5 MB) breaks the margin.
+    dom = wm.BoxDomain((-2.0,) * 3, (2.0,) * 3, excluded_ball=((0.0,) * 3, 0.15))
+    grid = wm.Grid(dom, (32, 32, 32))
+    G = geo.MetricField(grid, np.broadcast_to(0.227 * np.eye(3), grid.shape + (3, 3)).copy())
+    _, offsets = geo.stencil_offsets(3, 26)
+    passable = geo._passable_mask(grid)
+    geo._lattice_graph(grid, offsets, geo.GEODESIC, G.G_samples, None, passable)
+    tracemalloc.start()
+    try:
+        data, _ = geo._lattice_graph(grid, offsets, geo.GEODESIC, G.G_samples, None, passable)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    margin = 1_750_000
+    assert peak < data.nbytes + margin, peak - data.nbytes

@@ -611,7 +611,8 @@ def test_field_names_the_node_a_majorant_fails_to_dominate_at():
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(d=st.integers(1, 3), seed=st.integers(0, 2**16),
-       planes=st.lists(st.sampled_from(["zero", "minus zero", "signed zeros", "one node", "full"]),
+       planes=st.lists(st.sampled_from(["zero", "minus zero", "signed zeros", "one node", "full",
+                                        "constant"]),
                        min_size=6, max_size=6))
 def test_planewise_mollifier_has_the_bits_of_smoothing_every_plane(d, seed, planes):
     shape = (9, 8, 8)[:d]
@@ -625,10 +626,48 @@ def test_planewise_mollifier_has_the_bits_of_smoothing_every_plane(d, seed, plan
             "one node": np.where(np.arange(np.prod(shape)).reshape(shape) == seed % 8,
                                  rng.normal(), -0.0),
             "full": rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30),
+            "constant": np.full(shape, rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-323, 300)),
         }[kind]
         samples[..., i, j] = samples[..., j, i] = plane
     got = vel._mollify(samples, d)
     assert got.tobytes() == mollify_every_plane(samples, d).tobytes()
+
+
+@pytest.mark.parametrize("value", [5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-300, -1.0,
+                                   1.0 / 3.0, 7.3e12, -4.5e150, 1e300],
+                         ids=lambda v: f"{v:.3g}")
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_constant_planes_smooth_once_with_the_bits_of_the_whole_plane(monkeypatch, d, value):
+    # a constant plane is smoothed as one node; one changed node, a zero plane
+    # and a plane mixing +0 and -0 beside it keep their own paths
+    shape = (9, 8, 7)[:d]
+    stacks = []
+    smooth = vel._smooth_axis
+
+    def smooth_axis(a, axis):
+        stacks.append(a.shape)
+        return smooth(a, axis)
+
+    monkeypatch.setattr(vel, "_smooth_axis", smooth_axis)
+    rng = np.random.default_rng(7)
+    signed_zeros = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+    for mixed in (False, True):
+        samples = np.zeros(shape + (d, d))
+        samples[...] = value * np.eye(d)
+        if d > 1:
+            samples[..., 0, d - 1] = samples[..., d - 1, 0] = signed_zeros
+        if mixed:
+            # constant except at one node: the full path
+            samples[(1,) * d + (0, 0)] = 2.0 * value
+        stacks.clear()
+        got = vel._mollify(samples, d)
+        assert got.tobytes() == mollify_every_plane(samples, d).tobytes()
+        assert not np.signbit(got[got == 0.0]).any()
+        # two passes along d axes: the changed plane at full size, the
+        # constant diagonal planes as one node each
+        constant = d - mixed
+        want = [(1,) + shape] * (2 * d) * mixed + [(constant,) + (1,) * d] * (2 * d) * (constant > 0)
+        assert sorted(stacks) == sorted(want)
 
 
 def test_majorant_constant_field():
