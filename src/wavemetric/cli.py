@@ -12,7 +12,7 @@ settings, and an output directory.  The commands are
 
 Exit codes: 0 success, 2 malformed scenario (a coefficient matrix that is not
 Hermitian positive definite where it is sampled included), 3 numerical
-failure, 4 verdict inconclusive (or checks skipped) under --strict.
+failure, 4 verdict inconclusive under analyze --strict.
 """
 
 from __future__ import annotations
@@ -448,14 +448,14 @@ class Scenario:
 
 # --- analyze ----------------------------------------------------------------
 
-def _probe_point(scn: Scenario) -> np.ndarray:
-    """Interior reference point: the pulse center, else the deepest node."""
+def _probe_point(scn: Scenario, bdist: np.ndarray) -> np.ndarray:
+    """Interior reference point: the pulse center, else the deepest node by
+    the grid's node boundary distances ``bdist``."""
     sim = scn.simulate
     if sim is not None:
         p = np.asarray(sim["pulse"]["center"], dtype=float)
         if scn.system.domain.contains(p, strict=True):
             return p
-    bdist = node_boundary_distances(scn.grid)
     if np.isfinite(bdist).any():
         masked = np.where(np.isfinite(bdist), bdist, -np.inf)
         idx = np.unravel_index(int(np.argmax(masked)), scn.grid.shape)
@@ -540,7 +540,7 @@ def _boundary_route(scn: Scenario, fld: VelocityField, stencil: int | None,
              "diagnostic": "grid too coarse to shrink boundary margins"},
         )
     margins = np.geomspace(m0, m1, BOUNDARY_MARGIN_COUNT)
-    probe = _probe_point(scn)
+    probe = _probe_point(scn, bdist)
     _, verdict = boundary_distance_probe(metric, probe, margins, stencil=stencil)
     verdict.parameters["route"] = "distance to the domain boundary"
     return verdict
@@ -685,7 +685,7 @@ def cmd_distance(scn: Scenario, mode: str = "geodesic") -> int:
     """Geodesic distance or first-arrival time from a source node."""
     stencil = _stencil(scn)
     out = scn.ensure_output_dir()
-    src = scn.grid.nearest_node(_probe_point(scn))
+    src = scn.grid.nearest_node(_probe_point(scn, node_boundary_distances(scn.grid)))
     if mode == "geodesic":
         fld = majorant(VelocityField.from_system(scn.system, scn.grid),
                        scn.analysis["delta"])
@@ -734,8 +734,7 @@ def cmd_simulate(scn: Scenario, method: str = "rk4") -> int:
 
 # --- verify -----------------------------------------------------------------
 
-def cmd_verify(pattern: str | None = None, strict: bool = False,
-               seed: int = DEFAULT_SEED) -> int:
+def cmd_verify(pattern: str | None = None, seed: int = DEFAULT_SEED) -> int:
     """Run registered self-checks and print the residual table."""
     import re
 
@@ -750,8 +749,6 @@ def cmd_verify(pattern: str | None = None, strict: bool = False,
     print(verify_mod.format_table(results))
     if any(r.status == "fail" for r in results):
         return EXIT_NUMERIC
-    if strict and any(r.status == "skip" for r in results):
-        return EXIT_INCONCLUSIVE
     return EXIT_OK
 
 
@@ -786,15 +783,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="run numerical self-checks")
     pv.add_argument("--filter", default=None, metavar="RE",
                     help="run only checks whose id matches the regex")
-    pv.add_argument("--strict", action="store_true",
-                    help="treat skipped checks as inconclusive (exit 4)")
     return p
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "verify":
-        return cmd_verify(args.filter, strict=args.strict, seed=args.seed)
+        return cmd_verify(args.filter, seed=args.seed)
     path = Path(args.scenario)
     try:
         scn = Scenario.from_file(path)

@@ -12,6 +12,7 @@ from scipy.integrate import cubature, quad
 import wavemetric as wm
 from wavemetric import geometry as geo
 from wavemetric import velocity as vel
+from wavemetric import verify
 from wavemetric.errors import (
     DomainEvalError,
     MajorantError,
@@ -121,41 +122,29 @@ def test_distance_zero_on_sources_and_triangle_inequality():
         assert np.all(gap <= w + 1e-9)
 
 
+def assert_consistency_ratio(metric, stencil, attained):
+    """From the corner node, lattice distances under the identity metric lie
+    between the Euclidean distance and the stencil's consistency bound times
+    it, and the bound is attained to within ``attained``."""
+    corner = (0,) * metric.grid.d
+    bound = verify.get_check("geometry.stencil_consistency_bound")
+    excess = bound.residual((metric, corner, stencil))
+    assert -attained <= excess <= bound.tolerance
+    dist = geo.lattice_geodesic(metric, [corner], stencil=stencil).values
+    assert np.all(dist >= (1.0 - 1e-12) * np.linalg.norm(metric.grid.coords(), axis=-1))
+
+
 def test_consistency_ratio_2d():
-    metric = unit_square_metric(65)
-    dist = geo.lattice_geodesic(metric, [(0, 0)])
-    coords = metric.grid.coords()
-    euclid = np.linalg.norm(coords, axis=-1)
-    mask = euclid > 0
-    ratio = dist.values[mask] / euclid[mask]
-    assert ratio.min() >= 1.0 - 1e-12
-    assert ratio.max() <= geo.STENCIL_BOUNDS[8] + 1e-9
-    # the worst-direction bound is essentially attained on a big enough grid
-    assert ratio.max() >= geo.STENCIL_BOUNDS[8] - 1e-3
+    assert_consistency_ratio(unit_square_metric(65), None, 1e-3)
 
 
 def test_consistency_ratio_2d_extended_stencil():
-    metric = unit_square_metric(65)
-    dist = geo.lattice_geodesic(metric, [(0, 0)], stencil=16)
-    coords = metric.grid.coords()
-    euclid = np.linalg.norm(coords, axis=-1)
-    mask = euclid > 0
-    ratio = dist.values[mask] / euclid[mask]
-    assert ratio.max() <= geo.STENCIL_BOUNDS[16] + 1e-9
-    assert ratio.max() >= geo.STENCIL_BOUNDS[16] - 1e-3
+    assert_consistency_ratio(unit_square_metric(65), 16, 1e-3)
 
 
 def test_consistency_ratio_3d():
     dom = wm.BoxDomain((0.0,) * 3, (16.0,) * 3)
-    metric = const_metric(dom, (17, 17, 17), np.eye(3))
-    dist = geo.lattice_geodesic(metric, [(0, 0, 0)])
-    coords = metric.grid.coords()
-    euclid = np.linalg.norm(coords, axis=-1)
-    mask = euclid > 0
-    ratio = dist.values[mask] / euclid[mask]
-    assert ratio.min() >= 1.0 - 1e-12
-    assert ratio.max() <= geo.STENCIL_BOUNDS[26] + 1e-9
-    assert ratio.max() >= geo.STENCIL_BOUNDS[26] - 2e-3
+    assert_consistency_ratio(const_metric(dom, (17, 17, 17), np.eye(3)), None, 2e-3)
 
 
 def test_deterministic_under_source_order():
@@ -166,9 +155,8 @@ def test_deterministic_under_source_order():
     G = a @ np.swapaxes(a, -1, -2) + 0.2 * np.eye(2)
     metric = geo.MetricField(grid, G)
     sources = [(0, 0), (23, 23), (5, 17), (11, 11)]
-    d1 = geo.lattice_geodesic(metric, sources)
-    d2 = geo.lattice_geodesic(metric, list(reversed(sources)))
-    assert np.array_equal(d1.values, d2.values)
+    order = verify.get_check("geometry.source_order_invariance")
+    assert order.residual((metric, sources, sources[::-1])) <= order.tolerance
 
 
 def test_metric_monotonicity():

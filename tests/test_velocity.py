@@ -12,6 +12,7 @@ import wavemetric as wm
 from wavemetric import evolve as ev
 from wavemetric import systems
 from wavemetric import velocity as vel
+from wavemetric import verify
 from wavemetric.errors import (
     MajorantError,
     MatrixError,
@@ -227,69 +228,50 @@ SYSTEMS_AND_POINTS = [
 
 
 def test_psd_property():
+    psd = verify.get_check("velocity.psd")
     rng = np.random.default_rng(31)
     for sysm, draw in SYSTEMS_AND_POINTS:
         for _ in range(5):
-            x = draw(rng)
-            M = vel.velocity_matrix(sysm, x)
-            scale = max(np.linalg.norm(M), 1e-300)
-            for _ in range(5):
-                xi = rng.standard_normal(sysm.d)
-                assert xi @ M @ xi >= -1e-12 * scale * (xi @ xi)
+            assert psd.residual((sysm, draw(rng))) <= psd.tolerance
 
 
 def test_trace_identity():
+    trace = verify.get_check("velocity.trace_identity")
     rng = np.random.default_rng(32)
     for sysm, draw in SYSTEMS_AND_POINTS:
-        can = wm.canonicalize(sysm)
         for _ in range(5):
             x = draw(rng)
-            M = vel.velocity_matrix(sysm, x)
-            B = [A(x) for A in can.A]
             for _ in range(3):
                 xi = rng.standard_normal(sysm.d)
-                sym = sum(c * b for c, b in zip(xi, B))
-                lhs = float(xi @ M @ xi)
-                rhs = float(np.trace(sym @ sym).real)
-                assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+                assert trace.residual((sysm, x, xi)) <= trace.tolerance
 
 
 def test_speed_sandwich():
+    sandwich = verify.get_check("velocity.symbol_norm_sandwich")
     rng = np.random.default_rng(33)
     for sysm, draw in SYSTEMS_AND_POINTS:
-        can = wm.canonicalize(sysm)
         for _ in range(5):
             x = draw(rng)
-            M = vel.velocity_matrix(sysm, x)
-            B = [A(x) for A in can.A]
             for _ in range(4):
                 xi = rng.standard_normal(sysm.d)
-                xi /= np.linalg.norm(xi)
-                sym = sum(c * b for c, b in zip(xi, B))
-                s2 = op_norm(sym) ** 2
-                quad = float(xi @ M @ xi)
-                assert quad / sysm.k <= s2 * (1 + 1e-10) + 1e-12
-                assert s2 <= quad * (1 + 1e-10) + 1e-12
+                # xi . M xi / k <= |s|^2, so tolerance / k is relative to |s|^2
+                assert sandwich.residual((sysm, x, xi)) <= sandwich.tolerance / sysm.k
 
 
 def test_fattorini_sandwich():
+    bracket = verify.get_check("velocity.speed_bracket_order")
     rng = np.random.default_rng(34)
     for sysm, draw in SYSTEMS_AND_POINTS:
         for _ in range(3):
-            x = draw(rng)
-            br = vel.chernoff_c(sysm, x)
-            r = vel.fattorini_r(sysm, x)
-            assert r <= br.upper * (1 + 1e-10) + 1e-12
-            assert br.lower <= math.sqrt(sysm.d) * r * (1 + 1e-10) + 1e-12
+            assert bracket.residual((sysm, draw(rng))) <= bracket.tolerance
 
 
 def test_scaling_covariance():
+    covariance = verify.get_check("velocity.scaling_covariance")
     base = coupling_system("1 + 0.5*x^2")
     scaled = coupling_system("3*(1 + 0.5*x^2)")
     for x in ([0.0], [1.3], [-2.4]):
-        M1 = vel.velocity_matrix(base, x)
-        M9 = vel.velocity_matrix(scaled, x)
-        assert np.allclose(M9, 9.0 * M1, rtol=1e-12)
+        assert covariance.residual((base, scaled, 3.0, np.array(x))) <= covariance.tolerance
 
 
 # -- radial envelope --------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wavemetric as wm
 from wavemetric import verify
@@ -59,18 +61,24 @@ def test_majorant_deficit_requires_majorant():
         verify.majorant_deficit(fld)
 
 
-def test_crashing_check_reports_as_failure(monkeypatch):
+def boom(case):
+    raise RuntimeError("synthetic")
+
+
+@pytest.mark.parametrize("residual, reported", [
+    (boom, np.inf),
+    (lambda case: [0.0, np.nan, 1e-300][case], np.nan),
+], ids=["raises", "nan"])
+def test_broken_check_reports_as_failure(monkeypatch, residual, reported):
     chk = verify.CHECKS[0]
-
-    def boom(rng):
-        raise RuntimeError("synthetic")
-
+    draws = iter(range(3))
     monkeypatch.setattr(verify, "CHECKS", [
-        verify.Check(chk.check_id, chk.module, chk.tolerance, boom)
+        verify.Check(chk.check_id, chk.module, chk.tolerance, lambda rng: next(draws),
+                     residual, draws=3)
     ])
     results = verify.run_checks()
     assert results[0].status == "fail"
-    assert results[0].residual == np.inf
+    np.testing.assert_equal(results[0].residual, reported)
 
 
 def test_format_table_layout():
@@ -83,10 +91,14 @@ def test_format_table_layout():
 
 
 def test_random_expressions_round_trip_bulk():
-    from wavemetric import dsl
-
+    round_trip = verify.get_check("dsl.print_parse_round_trip")
     rng = np.random.default_rng(99)
     for _ in range(500):
-        e = verify.random_expression(rng)
-        printed = dsl.to_text(e)
-        assert dsl.to_text(dsl.parse(printed)) == printed
+        assert round_trip.residual(round_trip.draw(rng)) == 0.0
+
+
+@pytest.mark.parametrize("chk", verify.CHECKS, ids=lambda chk: chk.check_id)
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1))
+def test_check_holds_on_hypothesis_seeds(chk, seed):
+    assert chk.residual(chk.draw(np.random.default_rng(seed))) <= chk.tolerance
