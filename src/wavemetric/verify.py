@@ -306,19 +306,19 @@ def _triangle_inequality(case) -> float:
 
 
 def _draw_identity_lattice(rng):
-    """(identity metric on the unit square at 33^2, centre node, default stencil)."""
+    """(lattice distances from the centre node under the identity metric on
+    the unit square at 33^2, centre node)."""
     grid = Grid(BoxDomain((0.0, 0.0), (1.0, 1.0)), (33, 33))
     metric = MetricField(grid, np.broadcast_to(np.eye(2), grid.shape + (2, 2)).copy())
-    return metric, (16, 16), None
+    return lattice_geodesic(metric, [(16, 16)]), (16, 16)
 
 
 @_register("geometry.stencil_consistency_bound", 1e-12, _draw_identity_lattice)
 def _stencil_consistency_bound(case) -> float:
     """Largest lattice-to-Euclidean distance ratio from the source, minus the
-    stencil's consistency bound (for an identity metric)."""
-    metric, source, stencil = case
-    dist = lattice_geodesic(metric, [source], stencil=stencil)
-    grid = metric.grid
+    stencil's consistency bound (for distances under an identity metric)."""
+    dist, source = case
+    grid = dist.grid
     eu = np.linalg.norm(grid.coords() - grid.node_coords(source), axis=-1)
     mask = eu > 0
     return float((dist.values[mask] / eu[mask]).max()) - dist.consistency_bound

@@ -127,11 +127,11 @@ def assert_consistency_ratio(metric, stencil, attained):
     between the Euclidean distance and the stencil's consistency bound times
     it, and the bound is attained to within ``attained``."""
     corner = (0,) * metric.grid.d
+    dist = geo.lattice_geodesic(metric, [corner], stencil=stencil)
     bound = verify.get_check("geometry.stencil_consistency_bound")
-    excess = bound.residual((metric, corner, stencil))
+    excess = bound.residual((dist, corner))
     assert -attained <= excess <= bound.tolerance
-    dist = geo.lattice_geodesic(metric, [corner], stencil=stencil).values
-    assert np.all(dist >= (1.0 - 1e-12) * np.linalg.norm(metric.grid.coords(), axis=-1))
+    assert np.all(dist.values >= (1.0 - 1e-12) * np.linalg.norm(metric.grid.coords(), axis=-1))
 
 
 def test_consistency_ratio_2d():

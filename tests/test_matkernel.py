@@ -57,7 +57,7 @@ def test_op_norm_matches_numpy():
     spectral = verify.get_check("matkernel.op_norm_is_spectral").residual
     rng = np.random.default_rng(13)
     for _ in range(40):
-        assert spectral(random_hermitian(rng, 6)) <= 1e-12
+        assert spectral(HermitianMatrix(random_hermitian(rng, 6))) <= 1e-12
 
 
 def test_sqrt_round_trip():

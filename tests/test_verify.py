@@ -97,7 +97,13 @@ def test_random_expressions_round_trip_bulk():
         assert round_trip.residual(round_trip.draw(rng)) == 0.0
 
 
-@pytest.mark.parametrize("chk", verify.CHECKS, ids=lambda chk: chk.check_id)
+# Checks whose draw ignores the generator: test_all_checks_pass covers them.
+FIXED_DRAWS = {"velocity.majorant_dominates", "geometry.stencil_consistency_bound",
+               "evolve.energy_conservation", "cli.scenario_normalization_idempotent"}
+
+
+@pytest.mark.parametrize("chk", [c for c in verify.CHECKS if c.check_id not in FIXED_DRAWS],
+                         ids=lambda chk: chk.check_id)
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1))
 def test_check_holds_on_hypothesis_seeds(chk, seed):
