@@ -34,7 +34,7 @@ from . import dsl
 from .errors import DomainEvalError, MajorantError, UnsupportedSystemError, ValidationError
 from .grids import Grid, write_csv
 from .matkernel import sym_eigen
-from .velocity import EPS_REG_FLOOR, EPS_REG_REL, VelocityField, _require_finite
+from .velocity import EPS_REG_FLOOR, EPS_REG_REL, VelocityField, _node_shape, _require_finite
 
 __all__ = [
     "STENCIL_BOUNDS",
@@ -113,24 +113,25 @@ def stencil_offsets(d: int, stencil: int | None = None) -> tuple[int, np.ndarray
 
 @dataclass
 class MetricField:
-    """SPD matrix per node; the inverse of a velocity majorant."""
+    """SPD matrix per node; the inverse of a velocity majorant.
+
+    ``G_samples`` has the shapes a ``VelocityField`` takes: grid.shape +
+    (d, d), or (1,)*d + (d, d) for one matrix of every node.
+    """
 
     grid: Grid
     G_samples: np.ndarray
     degenerate: bool = False
 
     def __post_init__(self):
-        d = self.grid.d
-        want = self.grid.shape + (d, d)
         G = np.asarray(self.G_samples, dtype=float)
-        if G.shape != want:
-            raise ValidationError(f"G_samples shape {G.shape}, expected {want}")
-        _require_finite(G, self.grid.shape, "metric")
+        nodes = _node_shape(G, self.grid, "G_samples")
+        _require_finite(G, nodes, "metric")
         G = 0.5 * (G + np.swapaxes(G, -1, -2))
         w = sym_eigen(G)
         if float(w[..., 0].min()) <= 0.0:
             flat = int(np.argmin(w[..., 0]))
-            idx = tuple(int(i) for i in np.unravel_index(flat, self.grid.shape))
+            idx = tuple(int(i) for i in np.unravel_index(flat, nodes))
             raise ValidationError(
                 f"metric not positive definite at node {idx}: "
                 f"eigenvalue {float(w[..., 0].min()):.3e}"
@@ -147,8 +148,10 @@ def metric_from_velocity(fld: VelocityField) -> MetricField:
 
     The cap's floor scales with the largest node norm of the majorant
     samples inverted here (``fld.majorant_norms``, taken once per samples array).
-    A diagonal majorant gives a diagonal metric, which is returned without
-    ``MetricField``'s check.
+    The metric has the majorant's shape, so one matrix of every node is
+    inverted once.  A diagonal majorant gives a diagonal metric, which is
+    returned without ``MetricField``'s check; any other goes through the
+    eigenvectors, G = u diag(c) u^T.
     """
     if fld.majorant_samples is None:
         raise MajorantError(
@@ -227,19 +230,14 @@ def node_boundary_distances(grid: Grid) -> np.ndarray:
         if not dom.unbounded_upper[j]:
             out = np.minimum(out, np.broadcast_to(dom.upper[j] - ax, grid.shape))
     if dom.excluded_ball is not None:
-        center, radius = dom.excluded_ball
-        delta = grid.coords() - np.asarray(center)
-        out = np.minimum(out, np.linalg.norm(delta, axis=-1) - radius)
+        out = np.minimum(out, grid._ball_norms - dom.excluded_ball[1])
     return out
 
 
 def _passable_mask(grid: Grid) -> np.ndarray:
-    dom = grid.domain
-    if dom.excluded_ball is None:
+    if grid.domain.excluded_ball is None:
         return np.ones(grid.shape, dtype=bool)
-    center, radius = dom.excluded_ball
-    delta = grid.coords() - np.asarray(center)
-    return np.linalg.norm(delta, axis=-1) > radius
+    return grid._ball_norms > grid.domain.excluded_ball[1]
 
 
 def _normalize_sources(grid: Grid, sources) -> np.ndarray:
@@ -289,6 +287,12 @@ def _lattice_graph(grid, offsets, mode, mats, speed, passable):
     build the samples reject NaN and inf.  Each term is formed in one
     reused buffer with the products of ``q += dx[a] * (0.5*(mt + mh)) *
     dx[b]``, in that order.
+
+    ``mats`` may hold one matrix for every node, shape (1,)*d + (d, d), as a
+    constant ``VelocityField`` or ``MetricField`` does.  Its tail and head
+    are then that matrix, so each offset gets one weight, formed by the same
+    operations on one element, and only the passable mask varies from node
+    to node when it is written into the slots.
     """
     shape = grid.shape
     n = grid.node_count
@@ -301,16 +305,22 @@ def _lattice_graph(grid, offsets, mode, mats, speed, passable):
         for a, b in itertools.product(range(grid.d), repeat=2):
             if mats[..., a, b].any():
                 planes[a, b] = np.ascontiguousarray(mats[..., a, b])
-    # q (or the midpoint speed) and the weight, a term, and the two masks,
-    # each in a buffer that holds every offset's box of tails
-    qbuf, tbuf = np.empty(n), np.empty(n)
-    kbuf, ebuf = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    # one matrix of every node is every tail and every head of the planes
+    one = mode != ISO_TIME and mats.shape[:-2] != shape
+    # q (or the midpoint speed) and the weight, a term and the kept mask, each
+    # in a buffer that holds every offset's box of tails (one element for one
+    # matrix), and the edge mask in one that holds every box of tails
+    cells = 1 if one else n
+    qbuf, tbuf, kbuf = np.empty(cells), np.empty(cells), np.empty(cells, dtype=bool)
+    ebuf = np.empty(n, dtype=bool)
     for k in range(size // 2):
         off = offsets[k]
         tail = tuple(slice(max(-o, 0), m - max(o, 0)) for o, m in zip(off, shape))
         head = tuple(slice(max(o, 0), m - max(-o, 0)) for o, m in zip(off, shape))
         box = passable[tail].shape
-        q, t, keep, edge = (buf[:math.prod(box)].reshape(box) for buf in (qbuf, tbuf, kbuf, ebuf))
+        at_tail, at_head, qbox = ((), (), mats.shape[:-2]) if one else (tail, head, box)
+        q, t, keep = (buf[:math.prod(qbox)].reshape(qbox) for buf in (qbuf, tbuf, kbuf))
+        edge = ebuf[:math.prod(box)].reshape(box)
         dx = off * spacing
         moved = [a for a in range(grid.d) if dx[a] != 0.0]
         len2 = 0.0
@@ -327,7 +337,7 @@ def _lattice_graph(grid, offsets, mode, mats, speed, passable):
                 for a in moved:
                     for b in moved:
                         if (a, b) in planes:
-                            np.add(planes[a, b][tail], planes[a, b][head], out=t)
+                            np.add(planes[a, b][at_tail], planes[a, b][at_head], out=t)
                             np.multiply(t, 0.5, out=t)
                             np.multiply(t, dx[a], out=t)
                             np.multiply(t, dx[b], out=t)
@@ -387,7 +397,7 @@ def _shortest_distances(data, strides, src) -> np.ndarray:
     dist[src] = 0.0
     shifted = strides + strides.dtype.type(pad)  # heads as positions in halo
     last = np.full(n, np.inf)  # each node's distance when its slots were last relaxed
-    chain = 2 * np.unique(src).size
+    chain = 2 * len(set(src.tolist()))  # np.unique would import numpy.ma
     delta = np.inf
     hops = 1
     while True:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -83,6 +83,17 @@ class Grid:
         """Node coordinates, shape (*shape, d)."""
         mesh = np.meshgrid(*self._axes, indexing="ij")
         return np.stack(mesh, axis=-1)
+
+    @cached_property
+    def _ball_norms(self) -> np.ndarray | None:
+        """|x - center| per node for the domain's excluded ball, read-only;
+        None without one.  Formed once per grid: the boundary distances and
+        the passable mask of the lattice graph both derive from it."""
+        if self.domain.excluded_ball is None:
+            return None
+        norms = np.linalg.norm(self.coords() - np.asarray(self.domain.excluded_ball[0]), axis=-1)
+        norms.setflags(write=False)
+        return norms
 
     def node_coords(self, index: tuple[int, ...]) -> np.ndarray:
         return np.array([ax[i] for ax, i in zip(self._axes, index)])

@@ -11,7 +11,10 @@ Every field also answers, from its structure alone, whether it is diagonal
 (``is_diagonal``): a constant field whose off-diagonal entries are all zero,
 or an expression field whose off-diagonal cells are all the literal 0.  A
 diagonal field is read through ``sample_diagonal(coords)``, shape S + (k,);
-an expression field then evaluates its diagonal cells only.
+an expression field then evaluates its diagonal cells only.  A field that
+reads no coordinate, a constant field or an expression field none of whose
+cells names one, samples as one matrix (k, k) (its diagonal (k,)) at any
+coords, so the planes of a system built from such fields have S = ().
 
 The canonical transform re-expresses a system with weight E in an equivalent
 E = identity form: the state is multiplied pointwise by E^{1/2}, the first
@@ -289,6 +292,9 @@ class ExprMatrixField(MatrixField):
         self.is_diagonal = all(
             _is_literal_zero(self.entries[i][j]) for i in range(k) for j in range(k) if i != j
         )
+        # no cell reads a coordinate: one matrix samples the whole field
+        self._constant = not any(isinstance(cell, dsl.Expr) and dsl.expr_variables(cell)
+                                   for row in self.entries for cell in row)
 
     def _cell(self, i: int, j: int, coords):
         cell = self.entries[i][j]
@@ -296,8 +302,11 @@ class ExprMatrixField(MatrixField):
             cell = dsl.eval_expr(cell, coords, source=self.sources[i][j])
         return cell
 
+    def _sample_shape(self, coords) -> tuple[int, ...]:
+        return () if self._constant else _shape(coords)
+
     def sample(self, coords) -> np.ndarray:
-        out = np.empty(_shape(coords) + (self.k, self.k), dtype=self.dtype)
+        out = np.empty(self._sample_shape(coords) + (self.k, self.k), dtype=self.dtype)
         for i in range(self.k):
             for j in range(self.k):
                 out[..., i, j] = self._cell(i, j, coords)
@@ -306,7 +315,7 @@ class ExprMatrixField(MatrixField):
     def sample_diagonal(self, coords) -> np.ndarray:
         """The diagonal cells only, each evaluated into one contiguous plane:
         the (k,) + S buffer is returned as its S + (k,) view."""
-        out = np.empty((self.k,) + _shape(coords), dtype=self.dtype)
+        out = np.empty((self.k,) + self._sample_shape(coords), dtype=self.dtype)
         for i in range(self.k):
             out[i] = self._cell(i, i, coords)
         return np.moveaxis(out, 0, -1)

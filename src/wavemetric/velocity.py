@@ -21,6 +21,16 @@ row's terms in column order, then the row sums in row order onto +0.  So a
 point and a grid node agree bit for bit, and a diagonal weight costs only
 the products of the coefficients' nonzero entries.
 
+``VelocityField`` holds the matrices of a grid at one of two shapes:
+grid.shape + (d, d), one matrix per node, or (1,)*d + (d, d), one matrix
+for every node, when the coefficients read no coordinate (the canonical
+planes have S = ()).  Everything derived from a field, its eigenvalue
+bounds, its majorant, the metric and the lattice graph weights, keeps the
+field's shape through numpy broadcasting, on the one code path for both
+shapes; a constant field's node gives the bits every node of the full
+stack would.  Only what writes one row per node, ``to_csv`` and the
+distance fields, expands it.
+
 ``majorant`` produces a node-wise upper bound that is smooth at the grid
 scale: the sampled matrix is mollified with a separable binomial kernel
 (entry plane by entry plane, skipping the planes that are zero everywhere),
@@ -222,21 +232,37 @@ def _node_norms(samples: np.ndarray) -> np.ndarray:
 
 
 def _require_finite(samples: np.ndarray, shape: tuple[int, ...], what: str) -> None:
-    """Raise ValidationError naming the first grid node whose samples hold a NaN or inf."""
+    """Raise ValidationError naming the first node, of the node shape ``shape``,
+    whose samples hold a NaN or inf; for one matrix of every node, (1,)*d,
+    that is the grid's first node."""
     bad = ~np.isfinite(samples).reshape(shape + (-1,)).all(axis=-1)
     if bad.any():
         idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
         raise ValidationError(f"{what} not finite at node {idx}")
 
 
+def _node_shape(samples: np.ndarray, grid: Grid, what: str) -> tuple[int, ...]:
+    """The node shape of a stack of d-by-d samples on grid: grid.shape, or
+    (1,)*d for one matrix of every node; any other shape raises."""
+    d = grid.d
+    want = grid.shape + (d, d)
+    if samples.shape not in (want, (1,) * d + (d, d)):
+        raise ValidationError(f"{what} shape {samples.shape}, expected {want}")
+    return samples.shape[:-2]
+
+
 @dataclass
 class VelocityField:
     """Velocity matrices sampled on a grid, optionally with a majorant.
 
-    ``M_samples`` has shape grid.shape + (d, d).  Construction validates
-    symmetry, positive semi-definiteness to a relative tolerance, and (when
-    present) that the majorant dominates the samples node-wise.  ``lam_max``
-    keeps each node's largest eigenvalue of M, its squared speed bound, and
+    ``M_samples`` has shape grid.shape + (d, d), or (1,)*d + (d, d) when one
+    matrix holds at every node (``from_system`` keeps a field whose
+    coefficients read no coordinate at that shape); the majorant may take
+    either shape too.  ``lam_max``, ``M_norms`` and ``majorant_norms`` have
+    the node shape of their samples.  Construction validates symmetry,
+    positive semi-definiteness to a relative tolerance, and (when present)
+    that the majorant dominates the samples node-wise.  ``lam_max`` keeps
+    each node's largest eigenvalue of M, its squared speed bound, and
     ``M_norms`` the node-wise Frobenius norms of M, taken once when M is
     validated, for the regularization scale of ``majorant``.
     """
@@ -252,12 +278,8 @@ class VelocityField:
                                                       compare=False, default=None)
 
     def __post_init__(self):
-        d = self.grid.d
-        want = self.grid.shape + (d, d)
         M = np.asarray(self.M_samples, dtype=float)
-        if M.shape != want:
-            raise ValidationError(f"M_samples shape {M.shape}, expected {want}")
-        _require_finite(M, self.grid.shape, "M samples")
+        _require_finite(M, _node_shape(M, self.grid, "M_samples"), "M samples")
         asym = float(np.abs(M - np.swapaxes(M, -1, -2)).max())
         M = 0.5 * (M + np.swapaxes(M, -1, -2))
         self.M_norms = _node_norms(M)
@@ -274,17 +296,18 @@ class VelocityField:
         self.lam_max = w[..., -1].copy()
         if self.majorant_samples is not None:
             H = np.asarray(self.majorant_samples, dtype=float)
-            if H.shape != want:
-                raise ValidationError(f"majorant shape {H.shape}, expected {want}")
-            _require_finite(H, self.grid.shape, "majorant")
+            _require_finite(H, _node_shape(H, self.grid, "majorant"), "majorant")
             self.majorant_samples = H
             _check_dominates(H, M, self.majorant_norms)
 
     @classmethod
     def from_system(cls, sys: CoefficientSystem, grid: Grid) -> "VelocityField":
+        """The field of sys on grid: one matrix, (1,)*d + (d, d), when the
+        canonical planes have S = (), else one per node."""
         coords = tuple(np.meshgrid(*grid.axes, indexing="ij", sparse=True))
         M = _traces(canonical_planes(sys, coords))
-        return cls(grid, _at_points(M, grid.shape + (grid.d, grid.d)))
+        nodes = (1,) * grid.d if M.ndim == 2 else grid.shape
+        return cls(grid, _at_points(M, nodes + (grid.d, grid.d)))
 
     @property
     def d(self) -> int:
@@ -348,30 +371,25 @@ def _mollify(samples: np.ndarray, spatial_ndim: int) -> np.ndarray:
     of symmetric matrices, entry plane by entry plane.
 
     Only the upper-triangle planes that are not zero everywhere are
-    smoothed, and mirrored into the lower triangle; the others stay +0,
-    which is what smoothing a zero plane gives.  A plane that holds one
-    value everywhere smooths to one value, since with edge padding each of
-    its nodes sees five equal samples along every axis, so only one node of
-    it is smoothed and the plane filled with the result.  The other live
-    planes are smoothed together.  Smoothing is linear and entry-wise, so
-    this has the bits of smoothing all d*d planes.
+    smoothed, together, and mirrored into the lower triangle; the others
+    stay +0, which is what smoothing a zero plane gives.  Smoothing is
+    linear and entry-wise, so this has the bits of smoothing all d*d
+    planes.  One matrix of every node, (1,)*d + (d, d), smooths as that one
+    node: with edge padding it sees five equal samples along every axis, as
+    every node of a plane holding one value everywhere does, so it gets the
+    bits each node of the full stack would.
     """
     upper = zip(*np.triu_indices(samples.shape[-1]))
     live = [(i, j) for i, j in upper if samples[..., i, j].any()]
-    first = samples[(0,) * spatial_ndim]
-    constant = [(i, j) for i, j in live if (samples[..., i, j] == first[i, j]).all()]
-    varying = [p for p in live if p not in constant]
     out = np.zeros_like(samples)
-    for group, nodes in ((constant, (slice(0, 1),) * spatial_ndim), (varying, ())):
-        if not group:
-            continue
+    if live:
         # one contiguous plane each: _smooth_axis runs about half as fast on a
         # fancy-indexed gather, whose plane axis is last in shape but first in memory
-        planes = np.stack([samples[nodes + (..., i, j)] for i, j in group])
+        planes = np.stack([samples[..., i, j] for i, j in live])
         for _ in range(2):
             for ax in range(1, spatial_ndim + 1):
                 planes = _smooth_axis(planes, ax)
-        for (i, j), plane in zip(group, planes):
+        for (i, j), plane in zip(live, planes):
             out[..., i, j] = out[..., j, i] = plane
     return out
 
@@ -380,9 +398,8 @@ def majorant(field: VelocityField, delta: float) -> VelocityField:
     """Attach a smooth node-wise upper bound (1+delta)*(mollified M) + eps*I.
 
     The mollifier smooths only the entry planes of M that are not zero
-    everywhere, and a plane that is constant everywhere as one node (see
-    ``_mollify``), so a diagonal M costs d planes, not d*d, and a constant
-    M almost nothing.
+    everywhere, so a diagonal M costs d planes, not d*d.  The majorant has
+    M's shape, so a field of one matrix costs one node (see ``_mollify``).
     If domination fails at some node the slack is doubled, up to three times;
     the slack that finally worked is recorded on the returned field, a copy
     of ``field`` whose already validated M is not checked again.
@@ -428,5 +445,5 @@ def to_csv(field: VelocityField, path) -> None:
     header = [f"x{j + 1}" for j in range(d)]
     header += [f"M{i + 1}{j + 1}" for i, j in zip(rows, cols)]
     coords = field.grid.coords().reshape(-1, d)
-    M = field.M_samples.reshape(-1, d, d)[:, rows, cols]
-    write_csv(path, header, np.hstack([coords, M]))
+    M = np.broadcast_to(field.M_samples[..., rows, cols], field.grid.shape + (len(rows),))
+    write_csv(path, header, np.hstack([coords, M.reshape(-1, len(rows))]))

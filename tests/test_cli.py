@@ -68,7 +68,8 @@ def test_1d_analyze_imports_no_scipy(tmp_path):
 
 
 def test_lattice_commands_import_no_scipy(tmp_path):
-    # the lattice graph and its shortest-path search run on numpy alone
+    # the lattice graph and its shortest-path search run on numpy alone, and
+    # without numpy.ma, whose import alone costs a fresh command about 12 ms
     maxwell = family_scenario("maxwell_isotropic",
                               {"eps": "1 + 0.4*sin(6*x)*cos(4*y)", "mu": "1"}, 2)
     maxwell["grid"]["nodes"] = [16, 16]
@@ -88,10 +89,11 @@ def test_lattice_commands_import_no_scipy(tmp_path):
             "from wavemetric.cli import main\n"
             f"code = main({argv!r})\n"
             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print('numpy.ma' in sys.modules)\n"
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True)
-        assert out.stdout.splitlines()[-1] == "0 []", argv
+        assert out.stdout.splitlines()[-2:] == ["0 []", "False"], argv
 
 
 # -- scenario parsing --------------------------------------------------------
@@ -402,14 +404,39 @@ def test_analyze_constant_speed_is_convergent(tmp_path):
     assert "not a necessary one" in summary
 
 
+def _rerun_bytes(out_dir, argvs) -> dict:
+    """Every output file's bytes after running each argv in turn."""
+    for argv in argvs:
+        assert cli.main(argv) == 0
+    return {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
+
+
 def test_analyze_outputs_are_reproducible(tmp_path):
     p = telegraph_scenario(tmp_path, L="1 + 0.5*x", nodes=128)
-    assert cli.main(["analyze", str(p)]) == 0
-    names = ["velocity.csv", "verdict.json", "summary.txt"]
-    first = {n: (tmp_path / "out" / n).read_bytes() for n in names}
-    assert cli.main(["analyze", str(p)]) == 0
-    for n in names:
-        assert (tmp_path / "out" / n).read_bytes() == first[n]
+    argvs = [["analyze", str(p)]]
+    first = _rerun_bytes(tmp_path / "out", argvs)
+    assert sorted(first) == ["summary.txt", "velocity.csv", "verdict.json"]
+    assert _rerun_bytes(tmp_path / "out", argvs) == first
+
+
+@pytest.mark.parametrize("case", ["dirac-analyze", "constant-distance"])
+def test_constant_field_outputs_are_reproducible(tmp_path, case):
+    # a field of one matrix, (1,)*d + (d, d): the 12^3 Dirac demo's analyze,
+    # and both distance modes of a constant 2-D medium
+    if case == "dirac-analyze":
+        data = family_scenario("dirac", {"radius": 0.1}, 3, -2.0, 2.0, "both")
+        data["grid"]["nodes"] = [12, 12, 12]
+        data["analysis"] = {"cutoffs": 12}
+    else:
+        data = family_scenario("maxwell_isotropic", {"eps": "2", "mu": "1"}, 2)
+        data["grid"]["nodes"] = [24, 24]
+    data["output"]["dir"] = str(tmp_path / "out")
+    p = str(write_scenario(tmp_path, data))
+    argvs = ([["analyze", p]] if case == "dirac-analyze" else
+             [["distance", p, "--mode", mode] for mode in ("geodesic", "arrival")])
+    first = _rerun_bytes(tmp_path / "out", argvs)
+    assert first
+    assert _rerun_bytes(tmp_path / "out", argvs) == first
 
 
 def test_analyze_coarse_boundary_probe_is_inconclusive(tmp_path):

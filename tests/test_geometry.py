@@ -988,3 +988,138 @@ def test_lattice_graph_peak_stays_near_its_weight_array():
         tracemalloc.stop()
     margin = 1_750_000
     assert peak < data.nbytes + margin, peak - data.nbytes
+
+
+# -- a constant field as one matrix -----------------------------------------
+# A field whose coefficients read no coordinate is held as one matrix,
+# (1,)*d + (d, d); every layer below must give the bits of the same field
+# passed as a full stack, grid.shape + (d, d).
+
+def _skew_custom_system():
+    # a constant non-diagonal weight and coefficients with Tr(B^1 B^2) != 0:
+    # the velocity matrix, the majorant and the metric are not diagonal
+    dom = wm.BoxDomain((0.0, 0.0), (1.0, 1.0))
+    return wm.CoefficientSystem(
+        domain=dom, k=2,
+        E=wm.ExprMatrixField([["2", "0.5"], ["0.5", "1"]]),
+        A=(wm.ConstMatrixField(np.array([[1.0, 0.0], [0.0, -1.0]])),
+           wm.ConstMatrixField(np.array([[1.0, 1.0], [1.0, -1.0]]))),
+        V=wm.ConstMatrixField(np.zeros((2, 2))),
+    )
+
+
+_CONSTANT_CASES = {
+    "dirac-32": lambda: (wm.dirac_free(radius=0.15), (32, 32, 32)),
+    "maxwell-2d": lambda: (wm.maxwell_isotropic(
+        "1", "1", domain=wm.BoxDomain((0.0, 0.0), (1.0, 1.0))), (24, 20)),
+    "telegraph-1d": lambda: (wm.telegraph("1", "1"), (64,)),
+    "custom-skew": lambda: (_skew_custom_system(), (20, 24)),
+}
+
+
+def _same_bits(one, full):
+    assert np.array_equal(np.broadcast_to(one, full.shape).view(np.uint64), full.view(np.uint64))
+
+
+@pytest.mark.parametrize("case", sorted(_CONSTANT_CASES))
+def test_constant_field_has_the_bits_of_its_full_stack(case, tmp_path):
+    sysm, shape = _CONSTANT_CASES[case]()
+    grid = wm.Grid(sysm.domain, shape)
+    d = grid.d
+    one = vel.VelocityField.from_system(sysm, grid)
+    assert one.M_samples.shape == (1,) * d + (d, d)
+    full = vel.VelocityField(grid, np.broadcast_to(one.M_samples, grid.shape + (d, d)).copy())
+    if case == "custom-skew":
+        assert one.M_samples[(0,) * d + (0, 1)] != 0.0
+    for attr in ("lam_max", "M_norms"):
+        _same_bits(getattr(one, attr), getattr(full, attr))
+    maj_one, maj_full = vel.majorant(one, 0.1), vel.majorant(full, 0.1)
+    assert maj_one.majorant_samples.shape == one.M_samples.shape
+    assert maj_one.delta == maj_full.delta
+    _same_bits(maj_one.majorant_samples, maj_full.majorant_samples)
+    _same_bits(maj_one.majorant_norms, maj_full.majorant_norms)
+    metric_one, metric_full = geo.metric_from_velocity(maj_one), geo.metric_from_velocity(maj_full)
+    assert metric_one.G_samples.shape == one.M_samples.shape
+    assert metric_one.degenerate == metric_full.degenerate
+    _same_bits(metric_one.G_samples, metric_full.G_samples)
+    _, offsets = geo.stencil_offsets(d)
+    passable = geo._passable_mask(grid)
+    for mode, mats_one, mats_full in ((geo.GEODESIC, metric_one.G_samples, metric_full.G_samples),
+                                      (geo.ANISO_TIME, one.M_samples, full.M_samples)):
+        data, strides = geo._lattice_graph(grid, offsets, mode, mats_one, None, passable)
+        want, want_strides = geo._lattice_graph(grid, offsets, mode, mats_full, None, passable)
+        _same_bits(data, want)
+        assert np.array_equal(strides, want_strides)
+    src = [tuple(n // 4 for n in grid.shape)]
+    for dist_one, dist_full in (
+            (geo.lattice_geodesic(metric_one, src), geo.lattice_geodesic(metric_full, src)),
+            (geo.eikonal_arrival(grid, one, src), geo.eikonal_arrival(grid, full, src))):
+        assert np.isfinite(dist_one.values).any()
+        _same_bits(dist_one.values, dist_full.values)
+    vel.to_csv(one, tmp_path / "one.csv")
+    vel.to_csv(full, tmp_path / "full.csv")
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+
+
+def _one_and_full(grid, matrix):
+    d = grid.d
+    return matrix.reshape((1,) * d + (d, d)), np.broadcast_to(matrix, grid.shape + (d, d)).copy()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("build, bad", [
+    (lambda grid, m: vel.VelocityField(grid, m), "nan"),
+    (lambda grid, m: vel.VelocityField(grid, m), "indefinite"),
+    (lambda grid, m: vel.VelocityField(grid, np.zeros_like(m), majorant_samples=m), "nan"),
+    (lambda grid, m: vel.VelocityField(grid, np.eye(grid.d)[(None,) * grid.d],
+                                       majorant_samples=m), "indefinite"),
+    (lambda grid, m: geo.MetricField(grid, m), "nan"),
+    (lambda grid, m: geo.MetricField(grid, m), "indefinite"),
+], ids=["M-nan", "M-indefinite", "majorant-nan", "majorant-short", "metric-nan",
+        "metric-indefinite"])
+def test_constant_bad_samples_raise_the_messages_of_their_full_stacks(d, build, bad):
+    grid = wm.Grid(wm.BoxDomain((0.0,) * d, (1.0,) * d), (8, 9, 10)[:d])
+    m = np.eye(d)
+    m[-1, -1] = np.nan if bad == "nan" else -1.0
+    messages = []
+    for samples in _one_and_full(grid, m):
+        with pytest.raises(ValidationError) as info:
+            build(grid, samples)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    # a node named is the grid's first, the first bad node of the full stack
+    assert "node" not in messages[0] or f"node {(0,) * d}:" in messages[0] + ":"
+
+
+@pytest.mark.parametrize("build", [
+    lambda grid, m: vel.VelocityField(grid, m),
+    lambda grid, m: vel.VelocityField(grid, np.broadcast_to(np.eye(2), grid.shape + (2, 2)),
+                                      majorant_samples=m),
+    lambda grid, m: geo.MetricField(grid, m),
+], ids=["M", "majorant", "metric"])
+@pytest.mark.parametrize("shape", [(16, 1, 2, 2), (1, 17, 2, 2), (2, 2), (1, 2, 2),
+                                   (1, 1, 1, 2, 2), (1, 1, 3, 3), (16, 17, 3, 3)])
+def test_field_shapes_other_than_full_or_one_matrix_raise(build, shape):
+    grid = wm.Grid(wm.BoxDomain((0.0, 0.0), (1.0, 1.0)), (16, 17))
+    with pytest.raises(ValidationError, match="shape"):
+        build(grid, np.broadcast_to(np.eye(shape[-1]), shape).copy())
+
+
+def test_constant_field_majorant_and_metric_stay_below_one_matrix_stack():
+    # one 3x3 float64 matrix per node of the 32^3 Dirac grid is 2.36 MB; the
+    # velocity field, its majorant and its metric are each one matrix
+    sysm = wm.dirac_free(radius=0.15)
+    grid = wm.Grid(sysm.domain, (32, 32, 32))
+    stack = 32**3 * 3 * 3 * 8
+
+    def build():
+        return geo.metric_from_velocity(vel.majorant(vel.VelocityField.from_system(sysm, grid), 0.1))
+
+    build()
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack, peak

@@ -451,10 +451,12 @@ def test_plane_traces_have_the_bits_of_the_einsum_over_whole_stacks(kind, d, see
     coords = tuple(np.meshgrid(*grid.axes, indexing="ij", sparse=True))
     full = grid.shape + (d, d)
     want = np.broadcast_to(stack_traces(canonical_stacks(sysm, coords)), full)
-    got = np.broadcast_to(vel._traces(systems.canonical_planes(sysm, coords)), full)
+    traces = vel._traces(systems.canonical_planes(sysm, coords))
+    got = np.broadcast_to(traces, full)
     assert np.array_equal(bits(got), bits(want))
     fld = vel.VelocityField.from_system(sysm, grid)
-    assert np.array_equal(bits(fld.M_samples), bits(want))
+    assert fld.M_samples.shape == ((1,) * d if traces.ndim == 2 else grid.shape) + (d, d)
+    assert np.array_equal(bits(np.broadcast_to(fld.M_samples, full)), bits(want))
     nodes = grid.coords().reshape(-1, d)
     inside = nodes[sysm.domain.contains(nodes, strict=True)]
     points = inside[rng.permutation(len(inside))[:5]]
@@ -620,8 +622,8 @@ def test_planewise_mollifier_has_the_bits_of_smoothing_every_plane(d, seed, plan
                          ids=lambda v: f"{v:.3g}")
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_constant_planes_smooth_once_with_the_bits_of_the_whole_plane(monkeypatch, d, value):
-    # a constant plane is smoothed as one node; one changed node, a zero plane
-    # and a plane mixing +0 and -0 beside it keep their own paths
+    # a field of one matrix, (1,)*d + (d, d), is smoothed as one node and has
+    # the bits of every node of its full stack
     shape = (9, 8, 7)[:d]
     stacks = []
     smooth = vel._smooth_axis
@@ -632,24 +634,20 @@ def test_constant_planes_smooth_once_with_the_bits_of_the_whole_plane(monkeypatc
 
     monkeypatch.setattr(vel, "_smooth_axis", smooth_axis)
     rng = np.random.default_rng(7)
-    signed_zeros = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
-    for mixed in (False, True):
-        samples = np.zeros(shape + (d, d))
-        samples[...] = value * np.eye(d)
-        if d > 1:
-            samples[..., 0, d - 1] = samples[..., d - 1, 0] = signed_zeros
-        if mixed:
-            # constant except at one node: the full path
-            samples[(1,) * d + (0, 0)] = 2.0 * value
-        stacks.clear()
-        got = vel._mollify(samples, d)
-        assert got.tobytes() == mollify_every_plane(samples, d).tobytes()
-        assert not np.signbit(got[got == 0.0]).any()
-        # two passes along d axes: the changed plane at full size, the
-        # constant diagonal planes as one node each
-        constant = d - mixed
-        want = [(1,) + shape] * (2 * d) * mixed + [(constant,) + (1,) * d] * (2 * d) * (constant > 0)
-        assert sorted(stacks) == sorted(want)
+    samples = np.zeros(shape + (d, d))
+    samples[...] = value * np.eye(d)
+    one = samples[(slice(0, 1),) * d].copy()
+    if d > 1:  # a dead plane: -0 at the one node, +0 and -0 mixed in the full stack
+        one[..., 0, d - 1] = one[..., d - 1, 0] = -0.0
+        samples[..., 0, d - 1] = samples[..., d - 1, 0] = np.where(rng.random(shape) < 0.5,
+                                                                   0.0, -0.0)
+    got = vel._mollify(one, d)
+    want = mollify_every_plane(samples, d)
+    assert got.shape == one.shape
+    assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes()
+    assert not np.signbit(got[got == 0.0]).any()
+    # two passes along d axes, the d diagonal planes as one node
+    assert stacks == [(d,) + (1,) * d] * (2 * d)
 
 
 def test_majorant_constant_field():
