@@ -103,9 +103,17 @@ def _need(mapping: dict, key: str, where: str):
 
 
 def _num(value, where: str) -> float:
+    """A finite number; JSON's Infinity, -Infinity and NaN, and integers past
+    the float range, are scenario errors."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf if value > 0 else -math.inf
+    if not math.isfinite(number):
+        raise ScenarioError(f"{where} must be a finite number, got {number!r}")
+    return number
 
 
 def _num_list(value, where: str, length: int | None = None) -> list[float]:

@@ -49,11 +49,7 @@ class SingularMatrixError(MatrixError):
 
 
 class ConvergenceError(WavemetricError, RuntimeError):
-    """Eigensolver failed to converge; carries the offending matrix."""
-
-    def __init__(self, message: str, matrix=None):
-        self.matrix = matrix
-        super().__init__(message)
+    """The implicit midpoint fixed point stalled; the message gives its residual."""
 
 
 class ValidationError(WavemetricError, ValueError):

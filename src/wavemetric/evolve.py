@@ -216,11 +216,12 @@ class DiscreteOperator:
     when read.
 
     A diagonal weight (``E.is_diagonal``) is inverted entry by entry and
-    ``E_samples`` keeps only its diagonal; with a constant A^j the block is
-    then written from A^j's nonzero entries alone, each times the node's
-    E^{-1} entry, with no dense per-node k-by-k block.  Any other weight is
-    checked with a batched Cholesky factorisation and inverted per node with
-    ``np.linalg.inv``.
+    ``E_samples`` keeps only its diagonal; every block, constant A^j or not,
+    is then written from the coefficient's entries that are nonzero
+    somewhere, each times the node's E^{-1} entry, with no dense per-node
+    k-by-k block.  Any other weight is checked with a batched Cholesky
+    factorisation and inverted per node with ``np.linalg.inv``, and its
+    blocks are E^{-1} times the per-node k-by-k sums.
     """
 
     def __init__(self, sys: CoefficientSystem, grid: Grid, order: int = 2):
@@ -240,44 +241,42 @@ class DiscreteOperator:
         idx = np.arange(grid.node_count * k, dtype=np.int32).reshape(grid.shape + (k,))
         rows, cols, vals = [], [], []
 
-        def add_block(dst, src, coeff, scale):
+        everywhere = (slice(None),) * d
+        every_entry = np.divmod(np.arange(k * k), k)
+
+        def coefficient(m):
+            """Samples m of a field (one matrix, or k-by-k at every node) at every
+            node, with the entries (a, b) of E^{-1} m they write: under a
+            diagonal weight the entries nonzero somewhere, as planes grid +
+            (entries,); under any other every entry, with m as k-by-k matrices."""
+            at_nodes = np.broadcast_to(m, grid.shape + (k, k))
+            if not diagonal:
+                return at_nodes, every_entry
+            a, b = np.nonzero(m.reshape(-1, k, k).any(axis=0))
+            return at_nodes[..., a, b], (a, b)
+
+        def add_block(dst, src, coeff, entries, scale):
             """Entries scale * E^{-1} coeff coupling nodes idx[dst] to idx[src]."""
+            a, b = entries
             if diagonal:
-                blk = einv[dst][..., None] * coeff
+                blk = einv[dst][..., a] * coeff
             else:
-                blk = einv[dst] @ coeff
+                blk = (einv[dst] @ coeff).reshape(coeff.shape[:-2] + (k * k,))
             nz = blk != 0
-            rows.append(np.broadcast_to(idx[dst][..., :, None], blk.shape)[nz])
-            cols.append(np.broadcast_to(idx[src][..., None, :], blk.shape)[nz])
+            rows.append(idx[dst][..., a][nz])
+            cols.append(idx[src][..., b][nz])
             vals.append(scale * blk[nz])
 
-        def add_constant_block(dst, src, a_sum, scale):
-            """add_block for a diagonal weight and a constant coefficient, entry by entry."""
-            for a, b in zip(*np.nonzero(a_sum)):
-                blk = einv[dst][..., a] * a_sum[a, b]
-                nz = blk != 0
-                rows.append(idx[dst][..., a][nz])
-                cols.append(idx[src][..., b][nz])
-                vals.append(scale * blk[nz])
-
-        everywhere = (slice(None),) * d
         if not (isinstance(sys.V, ConstMatrixField) and not sys.V.mat.any()):
-            add_block(everywhere, everywhere, sys.V.on_grid(grid.axes), -1j)
+            add_block(everywhere, everywhere, *coefficient(sys.V.on_grid(grid.axes)), -1j)
         for j, (A, h) in enumerate(zip(sys.A, grid.spacing)):
-            if diagonal and isinstance(A, ConstMatrixField):
-                a_sum = A.mat + A.mat
-                for lo, hi, c in _stencil_pairs(d, j, order):
-                    scale = -0.5 * (c / h)
-                    add_constant_block(lo, hi, a_sum, scale)
-                    add_constant_block(hi, lo, a_sum, -scale)
-                continue
-            a = A.mat if isinstance(A, ConstMatrixField) else A.on_grid(grid.axes)
-            a = np.broadcast_to(a, grid.shape + (k, k))
+            a, entries = coefficient(A.mat if isinstance(A, ConstMatrixField)
+                                     else A.on_grid(grid.axes))
             for lo, hi, c in _stencil_pairs(d, j, order):
                 a_sum = a[lo] + a[hi]
                 scale = -0.5 * (c / h)
-                add_block(lo, hi, a_sum, scale)
-                add_block(hi, lo, a_sum, -scale)
+                add_block(lo, hi, a_sum, entries, scale)
+                add_block(hi, lo, a_sum, entries, -scale)
             del a, a_sum  # free this axis's samples before sampling the next
         rows = np.concatenate(rows)
         cols = np.concatenate(cols)

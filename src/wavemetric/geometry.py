@@ -67,8 +67,7 @@ _ALLOWED_STENCILS = {1: (2,), 2: (8, 16), 3: (26,)}
 
 # edge-weight modes of the lattice graph
 GEODESIC = 0
-ANISO_TIME = 1
-ISO_TIME = 2
+ARRIVAL_TIME = 1
 
 VERDICT_GRADES = (
     "certified-divergent",
@@ -257,19 +256,20 @@ def _normalize_sources(grid: Grid, sources) -> np.ndarray:
     return np.asarray(flat, dtype=np.int64)
 
 
-def _lattice_graph(grid, offsets, mode, mats, speed, passable):
+def _lattice_graph(grid, offsets, mode, mats, passable):
     """The lattice graph as ``(data, strides)``: one weight array per slot
     plus each offset's stride.
 
     ``data`` has shape (n, size): slot k of node u holds the weight of the
     edge u -> u + offsets[k], whose head is the flat node u + strides[k].
     An edge exists only when its head is on the grid and passable and its
-    weight is defined: geodesic weights sqrt(q) with q = dx . G_mid . dx (a
-    NaN weight is no edge), anisotropic times |dx|^2 / sqrt(q) with q from M
-    (dropped for q <= 0), isotropic times |dx| / midpoint speed (dropped for
-    a midpoint <= 0).  A slot without an edge holds +inf, so every node has
-    the same number of slots and no head needs storing.  ``strides`` has
-    the graph's index dtype, int32 below 2**31 slots.
+    weight is defined, with q = dx . mid . dx for the midpoint (matrix
+    average) ``mid`` of ``mats``: geodesic weights sqrt(q) with ``mats`` a
+    metric G (a NaN weight is no edge), and times |dx|^2 / sqrt(q) with
+    ``mats`` a velocity matrix M (dropped for q <= 0).  A slot without an
+    edge holds +inf, so every node has the same number of slots and no head
+    needs storing.  ``strides`` has the graph's index dtype, int32 below
+    2**31 slots.
 
     The sorted offsets are mirrored, offsets[size-1-k] == -offsets[k], so
     each undirected edge is weighed once, from the first half of the
@@ -301,15 +301,14 @@ def _lattice_graph(grid, offsets, mode, mats, speed, passable):
     data = np.full(shape + (size,), np.inf)
     spacing = np.asarray(grid.spacing)
     planes = {}
-    if mode != ISO_TIME:
-        for a, b in itertools.product(range(grid.d), repeat=2):
-            if mats[..., a, b].any():
-                planes[a, b] = np.ascontiguousarray(mats[..., a, b])
+    for a, b in itertools.product(range(grid.d), repeat=2):
+        if mats[..., a, b].any():
+            planes[a, b] = np.ascontiguousarray(mats[..., a, b])
     # one matrix of every node is every tail and every head of the planes
-    one = mode != ISO_TIME and mats.shape[:-2] != shape
-    # q (or the midpoint speed) and the weight, a term and the kept mask, each
-    # in a buffer that holds every offset's box of tails (one element for one
-    # matrix), and the edge mask in one that holds every box of tails
+    one = mats.shape[:-2] != shape
+    # q and the weight, a term and the kept mask, each in a buffer that holds
+    # every offset's box of tails (one element for one matrix), and the edge
+    # mask in one that holds every box of tails
     cells = 1 if one else n
     qbuf, tbuf, kbuf = np.empty(cells), np.empty(cells), np.empty(cells, dtype=bool)
     ebuf = np.empty(n, dtype=bool)
@@ -327,29 +326,23 @@ def _lattice_graph(grid, offsets, mode, mats, speed, passable):
         for a in moved:
             len2 += dx[a] * dx[a]
         with np.errstate(invalid="ignore", divide="ignore"):
-            if mode == ISO_TIME:
-                np.add(speed[tail], speed[head], out=q)
-                np.multiply(q, 0.5, out=q)
-                np.greater(q, 0.0, out=keep)
-                np.divide(np.sqrt(len2), q, out=q)
+            q.fill(0.0)
+            for a in moved:
+                for b in moved:
+                    if (a, b) in planes:
+                        np.add(planes[a, b][at_tail], planes[a, b][at_head], out=t)
+                        np.multiply(t, 0.5, out=t)
+                        np.multiply(t, dx[a], out=t)
+                        np.multiply(t, dx[b], out=t)
+                        np.add(q, t, out=q)
+            if mode == GEODESIC:
+                np.sqrt(q, out=q)
+                np.isnan(q, out=keep)
+                np.logical_not(keep, out=keep)
             else:
-                q.fill(0.0)
-                for a in moved:
-                    for b in moved:
-                        if (a, b) in planes:
-                            np.add(planes[a, b][at_tail], planes[a, b][at_head], out=t)
-                            np.multiply(t, 0.5, out=t)
-                            np.multiply(t, dx[a], out=t)
-                            np.multiply(t, dx[b], out=t)
-                            np.add(q, t, out=q)
-                if mode == GEODESIC:
-                    np.sqrt(q, out=q)
-                    np.isnan(q, out=keep)
-                    np.logical_not(keep, out=keep)
-                else:
-                    np.greater(q, 0.0, out=keep)
-                    np.sqrt(q, out=q)
-                    np.divide(len2, q, out=q)
+                np.greater(q, 0.0, out=keep)
+                np.sqrt(q, out=q)
+                np.divide(len2, q, out=q)
         for src, dst, slot in ((tail, head, k), (head, tail, size - 1 - k)):
             np.logical_and(keep, passable[dst], out=edge)
             np.copyto(data[src + (slot,)], q, where=edge)
@@ -442,7 +435,7 @@ def lattice_geodesic(metric: MetricField, sources, *, stencil: int | None = None
     grid = metric.grid
     size, offsets = stencil_offsets(grid.d, stencil)
     src = _normalize_sources(grid, sources)
-    graph = _lattice_graph(grid, offsets, GEODESIC, metric.G_samples, None, _passable_mask(grid))
+    graph = _lattice_graph(grid, offsets, GEODESIC, metric.G_samples, _passable_mask(grid))
     return DistanceField(
         grid,
         _shortest_distances(*graph, src).reshape(grid.shape),
@@ -452,33 +445,26 @@ def lattice_geodesic(metric: MetricField, sources, *, stencil: int | None = None
     )
 
 
-def eikonal_arrival(grid: Grid, speed, sources, *, stencil: int | None = None) -> DistanceField:
-    """First-arrival times for a front moving at the given speed.
+def eikonal_arrival(grid: Grid, speed: VelocityField, sources, *,
+                    stencil: int | None = None) -> DistanceField:
+    """First-arrival times for a front moving with the velocity field ``speed``.
 
-    ``speed`` is either a scalar array per node (isotropic) or a
-    VelocityField, in which case the directional speed along an edge is the
-    square root of the velocity-matrix quadratic form.  Nodes whose speed
-    scale falls below 1e-12 of the maximum are impassable and stay at +inf.
+    The directional speed along an edge is the square root of the
+    velocity-matrix quadratic form; an isotropic medium of speed c is the
+    field M = c^2 I.  Nodes whose speed scale sqrt(lam_max) falls below
+    1e-12 of the maximum are impassable and stay at +inf.
     """
-    passable = _passable_mask(grid)
-    if isinstance(speed, VelocityField):
-        if speed.grid is not grid and speed.grid.shape != grid.shape:
-            raise ValidationError("velocity field grid does not match")
-        scale = np.sqrt(np.maximum(speed.lam_max, 0.0))
-        passable = passable & (scale >= 1e-12 * float(scale.max()))
-        mode, mats, sp = ANISO_TIME, speed.M_samples, None
-    else:
-        s = np.asarray(speed, dtype=float)
-        if s.shape != grid.shape:
-            raise ValidationError(f"speed shape {s.shape}, expected {grid.shape}")
-        _require_finite(s, grid.shape, "speed")
-        if np.any(s < 0):
-            raise ValidationError("speed must be nonnegative")
-        passable = passable & (s >= 1e-12 * float(s.max()))
-        mode, mats, sp = ISO_TIME, None, s
+    if not isinstance(speed, VelocityField):
+        raise ValidationError(
+            f"arrival times need a VelocityField, got {type(speed).__name__}"
+        )
+    if speed.grid is not grid and speed.grid.shape != grid.shape:
+        raise ValidationError("velocity field grid does not match")
+    scale = np.sqrt(np.maximum(speed.lam_max, 0.0))
+    passable = _passable_mask(grid) & (scale >= 1e-12 * float(scale.max()))
     size, offsets = stencil_offsets(grid.d, stencil)
     src = _normalize_sources(grid, sources)
-    graph = _lattice_graph(grid, offsets, mode, mats, sp, passable)
+    graph = _lattice_graph(grid, offsets, ARRIVAL_TIME, speed.M_samples, passable)
     return DistanceField(
         grid,
         _shortest_distances(*graph, src).reshape(grid.shape),
@@ -697,7 +683,6 @@ def ray_completeness(
     t_end: float,
     *,
     n_cutoffs: int = 24,
-    tail: str | None = None,
     criterion: str = "ray-quadrature",
     extra_parameters: dict | None = None,
 ) -> CompletenessVerdict:
@@ -710,9 +695,8 @@ def ray_completeness(
     mapped onto [0, 1] and integrated together by the adaptive 21-point
     Gauss-Kronrod loop, which halves the worst interval until every segment
     meets ``RAY_RTOL`` or ``RAY_MAX_SUBDIVISIONS`` halvings are spent; a
-    segment missing the tolerance ends the partial integrals (inconclusive).
-    Declaring ``tail="const-over-t"`` asserts an inverse-linear speed tail;
-    it is certified only if the measured increments are constant within 1%.
+    segment missing the tolerance ends the partial integrals (inconclusive);
+    otherwise ``_classify_increments`` grades the increments.
     """
     t0 = float(t0)
     t_end = float(t_end)
@@ -720,8 +704,6 @@ def ray_completeness(
         raise ValidationError(f"need t0 < t_end, got [{t0}, {t_end}]")
     if n_cutoffs < 4:
         raise ValidationError("need at least 4 cutoffs")
-    if tail not in (None, "const-over-t"):
-        raise ValidationError(f"unknown tail model {tail!r}")
     if callable(speed):
         src = "<callable>"
     else:
@@ -768,15 +750,6 @@ def ray_completeness(
             "inconclusive", criterion, cutoffs[:n_good], integrals, params
         )
     inc = np.diff(np.asarray(integrals))
-    if tail == "const-over-t":
-        wnd = inc[-CLASSIFY_WINDOW:]
-        m = float(wnd.mean())
-        if m > 0 and float(np.abs(wnd - m).max()) <= POWER_FIT_TOL * m:
-            params["tail_exponent"] = 0.0
-            params["declared_tail"] = tail
-            return CompletenessVerdict(
-                "certified-divergent", criterion, cutoffs, integrals, params
-            )
     cls, extras = _classify_increments(inc, integrals[-1])
     params.update(extras)
     return CompletenessVerdict(cls, criterion, cutoffs, integrals, params)

@@ -22,8 +22,9 @@ order coefficients become E^{-1/2} A^j E^{-1/2}, and a zero-order Hermitian
 term built from the gradient of E^{-1/2} appears.  ``canonical_planes``, the
 one canonical sampler, samples and inverts E once for all the B^j and hands
 each out as ``EntryPlanes``: the sample planes of its nonzero entries.
-Under a diagonal E a constant A^j gives the planes of the nonzeros of
-A^j + A^j^T alone, with no k-by-k stack per sample; any other B^j gives the
+Under a diagonal E each A^j, constant or not, gives the planes of the
+entries where A^j or its transpose is nonzero at some sample, formed entry
+by entry with no k-by-k stack per sample; under any other E, B^j gives the
 planes of its stack that are not zero everywhere.  ``canonical_A`` gives
 the same B^j as matrices.  E^{-1/2} comes from ``spd_inv_sqrt``, the one
 kernel for a point and a stack of samples (diag(E)^{-1/2} from the
@@ -417,43 +418,38 @@ def _stack_planes(B: np.ndarray, hermitian_part: bool = False) -> EntryPlanes:
 
 def _diagonal_sandwich(r: np.ndarray, a: np.ndarray) -> EntryPlanes:
     """Hermitian part of diag(r) a diag(r), r = diag(E)^{-1/2} of shape S + (k,),
-    for a constant a: the planes of the nonzeros of a + a^T alone, entry (i, j)
-    being 0.5 ((r_i a_ij) r_j + conj((r_j a_ji) r_i)), the products and sums the
+    for one matrix a or a stack S + (k, k): the planes of the entries (i, j)
+    where a_ij or a_ji is nonzero at some sample, entry (i, j) being
+    0.5 ((r_i a_ij) r_j + conj((r_j a_ji) r_i)), the products and sums the
     whole-stack formula makes there."""
-    rows, cols = np.nonzero((a != 0) | (a.T != 0))
-    values = np.empty((len(rows),) + r.shape[:-1], dtype=np.result_type(r, a))
+    k = a.shape[-1]
+    nz = (a != 0).reshape(-1, k, k).any(axis=0)
+    rows, cols = np.nonzero(nz | nz.T)
+    shape = np.broadcast_shapes(r.shape[:-1], a.shape[:-2])
+    values = np.empty((len(rows),) + shape, dtype=np.result_type(r, a))
     for n, (i, j) in enumerate(zip(rows, cols)):
         ri, rj = r[..., i], r[..., j]
-        back = (rj * a[j, i]) * ri
+        back = (rj * a[..., j, i]) * ri
         plane = values[n, ...]
-        np.add((ri * a[i, j]) * rj, back.conj() if np.iscomplexobj(back) else back, out=plane)
+        np.add((ri * a[..., i, j]) * rj, back.conj() if np.iscomplexobj(back) else back,
+               out=plane)
         plane *= 0.5
-    return EntryPlanes(a.shape[0], tuple(zip(rows.tolist(), cols.tolist())), values)
+    return EntryPlanes(k, tuple(zip(rows.tolist(), cols.tolist())), values)
 
 
 def _sandwiches(E: MatrixField, A_fields, coords) -> list[EntryPlanes]:
     """E^{-1/2} A^j E^{-1/2}, Hermitian part, for every field, E sampled and inverted once.
 
-    A diagonal E is sampled on its diagonal and scales each A^j by
-    r = diag(E)^{-1/2} on both sides, so no k-by-k E^{-1/2} stack is formed;
-    a constant A^j then gives only the planes of its nonzeros
-    (``_diagonal_sandwich``).  Any other B^j is formed as a whole stack and
-    handed out by ``_stack_planes``.
+    A diagonal E is sampled on its diagonal and scales each A^j, constant
+    or not, by r = diag(E)^{-1/2} on both sides entry by entry, so no
+    k-by-k stack of E^{-1/2} or of B^j is formed (``_diagonal_sandwich``).
+    Under any other E, B^j = R A^j R is formed as a whole stack and handed
+    out by ``_stack_planes``.
     """
     R = _inv_sqrt_samples(E, coords)
-    out = []
-    for A in A_fields:
-        if E.is_diagonal and isinstance(A, ConstMatrixField):
-            out.append(_diagonal_sandwich(R, A.mat))
-            continue
-        a = A.sample(coords)
-        if E.is_diagonal:
-            b = R[..., :, None] * a
-            b *= R[..., None, :]
-        else:
-            b = R @ a @ R
-        out.append(_stack_planes(b, hermitian_part=True))
-    return out
+    if E.is_diagonal:
+        return [_diagonal_sandwich(R, A.sample(coords)) for A in A_fields]
+    return [_stack_planes(R @ A.sample(coords) @ R, hermitian_part=True) for A in A_fields]
 
 
 class _ElasticWeightField(MatrixField):
@@ -626,9 +622,10 @@ def canonical_planes(sys: CoefficientSystem, coords) -> list[EntryPlanes]:
 
     The one canonical sampler: the same matrices as sampling
     ``canonicalize(sys).A``, but E is sampled and inverted once for all
-    axes.  Under a diagonal E a constant A^j gives the planes of the
-    nonzeros of A^j + A^j^T; any other B^j gives the planes of its samples
-    that are not zero everywhere, and a constant B^j its nonzero entries.
+    axes.  Under a diagonal E each A^j gives the planes of the entries
+    (i, j) where A^j_ij or A^j_ji is nonzero at some sample; any other B^j
+    gives the planes of its samples that are not zero everywhere, and a
+    constant B^j its nonzero entries.
     """
     if _is_canonical(sys):
         return [_stack_planes(A.sample(coords)) for A in sys.A]

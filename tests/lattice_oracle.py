@@ -12,10 +12,10 @@ tests hold to them bit for bit.
 import numpy as np
 from scipy.sparse import csr_array
 
-from wavemetric.geometry import GEODESIC, ISO_TIME
+from wavemetric.geometry import GEODESIC
 
 
-def lattice_graph_every_slot(grid, offsets, mode, mats, speed, passable):
+def lattice_graph_every_slot(grid, offsets, mode, mats, passable):
     """CSR graph with one slot per (node, offset); a +inf self-loop where no edge."""
     shape = grid.shape
     n = grid.node_count
@@ -33,22 +33,17 @@ def lattice_graph_every_slot(grid, offsets, mode, mats, speed, passable):
         for a in range(grid.d):
             len2 += dx[a] * dx[a]
         with np.errstate(invalid="ignore", divide="ignore"):
-            if mode == ISO_TIME:
-                mid = 0.5 * (speed[tail] + speed[head])
-                keep = mid > 0.0
-                w = np.sqrt(len2) / mid
+            mt, mh = mats[tail], mats[head]
+            q = np.zeros(mt.shape[:-2])
+            for a in range(grid.d):
+                for b in range(grid.d):
+                    q += dx[a] * (0.5 * (mt[..., a, b] + mh[..., a, b])) * dx[b]
+            if mode == GEODESIC:
+                w = np.sqrt(q)
+                keep = ~np.isnan(w)
             else:
-                mt, mh = mats[tail], mats[head]
-                q = np.zeros(mt.shape[:-2])
-                for a in range(grid.d):
-                    for b in range(grid.d):
-                        q += dx[a] * (0.5 * (mt[..., a, b] + mh[..., a, b])) * dx[b]
-                if mode == GEODESIC:
-                    w = np.sqrt(q)
-                    keep = ~np.isnan(w)
-                else:
-                    keep = q > 0.0
-                    w = len2 / np.sqrt(q)
+                keep = q > 0.0
+                w = len2 / np.sqrt(q)
         keep &= passable[head]
         data[tail + (k,)][keep] = w[keep]
         indices[tail + (k,)][keep] = node[head][keep]

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -126,6 +128,18 @@ def test_normalization_is_idempotent():
     (lambda d: d["domain"].update(lower=[0.0, 0.0], upper=[1.0, 1.0]),
      "^telegraph needs a 1-dimensional domain$"),
     (lambda d: d["system"].update(name=["telegraph"]), "unknown; expected one of"),
+    (lambda d: d.update(grid=5), "^grid must be an object$"),
+    (lambda d: d["domain"].update(lower=["a"]), r"^domain\.lower\[0\] must be a number, got 'a'$"),
+    (lambda d: d["domain"].update(lower=[]),
+     r"^domain\.lower must be a non-empty array of numbers$"),
+    (lambda d: d["system"]["params"].update(L=[1]),
+     r"^system\.params\.L must be an expression string or a number$"),
+    (lambda d: d["domain"].update(unbounded=["none", "none"]),
+     r"^domain\.unbounded must list one flag per axis$"),
+    (lambda d: d["domain"].update(lower=[1.0], upper=[0.0]),
+     r"^domain axis 0: lower 1\.0 must be below upper 0\.0$"),
+    (lambda d: d.update(analysis={"stencil": "8"}), r"^analysis\.stencil must be an integer or null$"),
+    (lambda d: d["output"].update(dir=""), r"^output\.dir must be a non-empty string$"),
 ])
 def test_normalization_rejects(mutate, match):
     raw = {
@@ -247,6 +261,63 @@ def test_simulate_section_validation():
     bad["simulate"]["pulse"]["center"] = [0.98]
     with pytest.raises(ScenarioError, match="4 nodes"):
         cli.normalize_scenario(bad)
+    for section, key, value, message in (
+            ("simulate", "T", 0.0, "simulate.T must be positive"),
+            ("simulate", "cfl", 1.5, "simulate.cfl must lie in (0, 1]"),
+            ("pulse", "sigma", 0.0, "simulate.pulse.sigma must be positive"),
+            ("pulse", "components", [0, 0], "simulate.pulse.components must not all vanish")):
+        bad = json.loads(json.dumps(base))
+        (bad["simulate"] if section == "simulate" else bad["simulate"]["pulse"])[key] = value
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            cli.normalize_scenario(bad)
+
+
+def test_scenario_root_must_be_an_object(tmp_path, capsys):
+    p = tmp_path / "list.json"
+    p.write_text("[1]", encoding="utf-8")
+    assert cli.main(["analyze", str(p)]) == 2
+    assert capsys.readouterr().err == f"{p}: scenario root must be a JSON object\n"
+
+
+def _set_path(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize("command, path, value, message", [
+    ("analyze", ("domain", "lower", 0), -math.inf, "domain.lower[0] must be a finite number, got -inf"),
+    ("analyze", ("domain", "upper", 0), math.inf, "domain.upper[0] must be a finite number, got inf"),
+    ("analyze", ("analysis", "delta"), math.nan, "analysis.delta must be a finite number, got nan"),
+    ("simulate", ("simulate", "T"), math.inf, "simulate.T must be a finite number, got inf"),
+    ("simulate", ("simulate", "cfl"), math.nan, "simulate.cfl must be a finite number, got nan"),
+    ("simulate", ("simulate", "pulse", "center", 0), math.nan,
+     "simulate.pulse.center[0] must be a finite number, got nan"),
+    ("simulate", ("simulate", "pulse", "sigma"), 10**400,
+     "simulate.pulse.sigma must be a finite number, got inf"),
+    ("simulate", ("simulate", "pulse", "components", 0), math.inf,
+     "simulate.pulse.components[0] must be a finite number, got inf"),
+    ("analyze", ("system", "params", "radius"), math.inf,
+     "system.params.radius must be a finite number, got inf"),
+], ids=["domain.lower", "domain.upper", "analysis.delta", "simulate.T", "simulate.cfl",
+        "pulse.center", "pulse.sigma", "pulse.components", "dirac.radius"])
+def test_non_finite_scenario_numbers_exit_2(tmp_path, capsys, command, path, value, message):
+    # JSON's Infinity, -Infinity and NaN (and an integer past the float range)
+    # parse as numbers; each is a scenario error, not a traceback or exit 3
+    if path[-1] == "radius":
+        doc = family_scenario("dirac", {"radius": 0.1}, 3, -2.0, 2.0, "both")
+    else:
+        doc = json.loads(telegraph_scenario(tmp_path, nodes=64).read_text(encoding="utf-8"))
+        doc["simulate"] = {"T": 0.1, "pulse": {"center": [0.5], "sigma": 0.02,
+                                               "components": [1, 0]}}
+        doc["analysis"] = {"delta": 0.1}
+    doc["output"]["dir"] = str(tmp_path / "out")
+    _set_path(doc, path, value)
+    p = write_scenario(tmp_path, doc, "nonfinite.json")
+    assert cli.main([command, str(p)]) == 2
+    assert capsys.readouterr().err == f"{p}: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_expression_reports_position(tmp_path, capsys):

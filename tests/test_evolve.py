@@ -14,7 +14,7 @@ from scipy import sparse
 import wavemetric as wm
 from wavemetric import evolve as ev
 from wavemetric import systems, verify
-from wavemetric.errors import InstabilityError, ValidationError
+from wavemetric.errors import ConvergenceError, InstabilityError, ValidationError
 
 from evolve_oracle import full_evolution
 
@@ -705,6 +705,17 @@ def test_midpoint_conserves_energy_to_roundoff():
     assert abs(log_m.energies[-1] / log_m.energies[0] - 1.0) <= 1e-12
     fin_r, _ = ev.integrate(sysm, pulse, 0.3, method="rk4")
     assert np.abs(fin_m.values - fin_r.values).max() <= 1e-3
+
+
+def test_midpoint_stalls_on_a_step_too_large():
+    # dt = 0.05 is 3.25 cells per step: the fixed-point iteration of the implicit
+    # midpoint rule diverges, and the run stops with the residual it reached
+    sysm = wm.telegraph()
+    grid = wm.Grid(sysm.domain, (64,))
+    pulse = ev.gaussian_state(grid, [1.0, 0.0], [0.5], 0.05)
+    with pytest.raises(ConvergenceError, match=r"^implicit midpoint fixed point stalled at "
+                       r"residual \d\.\d{3}e\+\d\d; reduce the time step$"):
+        ev.integrate(sysm, pulse, 0.2, method="midpoint", dt=0.05)
 
 
 def test_unitary_transform_consistency():

@@ -31,6 +31,14 @@ def const_metric(domain, shape, G, interior=False):
     return geo.MetricField(grid, samples)
 
 
+def iso_field(grid, speed):
+    """The velocity field of an isotropic medium of node speeds c: M = c^2 I."""
+    M = np.zeros(grid.shape + (grid.d, grid.d))
+    diagonal = np.arange(grid.d)
+    M[..., diagonal, diagonal] = (np.asarray(speed, dtype=float) ** 2)[..., None]
+    return vel.VelocityField(grid, M)
+
+
 def unit_square_metric(n, size=None):
     size = float(n - 1) if size is None else size
     dom = wm.BoxDomain((0.0, 0.0), (size, size))
@@ -208,7 +216,7 @@ def test_bad_sources_raise_validation_error(sources, match):
     with pytest.raises(ValidationError, match=match):
         geo.lattice_geodesic(metric, sources)
     with pytest.raises(ValidationError, match=match):
-        geo.eikonal_arrival(metric.grid, np.ones((9, 9)), sources)
+        geo.eikonal_arrival(metric.grid, iso_field(metric.grid, 1.0), sources)
 
 
 def test_bad_arrival_speeds_raise_validation_error():
@@ -217,10 +225,8 @@ def test_bad_arrival_speeds_raise_validation_error():
     fld = vel.VelocityField(other, np.broadcast_to(np.eye(2), (8, 8, 2, 2)).copy())
     with pytest.raises(ValidationError, match="velocity field grid does not match"):
         geo.eikonal_arrival(grid, fld, [(0, 0)])
-    with pytest.raises(ValidationError, match=r"speed shape \(8, 8\), expected \(9, 9\)"):
-        geo.eikonal_arrival(grid, np.ones((8, 8)), [(0, 0)])
-    with pytest.raises(ValidationError, match="speed must be nonnegative"):
-        geo.eikonal_arrival(grid, np.full((9, 9), -1.0), [(0, 0)])
+    with pytest.raises(ValidationError, match="arrival times need a VelocityField, got ndarray"):
+        geo.eikonal_arrival(grid, np.ones((9, 9)), [(0, 0)])
 
 
 def test_distance_csv(tmp_path):
@@ -333,8 +339,7 @@ def test_metric_inversion_matches_eigh_at_every_node(d, kind, seed, exponent):
 def test_arrival_constant_speed_1d():
     dom = wm.BoxDomain((0.0,), (1.0,))
     grid = wm.Grid(dom, (65,), interior=False)
-    speed = np.full((65,), 2.0)
-    arr = geo.eikonal_arrival(grid, speed, [(0,)])
+    arr = geo.eikonal_arrival(grid, iso_field(grid, 2.0), [(0,)])
     assert np.allclose(arr.values, grid.axes[0] / 2.0, atol=1e-12)
 
 
@@ -352,7 +357,7 @@ def test_arrival_from_velocity_matrix():
 def test_arrival_2d_unit_speed_matches_geodesic_example():
     dom = wm.BoxDomain((0.0, 0.0), (8.0, 8.0))
     grid = wm.Grid(dom, (9, 9), interior=False)
-    arr = geo.eikonal_arrival(grid, np.ones((9, 9)), [(0, 0)])
+    arr = geo.eikonal_arrival(grid, iso_field(grid, 1.0), [(0, 0)])
     assert arr.values[3, 4] == pytest.approx(3.0 * math.sqrt(2.0) + 1.0, rel=1e-12)
 
 
@@ -361,26 +366,20 @@ def test_arrival_impassable_nodes():
     grid = wm.Grid(dom, (16,), interior=False)
     speed = np.ones(16)
     speed[8] = 0.0  # wall
-    arr = geo.eikonal_arrival(grid, speed, [(0,)])
+    arr = geo.eikonal_arrival(grid, iso_field(grid, speed), [(0,)])
     assert np.all(np.isinf(arr.values[8:]))
     assert np.all(np.isfinite(arr.values[:8]))
 
 
-def test_arrival_rejects_negative_speed():
-    dom = wm.BoxDomain((0.0,), (1.0,))
-    grid = wm.Grid(dom, (16,))
-    with pytest.raises(ValueError, match="nonnegative"):
-        geo.eikonal_arrival(grid, np.full((16,), -1.0), [(0,)])
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_arrival_rejects_non_finite_speed(bad):
+    # the velocity field of the arrival rejects the node before any search
     dom = wm.BoxDomain((0.0, 0.0), (1.0, 1.0))
     grid = wm.Grid(dom, (8, 8))
     speed = np.ones((8, 8))
     speed[2, 5] = bad
     with pytest.raises(ValueError, match=r"not finite at node \(2, 5\)"):
-        geo.eikonal_arrival(grid, speed, [(0, 0)])
+        geo.eikonal_arrival(grid, iso_field(grid, speed), [(0, 0)])
 
 
 def test_arrival_skips_excluded_ball():
@@ -389,7 +388,7 @@ def test_arrival_skips_excluded_ball():
         excluded_ball=((0.0, 0.0), 0.4),
     )
     grid = wm.Grid(dom, (33, 33), interior=False)
-    arr = geo.eikonal_arrival(grid, np.ones((33, 33)), [(0, 0)])
+    arr = geo.eikonal_arrival(grid, iso_field(grid, 1.0), [(0, 0)])
     center = (16, 16)
     assert math.isinf(arr.values[center])
     # opposite corner is reachable by going around the ball
@@ -449,8 +448,6 @@ def test_lattice_edge_rules_match_bellman_ford(shape):
     e0[0, 0] = 1.0
     M[:, 2] = e0
     m_scale = np.sqrt(np.maximum(np.linalg.eigvalsh(M)[..., -1], 0.0))
-    s = rng.uniform(0.5, 1.5, size=shape)
-    s[rng.random(shape) < 0.15] = 0.0
 
     def geodesic(u, v, dx):
         return math.sqrt(dx @ (0.5 * (G[u] + G[v])) @ dx)
@@ -458,10 +455,6 @@ def test_lattice_edge_rules_match_bellman_ford(shape):
     def aniso(u, v, dx):
         q = dx @ (0.5 * (M[u] + M[v])) @ dx
         return None if q <= 0.0 else (dx @ dx) / math.sqrt(q)
-
-    def iso(u, v, dx):
-        mid = 0.5 * (s[u] + s[v])
-        return None if mid <= 0.0 else math.sqrt(dx @ dx) / mid
 
     # an impassable source inside the ball with a passable stencil neighbour
     walled = next(
@@ -475,7 +468,6 @@ def test_lattice_edge_rules_match_bellman_ford(shape):
         (lambda src: geo.lattice_geodesic(geo.MetricField(grid, G), src), outside, geodesic),
         (lambda src: geo.eikonal_arrival(grid, vel.VelocityField(grid, M), src),
          outside & (m_scale >= 1e-12 * m_scale.max()), aniso),
-        (lambda src: geo.eikonal_arrival(grid, s, src), outside & (s >= 1e-12 * s.max()), iso),
     ]
     for compute, passable, weight in runs:
         neighbours = [
@@ -499,8 +491,7 @@ def _graph_inputs(d, interior):
     G is random SPD.  M is zero on a slab two nodes wide and rank one along
     the first axis on another, so anisotropic edges inside the first, and
     edges inside the second that do not move along the first axis, have
-    q = 0 and drop.  A fifth of the speeds are zero, so isotropic edges
-    between two such nodes drop.
+    q = 0 and drop.
     """
     shape = {1: (23,), 2: (9, 11), 3: (8, 9, 8)}[d]
     center = (0.1,) + (0.0,) * (d - 1)
@@ -513,15 +504,12 @@ def _graph_inputs(d, interior):
     M[1:3] = 0.0
     M[..., 4:6, :, :] = 0.0
     M[..., 4:6, 0, 0] = 1.0
-    s = rng.uniform(0.5, 1.5, size=shape)
-    s[rng.random(shape) < 0.2] = 0.0
     passable = geo._passable_mask(grid) & (rng.random(shape) > 0.1)
     mats = {
         geo.GEODESIC: geo.MetricField(grid, G).G_samples,
-        geo.ANISO_TIME: vel.VelocityField(grid, M).M_samples,
-        geo.ISO_TIME: None,
+        geo.ARRIVAL_TIME: vel.VelocityField(grid, M).M_samples,
     }
-    return grid, mats, s, passable
+    return grid, mats, passable
 
 
 def _plane_case(grid, mats, case):
@@ -538,7 +526,7 @@ def _plane_case(grid, mats, case):
         return geo.MetricField(grid, G).G_samples
     if case == "zero-off-diagonal":
         # adding [[|e|, -e], [-e, |e|]] on axes 0 and d-1 zeroes e and keeps M PSD
-        M = mats[geo.ANISO_TIME].copy()
+        M = mats[geo.ARRIVAL_TIME].copy()
         if d > 1:
             e = np.abs(M[..., 0, d - 1])
             M[..., 0, 0] += e
@@ -557,12 +545,11 @@ def _plane_case(grid, mats, case):
 # constant entry planes, which the builder skips or reads as planes
 _GRAPH_CASES = {
     "geodesic": (geo.GEODESIC, None),
-    "aniso": (geo.ANISO_TIME, None),
-    "iso": (geo.ISO_TIME, None),
+    "aniso": (geo.ARRIVAL_TIME, None),
     "geodesic-diagonal": (geo.GEODESIC, "diagonal"),
-    "aniso-zero-off-diagonal": (geo.ANISO_TIME, "zero-off-diagonal"),
+    "aniso-zero-off-diagonal": (geo.ARRIVAL_TIME, "zero-off-diagonal"),
     "geodesic-constant": (geo.GEODESIC, "constant"),
-    "aniso-constant-diagonal": (geo.ANISO_TIME, "constant-diagonal"),
+    "aniso-constant-diagonal": (geo.ARRIVAL_TIME, "constant-diagonal"),
 }
 
 
@@ -571,12 +558,11 @@ _GRAPH_CASES = {
 @pytest.mark.parametrize("d,stencil", [(1, 2), (2, 8), (2, 16), (3, 26)])
 def test_lattice_graph_matches_every_slot_oracle_bit_for_bit(d, stencil, case, interior):
     mode, planes = _GRAPH_CASES[case]
-    grid, mats, speed, passable = _graph_inputs(d, interior)
+    grid, mats, passable = _graph_inputs(d, interior)
     m = mats[mode] if planes is None else _plane_case(grid, mats, planes)
     _, offsets = geo.stencil_offsets(d, stencil)
-    sp = speed if mode == geo.ISO_TIME else None
-    data, strides = geo._lattice_graph(grid, offsets, mode, m, sp, passable)
-    want = lattice_graph_every_slot(grid, offsets, mode, m, sp, passable)
+    data, strides = geo._lattice_graph(grid, offsets, mode, m, passable)
+    want = lattice_graph_every_slot(grid, offsets, mode, m, passable)
     # the oracle's CSR rows hold one slot per offset, so its arrays reshape to (n, size)
     slots = (grid.node_count, len(offsets))
     assert np.array_equal(want.indptr, np.arange(0, want.data.size + 1, slots[1]))
@@ -586,10 +572,10 @@ def test_lattice_graph_matches_every_slot_oracle_bit_for_bit(d, stencil, case, i
     tails = np.broadcast_to(np.arange(grid.node_count)[:, None], slots)
     edge = np.isfinite(data)
     assert np.array_equal((tails + strides)[edge], want.indices.reshape(slots)[edge])
-    if mode != geo.GEODESIC and planes is None:
-        # the inputs drop edges that unit speeds and M = I would keep
+    if mode == geo.ARRIVAL_TIME and planes is None:
+        # the inputs drop edges that M = I would keep
         eye = np.broadcast_to(np.eye(d), grid.shape + (d, d))
-        kept = lattice_graph_every_slot(grid, offsets, mode, eye, np.ones(grid.shape), passable)
+        kept = lattice_graph_every_slot(grid, offsets, mode, eye, passable)
         assert np.isinf(want.data).sum() > np.isinf(kept.data).sum()
 
 
@@ -621,26 +607,22 @@ def _search_inputs(d, mode, interior, ball, seed, contrast, ties, walled, n_sour
     if walled:
         at = int(rng.integers(0, shape[0] - 1))
         passable[at:at + 2] = False
-    mats = speed = None
-    if mode == geo.ISO_TIME:
-        speed = np.where(passable, scale, 0.0)
-    else:
-        A = np.eye(d) if ties else rng.normal(size=shape + (d, d))
-        mats = scale[..., None, None] * (A @ np.swapaxes(A, -1, -2) + 0.2 * np.eye(d))
-        if mode == geo.ANISO_TIME:
-            mats[~passable] = 0.0
+    A = np.eye(d) if ties else rng.normal(size=shape + (d, d))
+    mats = scale[..., None, None] * (A @ np.swapaxes(A, -1, -2) + 0.2 * np.eye(d))
+    if mode == geo.ARRIVAL_TIME:
+        mats[~passable] = 0.0
     flat = rng.choice(grid.node_count, size=n_sources)
     sources = [tuple(int(i) for i in np.unravel_index(f, shape)) for f in flat]
-    return grid, mats, speed, passable, sources
+    return grid, mats, passable, sources
 
 
-def _search_and_dijkstra(grid, stencil, mode, mats, speed, passable, sources):
+def _search_and_dijkstra(grid, stencil, mode, mats, passable, sources):
     """The package's search and scipy's Dijkstra, the oracle, on one lattice graph."""
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import dijkstra
 
     _, offsets = geo.stencil_offsets(grid.d, stencil)
-    data, strides = geo._lattice_graph(grid, offsets, mode, mats, speed, passable)
+    data, strides = geo._lattice_graph(grid, offsets, mode, mats, passable)
     src = geo._normalize_sources(grid, sources)
     n, size = data.shape
     # the CSR heads from the strides, a +inf self-loop where a slot has no edge
@@ -652,8 +634,7 @@ def _search_and_dijkstra(grid, stencil, mode, mats, speed, passable, sources):
     return geo._shortest_distances(data, strides, src), want, src
 
 
-@pytest.mark.parametrize("mode", [geo.GEODESIC, geo.ANISO_TIME, geo.ISO_TIME],
-                         ids=["geodesic", "aniso", "iso"])
+@pytest.mark.parametrize("mode", [geo.GEODESIC, geo.ARRIVAL_TIME], ids=["geodesic", "aniso"])
 @pytest.mark.parametrize("d,stencil", [(1, 2), (2, 8), (2, 16), (3, 26)])
 @settings(derandomize=True, database=None, deadline=None, max_examples=20)
 @given(interior=st.booleans(), ball=st.booleans(), seed=st.integers(0, 2**32 - 1),
@@ -663,9 +644,9 @@ def test_shortest_distances_match_scipy_dijkstra_bit_for_bit(
         d, stencil, mode, interior, ball, seed, contrast, ties, walled, n_sources):
     # every distance has Dijkstra's bits, +inf on the unreached nodes and 0
     # on every source, passable or not
-    grid, mats, speed, passable, sources = _search_inputs(
+    grid, mats, passable, sources = _search_inputs(
         d, mode, interior, ball, seed, contrast, ties, walled, n_sources)
-    got, want, src = _search_and_dijkstra(grid, stencil, mode, mats, speed, passable, sources)
+    got, want, src = _search_and_dijkstra(grid, stencil, mode, mats, passable, sources)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.all(got[src] == 0.0)
 
@@ -673,7 +654,7 @@ def test_shortest_distances_match_scipy_dijkstra_bit_for_bit(
 @pytest.mark.parametrize("shape,n_sources", [
     ((6000,), 1), ((6000,), 3), ((60, 70), 1), ((20, 22, 19), 1),
 ], ids=["line", "line-3-sources", "2d", "3d"])
-@pytest.mark.parametrize("mode", [geo.GEODESIC, geo.ISO_TIME], ids=["geodesic", "iso"])
+@pytest.mark.parametrize("mode", [geo.GEODESIC, geo.ARRIVAL_TIME], ids=["geodesic", "aniso"])
 @pytest.mark.parametrize("ties", [False, True], ids=["rough", "ties"])
 def test_long_rays_match_scipy_dijkstra_bit_for_bit(shape, n_sources, mode, ties):
     # fronts of at most two nodes per source follow each slot on for many
@@ -681,9 +662,9 @@ def test_long_rays_match_scipy_dijkstra_bit_for_bit(shape, n_sources, mode, ties
     # rays leave the grid or wrap to the next row across a +inf slot
     d = len(shape)
     for seed, walled in ((3, False), (4, True)):
-        grid, mats, speed, passable, sources = _search_inputs(
+        grid, mats, passable, sources = _search_inputs(
             d, mode, False, False, seed, 1e3, ties, walled, n_sources, shape, blocked=0.0)
-        got, want, _ = _search_and_dijkstra(grid, None, mode, mats, speed, passable, sources)
+        got, want, _ = _search_and_dijkstra(grid, None, mode, mats, passable, sources)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert walled or np.isfinite(got).all()
 
@@ -743,10 +724,37 @@ def test_ray_accepts_callable():
     assert v.classification == "certified-divergent"  # integral grows like log
 
 
-def test_ray_declared_tail():
-    v = geo.ray_completeness("x", 1.0, math.inf, tail="const-over-t")
+def test_ray_inverse_linear_tail_is_certified():
+    # 1/x integrates to log: constant increments on doubling cutoffs
+    v = geo.ray_completeness("x", 1.0, math.inf)
     assert v.classification == "certified-divergent"
-    assert v.parameters.get("declared_tail") == "const-over-t"
+    assert abs(v.parameters["tail_exponent"]) <= geo.POWER_FIT_TOL
+
+
+@pytest.mark.parametrize("increments, total, grade, extras", [
+    ([1.0, 0.5], 1.5, "inconclusive", {"diagnostic": "fewer than 3 increments"}),
+    ([0.0, 0.0, 0.0, 0.0], 1.0, "likely-convergent", {"limit_estimate": 1.0}),
+    ([1.0, 0.5, -0.1, 0.3], 1.7, "inconclusive",
+     {"diagnostic": "stalled or non-positive increments"}),
+    ([1.0, 2.0, 3.0, 5.0, 8.0], 19.0, "likely-divergent", None),
+    ([1.0, 0.4, 0.1, 0.04], 2.0, "likely-convergent",
+     {"limit_estimate": 2.0 + 0.04 * 0.4 / 0.6}),
+    ([1.0, 0.95, 0.99, 0.92], 3.86, "likely-divergent", None),
+    ([1.0, 0.7, 0.8, 0.6], 3.1, "inconclusive", None),
+], ids=["too-few", "all-zero", "non-positive", "growing", "geometric-convergent",
+        "geometric-divergent", "unsettled"])
+def test_classify_increments_rules(increments, total, grade, extras):
+    # one sequence per rule besides the stable exponent; a sequence that
+    # reaches the exponent fit reports it, with a spread too wide to use
+    got, params = geo._classify_increments(increments, total)
+    assert got == grade
+    measured = {"tail_exponent", "exponent_spread"} & set(params)
+    if measured:
+        assert params["exponent_spread"] > geo.POWER_FIT_TOL
+    extras = extras or {}
+    assert set(params) == set(extras) | measured
+    for key, value in extras.items():
+        assert params[key] == pytest.approx(value, rel=1e-15)
 
 
 def test_ray_rejects_multivariate_speed():
@@ -947,12 +955,11 @@ def _line_metric():
      "start below that"),
     (lambda: geo.ray_completeness("1", 1.0, 1.0), r"need t0 < t_end, got \[1.0, 1.0\]"),
     (lambda: geo.ray_completeness("1", 0.0, 1.0, n_cutoffs=3), "need at least 4 cutoffs"),
-    (lambda: geo.ray_completeness("1", 0.0, 1.0, tail="exp"), "unknown tail model 'exp'"),
     (lambda: geo.ray_completeness("x + y", 0.0, 1.0),
      r"ray speed must be a function of x alone, found \['x', 'y'\]"),
 ], ids=["stencil", "probe-outside", "one-margin", "margins-2-d", "margin-negative",
         "margins-not-decreasing", "margin-too-deep", "ray-interval", "ray-cutoffs",
-        "ray-tail", "ray-variable"])
+        "ray-variable"])
 def test_bad_arguments_raise_validation_error(call, message):
     # argument errors are the package's own class, with their messages kept;
     # inside a CLI command they still exit 3 like any other ValueError
@@ -979,10 +986,10 @@ def test_lattice_graph_peak_stays_near_its_weight_array():
     G = geo.MetricField(grid, np.broadcast_to(0.227 * np.eye(3), grid.shape + (3, 3)).copy())
     _, offsets = geo.stencil_offsets(3, 26)
     passable = geo._passable_mask(grid)
-    geo._lattice_graph(grid, offsets, geo.GEODESIC, G.G_samples, None, passable)
+    geo._lattice_graph(grid, offsets, geo.GEODESIC, G.G_samples, passable)
     tracemalloc.start()
     try:
-        data, _ = geo._lattice_graph(grid, offsets, geo.GEODESIC, G.G_samples, None, passable)
+        data, _ = geo._lattice_graph(grid, offsets, geo.GEODESIC, G.G_samples, passable)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1045,9 +1052,9 @@ def test_constant_field_has_the_bits_of_its_full_stack(case, tmp_path):
     _, offsets = geo.stencil_offsets(d)
     passable = geo._passable_mask(grid)
     for mode, mats_one, mats_full in ((geo.GEODESIC, metric_one.G_samples, metric_full.G_samples),
-                                      (geo.ANISO_TIME, one.M_samples, full.M_samples)):
-        data, strides = geo._lattice_graph(grid, offsets, mode, mats_one, None, passable)
-        want, want_strides = geo._lattice_graph(grid, offsets, mode, mats_full, None, passable)
+                                      (geo.ARRIVAL_TIME, one.M_samples, full.M_samples)):
+        data, strides = geo._lattice_graph(grid, offsets, mode, mats_one, passable)
+        want, want_strides = geo._lattice_graph(grid, offsets, mode, mats_full, passable)
         _same_bits(data, want)
         assert np.array_equal(strides, want_strides)
     src = [tuple(n // 4 for n in grid.shape)]
