@@ -71,6 +71,7 @@ DEFAULT_SUPPORT_THRESHOLD = 1e-8
 MIDPOINT_TOL = 1e-13
 MIDPOINT_MAX_ITER = 60
 LOG_ROWS = 1000
+MAX_STEPS = 10**8
 
 _DIFF_COEFFS = {2: (0.5,), 4: (2.0 / 3.0, -1.0 / 12.0)}
 
@@ -108,7 +109,7 @@ class WaveState:
         for c in range(k):
             header += [f"re_{c + 1}", f"im_{c + 1}"]
         re_im = np.ascontiguousarray(self.values).reshape(-1, k).view(np.float64)
-        write_csv(path, header, np.hstack([self.grid.coords().reshape(-1, d), re_im]))
+        write_csv(path, header, re_im, self.grid.axes)
 
 
 def gaussian_state(grid: Grid, components, center, sigma: float, t: float = 0.0) -> WaveState:
@@ -121,8 +122,7 @@ def gaussian_state(grid: Grid, components, center, sigma: float, t: float = 0.0)
         raise ValidationError(f"center must be a {grid.d}-vector")
     if not sigma > 0:
         raise ValidationError("sigma must be positive")
-    r2 = ((grid.coords() - center) ** 2).sum(axis=-1)
-    bump = np.exp(-r2 / (2.0 * sigma**2))
+    bump = np.exp(-grid.squared_distances(center) / (2.0 * sigma**2))
     return WaveState(grid, bump[..., None] * components, t)
 
 
@@ -546,7 +546,13 @@ def _evolution(sys, state0, T, cfl, threshold, method, order, dt):
         dt = cfl_dt(sys, state0.grid, cfl)
     elif not dt > 0:
         raise ValidationError("dt must be positive")
-    steps = max(1, int(math.ceil(T / dt - 1e-12)))
+    planned = T / dt - 1e-12
+    if not planned <= MAX_STEPS:  # inf and NaN included
+        raise ValidationError(
+            f"final time T = {T:g} needs {planned:.3g} steps of dt = {dt:g}, "
+            f"more than MAX_STEPS = {MAX_STEPS:.0e}"
+        )
+    steps = max(1, int(math.ceil(planned)))
     dt = T / steps
     op = DiscreteOperator(sys, state0.grid, order)
     rows, G = _live_block(op.generator, sys.k, state0.values)

@@ -210,10 +210,8 @@ class DistanceField:
         return self.values[idx]
 
     def to_csv(self, path) -> None:
-        d = self.grid.d
-        table = np.column_stack([self.grid.coords().reshape(-1, d),
-                                 self.values.reshape(-1)])
-        write_csv(path, [f"x{j + 1}" for j in range(d)] + ["value"], table)
+        names = [f"x{j + 1}" for j in range(self.grid.d)] + ["value"]
+        write_csv(path, names, self.values.reshape(-1, 1), self.grid.axes)
 
 
 def node_boundary_distances(grid: Grid) -> np.ndarray:

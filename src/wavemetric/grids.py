@@ -8,11 +8,13 @@ extent/(n-1), which the lattice-distance code uses so that distances between
 box corners come out exact.
 
 ``write_csv`` writes the float tables behind every CSV the CLI produces (the
-velocity, distance and state fields and the evolution log).  Each cell is the
-text of ``f"{v:.17g}"``, made for whole arrays at once by the package's own
-numpy conversion ``_formatted``: double-double scaling by exact powers of ten
-with an error bound, Python's conversion only for a rounding the bound leaves
-open (Loitsch, PLDI 2010; Adams, OOPSLA 2019, take the same approach).
+velocity, distance and state fields and the evolution log).  A grid field's
+coordinate columns are written from the grid's axes, with no (nodes, d)
+coordinate table, and a column of one value is formatted once.  Each cell is
+the text of ``f"{v:.17g}"``, made for whole arrays at once by the package's
+own numpy conversion ``_formatted``: double-double scaling by exact powers of
+ten with an error bound, Python's conversion only for a rounding the bound
+leaves open (Loitsch, PLDI 2010; Adams, OOPSLA 2019, take the same approach).
 """
 
 from __future__ import annotations
@@ -84,6 +86,17 @@ class Grid:
         mesh = np.meshgrid(*self._axes, indexing="ij")
         return np.stack(mesh, axis=-1)
 
+    def squared_distances(self, center) -> np.ndarray:
+        """|x - center|**2 per node, shape ``shape``.
+
+        The squares are summed over the sparse axes, axis 1 first: the order
+        in which a sum over the last axis of the (*shape, d) coordinate stack
+        adds them, so the bits are the same without that stack.
+        """
+        shifted = np.meshgrid(*(ax - c for ax, c in zip(self._axes, center)),
+                              indexing="ij", sparse=True)
+        return reduce(np.add, [s * s for s in shifted])
+
     @cached_property
     def _ball_norms(self) -> np.ndarray | None:
         """|x - center| per node for the domain's excluded ball, read-only;
@@ -91,7 +104,7 @@ class Grid:
         the passable mask of the lattice graph both derive from it."""
         if self.domain.excluded_ball is None:
             return None
-        norms = np.linalg.norm(self.coords() - np.asarray(self.domain.excluded_ball[0]), axis=-1)
+        norms = np.sqrt(self.squared_distances(self.domain.excluded_ball[0]))
         norms.setflags(write=False)
         return norms
 
@@ -121,7 +134,7 @@ class Grid:
 CSV_CHUNK_ROWS = 4096
 
 
-def write_csv(path, names, table) -> None:
+def write_csv(path, names, table, axes=()) -> None:
     """Write a float table as CSV: a header row, then one row per table row.
 
     Each cell holds the text ``f"{v:.17g}"`` gives for its value (``nan``,
@@ -130,48 +143,102 @@ def write_csv(path, names, table) -> None:
     strings.  The text comes from the package's own vectorised conversion,
     ``_formatted``, not from Python's.
 
+    With ``axes`` the table is a grid's: its first ``len(axes)`` columns are
+    the row-major product of those arrays, the node coordinates, and
+    ``table`` holds only the value columns after them, one row per node.
+    ``table`` may be any 2-D float64 view, a broadcast one included; it is
+    read a chunk at a time and never copied whole.
+
     Tables are mostly repeats (axis values, constant columns, zero imaginary
-    parts), so the table is written in chunks of ``CSV_CHUNK_ROWS`` rows and
-    each chunk converts every distinct float64 bit pattern once
-    (``_csv_chunk``).  A cell's text depends only on its bit pattern: keying
-    on bits keeps -0 apart from 0, and every NaN payload prints ``nan``.
+    parts).  Each axis is formatted once, and a row's coordinate text is
+    looked up from its row number.  A value column whose cells all share one
+    bit pattern is formatted once.  The other value columns are written in
+    chunks of ``CSV_CHUNK_ROWS`` rows, each chunk converting every distinct
+    float64 bit pattern once (``_csv_chunk``).  A cell's text depends only on
+    its bit pattern: keying on bits keeps -0 apart from 0, and every NaN
+    payload prints ``nan``.  The chunks share one row buffer and one mask,
+    allocated for the widest row the table can have.
     """
-    table = np.ascontiguousarray(table, dtype=np.float64)
+    bits = np.asarray(table, dtype=np.float64).view(np.uint64)
+    axes = [np.asarray(ax, dtype=np.float64) for ax in axes]
+    sizes = [len(ax) for ax in axes]
     with open(path, "wb") as fh:
         fh.write((",".join(names) + "\r\n").encode())
-        for start in range(0, len(table), CSV_CHUNK_ROWS):
-            fh.write(_csv_chunk(table[start:start + CSV_CHUNK_ROWS]))
+        if not len(bits):
+            return
+        varies = np.zeros(bits.shape[1], bool)
+        for start in range(0, len(bits), CSV_CHUNK_ROWS):
+            varies |= _differs(bits[start:start + CSV_CHUNK_ROWS], bits[0])
+        live = np.flatnonzero(varies)
+        # the axis values and the constant columns' values, formatted in one call
+        text, lengths = _formatted(np.concatenate(axes + [bits[0, ~varies].view(np.float64)]))
+        ends = np.cumsum(sizes).tolist()
+        coords = [text[end - n:end, :int(lengths[end - n:end].max())]
+                  for end, n in zip(ends, sizes)]
+        # the table's line: the text of each constant column, None for the others
+        once = iter(text[i, :lengths[i]].tobytes() for i in range(sum(sizes), len(text)))
+        cells = [None] * len(axes) + [None if v else next(once) for v in varies.tolist()]
+        widest = (sum(c.shape[1] for c in coords) + _TEXT_BYTES * len(live)
+                  + sum(len(cell) for cell in cells if cell is not None) + len(cells) + 1)
+        size = min(len(bits), CSV_CHUNK_ROWS) * widest
+        buffer, mask = np.empty(size, np.uint8), np.empty(size, bool)
+        for start in range(0, len(bits), CSV_CHUNK_ROWS):
+            part = bits[start:start + CSV_CHUNK_ROWS][:, live]
+            # row r is node r of the grid, in row-major order
+            nodes = np.unravel_index(np.arange(start, start + len(part)), sizes) if axes else ()
+            fills = list(zip(range(len(axes)), coords, nodes))
+            fh.write(_csv_chunk(part, live + len(axes), cells, fills, buffer, mask))
 
 
-def _csv_chunk(part: np.ndarray) -> np.ndarray:
-    """The CSV rows of a non-empty 2-D float64 block, as a uint8 array.
+def _differs(part: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Which columns of a 2-D block hold a bit pattern other than ``row``'s.
 
-    A column whose cells all share the first row's bit pattern is written
-    from that row alone.  The first row's bit patterns and those of the other
-    columns are sorted together by ``np.unique``, and ``_formatted`` converts
-    each distinct one in a single call.  One line holds the constant columns'
-    text and a run of NULs as wide as each other column's widest text, every
-    cell followed by "," (or "\r\n" after the last).  It is copied to each
-    row, the other columns' text is filled in, and the NULs are dropped.
+    The mask is formed column by column, (columns, rows) in C order, whose
+    rows numpy reduces several times faster than the columns of a
+    (rows, columns) mask.
     """
-    bits = part.view(np.uint64)
-    ncols = part.shape[1]
-    varying = np.flatnonzero((bits != bits[0]).any(axis=0))
-    keys, inverse = np.unique(np.concatenate([bits[0], bits[:, varying].ravel()]),
-                              return_inverse=True)
-    text, lengths = _formatted(keys.view(np.float64))
-    cells = [text[i, :lengths[i]].tobytes() for i in inverse[:ncols].tolist()]
-    inverse = inverse[ncols:].reshape(len(part), len(varying))
-    for j, c in enumerate(varying):
-        cells[c] = bytes(int(np.take(lengths, inverse[:, j]).max()))
+    return np.not_equal(part.T, row[:, None], order="C").any(axis=1)
+
+
+def _csv_chunk(part, live, cells, fills, buffer, mask) -> np.ndarray:
+    """The CSV rows of one chunk, as a uint8 array.
+
+    ``cells`` is the table's line, with None at the ``live`` columns, whose
+    bit patterns in this chunk are the columns of ``part``, and at the
+    columns of ``fills``: (column, text, index) triples whose per-row cell
+    is row ``index[r]`` of ``text``.  A live column whose cells all share the
+    first row's bit pattern is written from that row alone.  The first row's
+    bit patterns and those of the other live columns are sorted together by
+    ``np.unique``, and ``_formatted`` converts each distinct one in a single
+    call; those other columns join ``fills``.  One line holds the constant
+    cells' text and a run of NULs as wide as each filled column's widest
+    text, every cell followed by "," (or "\r\n" after the last).  It is
+    copied to each row of ``buffer``, the filled columns' text is written in,
+    and the NULs, found through ``mask``, are dropped.
+    """
+    cells, fills = list(cells), list(fills)
+    if len(live):
+        moving = np.flatnonzero(_differs(part, part[0]))
+        keys, inverse = np.unique(np.concatenate([part[0], part[:, moving].ravel()]),
+                                  return_inverse=True)
+        text, lengths = _formatted(keys.view(np.float64))
+        for c, i in zip(live.tolist(), inverse[:len(live)].tolist()):
+            cells[c] = text[i, :lengths[i]].tobytes()
+        inverse = inverse[len(live):].reshape(len(part), len(moving))
+        for j, m in enumerate(moving.tolist()):
+            width = int(np.take(lengths, inverse[:, j]).max())
+            fills.append((int(live[m]), text[:, :width], inverse[:, j]))
+    for c, text, _ in fills:
+        cells[c] = bytes(text.shape[1])
     line = b",".join(cells) + b"\r\n"
-    rows = np.empty((len(part), len(line)), np.uint8)
+    rows = buffer[:len(part) * len(line)].reshape(len(part), len(line))
     rows[:] = np.frombuffer(line, np.uint8)
     starts = np.cumsum([0] + [len(cell) + 1 for cell in cells])
-    for j, c in enumerate(varying):
-        width = len(cells[c])
-        rows[:, starts[c]:starts[c] + width] = np.take(text[:, :width], inverse[:, j], axis=0)
-    return rows[rows != 0]
+    for c, text, index in fills:
+        rows[:, starts[c]:starts[c] + text.shape[1]] = np.take(text, index, axis=0)
+    keep = mask[:rows.size].reshape(rows.shape)
+    np.not_equal(rows, 0, out=keep)
+    return rows[keep]
 
 
 # -- the text of %.17g -------------------------------------------------------
@@ -252,7 +319,7 @@ _SPECIAL_LENGTHS = np.array([len(t) for t in _SPECIAL_TEXTS])
 
 
 def _formatted(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The text of ``f"{v:.17g}"`` for each value of a non-empty float64 array.
+    """The text of ``f"{v:.17g}"`` for each value of a float64 array.
 
     Returns ``(text, lengths)``: ``text`` is a (len(values), 24) uint8 array
     holding each value's ASCII text from its first column on, padded with
@@ -262,6 +329,8 @@ def _formatted(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     one whose rounding the error bound cannot decide (a value within 2**-40
     of a tie, or an exact tie below 1e-6) is converted by Python's ``%.17g``.
     """
+    if not len(values):
+        return np.empty((0, _TEXT_BYTES), np.uint8), np.empty(0, np.int64)
     neg = np.signbit(values)
     magnitude = np.abs(values)
     finite = (magnitude > 0) & (magnitude < np.inf)

@@ -444,6 +444,6 @@ def to_csv(field: VelocityField, path) -> None:
     rows, cols = np.triu_indices(d)
     header = [f"x{j + 1}" for j in range(d)]
     header += [f"M{i + 1}{j + 1}" for i, j in zip(rows, cols)]
-    coords = field.grid.coords().reshape(-1, d)
+    # a field of one matrix stays one: its entries broadcast to every node, uncopied
     M = np.broadcast_to(field.M_samples[..., rows, cols], field.grid.shape + (len(rows),))
-    write_csv(path, header, np.hstack([coords, M.reshape(-1, len(rows))]))
+    write_csv(path, header, M.reshape(-1, len(rows)), field.grid.axes)

@@ -747,6 +747,19 @@ def test_simulate_outputs(tmp_path, capsys):
     assert (tmp_path / "out" / "state_initial.csv").exists()
 
 
+@pytest.mark.parametrize("T, steps", [(1e308, "inf"), (1e300, "2.3e+302")])
+def test_simulate_rejects_a_plan_of_too_many_steps(tmp_path, capsys, T, steps):
+    # cfl_dt gives 0.4 h / sqrt(2) with h = 1/65; the plan fails, not the number T
+    sim = {"T": T, "pulse": {"center": [0.5], "sigma": 0.03, "components": [1, 0]}}
+    p = telegraph_scenario(tmp_path, nodes=64, simulate=sim)
+    start = time.perf_counter()
+    assert cli.main(["simulate", str(p)]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"final time T = {T:g} needs {steps} steps of dt = 0.00435143" in err
+    assert "more than MAX_STEPS = 1e+08" in err
+
+
 def test_simulate_requires_section(tmp_path, capsys):
     p = telegraph_scenario(tmp_path)
     assert cli.main(["simulate", str(p)]) == 2

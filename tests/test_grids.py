@@ -221,8 +221,9 @@ _CSV_SPECIALS = [np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf, 0.0, -0.0,
 
 
 @st.composite
-def csv_tables(draw):
-    """A table of 1 to 14 columns and 0, 1 or about a chunk boundary's rows.
+def csv_tables(draw, rows=None, max_cols=14):
+    """A table of 1 to ``max_cols`` columns and ``rows`` rows (by default 0,
+    1 or about a chunk boundary's).
 
     The cells repeat a small drawn pool of values (specials such as -0 beside
     0, subnormals, any float) or are random bit patterns, NaN payloads included.
@@ -230,9 +231,10 @@ def csv_tables(draw):
     only, filled with 0 and -0, or filled with one- and two-character
     integers beside the other columns' long cells.
     """
-    rows = draw(st.sampled_from([0, 1, 2, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
-                                 CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 3]))
-    cols = draw(st.integers(1, 14))
+    if rows is None:
+        rows = draw(st.sampled_from([0, 1, 2, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
+                                     CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 3]))
+    cols = draw(st.integers(1, max_cols))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         table = rng.integers(0, 2**64, (rows, cols), dtype=np.uint64).view(np.float64)
@@ -264,6 +266,103 @@ def test_write_csv_matches_csv_writer(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("csv") / "table.csv"
     write_csv(path, names, table)
     assert path.read_bytes() == _csv_oracle(names, table)
+
+
+# Windows whose axes mix negative and positive values of short and long
+# text: integers on (-9, 9) with 17 interior nodes, eighths with 17 closure
+# nodes, long decimals, and values in exponent notation.
+_AXIS_WINDOWS = [(-9.0, 9.0), (-1.0, 2.5), (-1e6, 1e-3), (-3.0, 1e17)]
+
+
+@st.composite
+def grid_tables(draw):
+    """A grid whose node count ends mid-chunk and a value table for it.
+
+    The value columns come from ``csv_tables``; the table may instead be a
+    broadcast view of its first row, every column constant, as a velocity
+    field of one matrix writes it.
+    """
+    shape = draw(st.sampled_from([(CSV_CHUNK_ROWS + 1,), (64, 65), (16, 16, 17)]))
+    windows = draw(st.lists(st.sampled_from(_AXIS_WINDOWS), min_size=len(shape),
+                            max_size=len(shape)))
+    grid = Grid(BoxDomain(*zip(*windows)), shape, interior=draw(st.booleans()))
+    values = draw(csv_tables(rows=grid.node_count, max_cols=4))
+    if draw(st.booleans()):
+        values = np.broadcast_to(values[:1], values.shape)
+    return grid, values
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=16)
+@given(grid_tables())
+def test_write_csv_from_axes_matches_csv_writer(tmp_path_factory, grid_table):
+    grid, values = grid_table
+    names = [f"x{j + 1}" for j in range(grid.d)] + [f"c{j}" for j in range(values.shape[1])]
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    write_csv(path, names, values, grid.axes)
+    rows = np.hstack([grid.coords().reshape(-1, grid.d), values])
+    assert path.read_bytes() == _csv_oracle(names, rows)
+
+
+# -- grid geometry from the axes ------------------------------------------------
+
+def _off_centre_grid(d: int) -> Grid:
+    """Unequal spacings per axis and a ball away from the window's centre."""
+    lower, upper = (-2.0, -1.0, -3.0)[:d], (2.0, 1.5, 3.0)[:d]
+    centre = (0.3, -0.2, 0.7)[:d]
+    return Grid(BoxDomain(lower, upper, excluded_ball=(centre, 0.5)), (20, 17, 23)[:d])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ball_norms_match_the_coordinate_stack_bit_for_bit(d):
+    grid = _off_centre_grid(d)
+    centre = np.asarray(grid.domain.excluded_ball[0])
+    oracle = np.linalg.norm(grid.coords() - centre, axis=-1)
+    norms = grid._ball_norms
+    assert norms.shape == grid.shape and not norms.flags.writeable
+    assert np.array_equal(norms.view(np.uint64), oracle.view(np.uint64))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gaussian_state_matches_the_coordinate_stack_bit_for_bit(d):
+    from wavemetric.evolve import gaussian_state
+
+    grid = _off_centre_grid(d)
+    centre = np.array((0.45, -0.35, 1.1)[:d])
+    components = np.array([1.0, 0.5 - 0.25j])
+    r2 = ((grid.coords() - centre) ** 2).sum(axis=-1)
+    oracle = np.exp(-r2 / (2.0 * 0.3**2))[..., None] * components
+    values = gaussian_state(grid, components, centre, 0.3).values
+    assert np.array_equal(values.view(np.uint64), oracle.view(np.uint64))
+
+
+def test_ball_norms_memory_has_no_coordinate_stack():
+    # the (32, 32, 32, 3) stack alone is 786 KB; the norms are 262 KB
+    grid = Grid(BoxDomain((-2.0,) * 3, (2.0,) * 3, excluded_ball=((0.0,) * 3, 0.15)), (32,) * 3)
+    tracemalloc.start()
+    try:
+        grid._ball_norms
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_one_matrix_velocity_csv_memory_has_no_table_copy(tmp_path):
+    # the (32768, 9) table the coordinates and entries would stack into is 2.4 MB
+    from wavemetric import velocity as vel
+
+    grid = Grid(BoxDomain((-2.0,) * 3, (2.0,) * 3), (32,) * 3)
+    M = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, -0.25], [0.0, -0.25, 3.0]])
+    field = vel.VelocityField(grid, M[None, None, None])
+    tracemalloc.start()
+    try:
+        vel.to_csv(field, tmp_path / "velocity.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    lines = (tmp_path / "velocity.csv").read_bytes().split(b"\r\n")
+    assert len(lines) == 32 ** 3 + 2 and lines[1].endswith(b",2,0.5,0,1,-0.25,3")
 
 
 # -- the %.17g conversion ------------------------------------------------------
