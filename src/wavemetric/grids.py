@@ -89,7 +89,7 @@ class Grid:
     def squared_distances(self, center) -> np.ndarray:
         """|x - center|**2 per node, shape ``shape``.
 
-        The squares are summed over the sparse axes, axis 1 first: the order
+        The squares are summed over the sparse axes in axis order: the order
         in which a sum over the last axis of the (*shape, d) coordinate stack
         adds them, so the bits are the same without that stack.
         """
