@@ -52,6 +52,7 @@ from .geometry import (
     metric_from_velocity,
     node_boundary_distances,
     ray_completeness,
+    ray_cutoff,
     stencil_offsets,
 )
 from .grids import Grid
@@ -428,10 +429,16 @@ class Scenario:
     @classmethod
     def from_file(cls, path) -> "Scenario":
         path = Path(path)
+        data = path.read_bytes()
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
+            raw = json.loads(data.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"not UTF-8 text: byte 0x{data[exc.start]:02x} at offset "
+                                f"{exc.start} does not decode") from None
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"invalid JSON: {exc}") from exc
+        except RecursionError:
+            raise ScenarioError("invalid JSON: nested too deeply to parse") from None
         if not isinstance(raw, dict):
             raise ScenarioError("scenario root must be a JSON object")
         return cls.from_dict(raw, path)
@@ -478,6 +485,16 @@ def _axis_speed(sys: CoefficientSystem, criterion: str):
     return lambda x: char_speed(sys, x[..., None], [1.0])
 
 
+def _usable_cutoffs(requested: int, half: float, anchor: float, sign: float, dom) -> int:
+    """How many of the first ``requested`` ray cutoffs t < half put anchor + sign*t strictly
+    inside the window; the points reach the window's end within about a thousand."""
+    for k in range(1, requested + 1):
+        t = ray_cutoff(0.0, half, k)
+        if not (t < half and dom.lower[0] < anchor + sign * t < dom.upper[0]):
+            return k - 1
+    return requested
+
+
 def _ray_routes(scn: Scenario) -> list[CompletenessVerdict]:
     dom = scn.system.domain
     crit = scn.analysis["criterion"]
@@ -485,14 +502,21 @@ def _ray_routes(scn: Scenario) -> list[CompletenessVerdict]:
     anchor = 0.5 * (dom.lower[0] + dom.upper[0])
     ends = (("lower", dom.unbounded_lower[0], dom.lower[0], -1.0),
             ("upper", dom.unbounded_upper[0], dom.upper[0], 1.0))
-    return [
-        ray_completeness(
-            lambda t, sign=sign: speed(anchor + sign * t), 0.0, abs(end - anchor),
-            n_cutoffs=scn.analysis["cutoffs"], criterion=f"ray-quadrature/{crit}",
-            extra_parameters={"route": f"{name} end of axis 1"},
-        )
-        for name, unbounded, end, sign in ends if not unbounded
-    ]
+    routes = []
+    for name, unbounded, end, sign in ends:
+        if unbounded:
+            continue
+        half, route = abs(end - anchor), {"route": f"{name} end of axis 1"}
+        usable = _usable_cutoffs(scn.analysis["cutoffs"], half, anchor, sign, dom)
+        if usable >= 4:
+            routes.append(ray_completeness(
+                lambda t, sign=sign: speed(anchor + sign * t), 0.0, half, n_cutoffs=usable,
+                criterion=f"ray-quadrature/{crit}", extra_parameters=route))
+        else:
+            why = f"only {usable} ray cutoffs map strictly inside the window; need at least 4"
+            routes.append(CompletenessVerdict("inconclusive", f"ray-quadrature/{crit}", [], [],
+                                              {"n_cutoffs": usable, **route, "diagnostic": why}))
+    return routes
 
 
 def _radial_route(scn: Scenario) -> CompletenessVerdict:

@@ -17,6 +17,10 @@ Evaluation is IEEE-754 double precision (division by zero yields inf), except
 that ``log``/``sqrt`` of negative arguments and invalid powers raise
 :class:`~wavemetric.errors.DomainEvalError` instead of propagating NaN.
 Evaluation accepts scalars or numpy arrays for the coordinates.
+
+The parser, evaluator and printer recurse once per level, so ``parse`` raises a
+positioned ``ExpressionError`` past ``MAX_NESTING`` levels of parentheses, signs,
+powers and call arguments, or ``MAX_TREE_HEIGHT`` operators down the tree.
 """
 
 from __future__ import annotations
@@ -43,6 +47,9 @@ __all__ = [
     "CONSTANTS",
     "VARIABLES",
 ]
+
+MAX_NESTING = 100
+MAX_TREE_HEIGHT = 500
 
 FUNCTIONS = {
     "sin": 1,
@@ -140,6 +147,26 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0
+        self.heights = {}   # id(node) -> operators on its longest path; leaves are absent
+
+    def nested(self, off: int, parse) -> Expr:
+        """``parse()`` one nesting level deeper, entered at the token at ``off``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExpressionError(f"expression nests deeper than {MAX_NESTING} levels", off + 1)
+        node = parse()
+        self.depth -= 1
+        return node
+
+    def grow(self, node: Expr, off: int, *children: Expr) -> Expr:
+        """``node``, made by the operator at ``off`` over ``children``."""
+        height = 1 + max(self.heights.get(id(c), 0) for c in children)
+        if height > MAX_TREE_HEIGHT:
+            raise ExpressionError(
+                f"expression tree is taller than {MAX_TREE_HEIGHT} operators", off + 1)
+        self.heights[id(node)] = height
+        return node
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -169,32 +196,33 @@ class _Parser:
     def expr(self) -> Expr:
         node = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
+            op, _, off = self.advance()
             rhs = self.term()
-            node = Bin(op, node, rhs, span=(node.span[0], rhs.span[1]))
+            node = self.grow(Bin(op, node, rhs, span=(node.span[0], rhs.span[1])), off, node, rhs)
         return node
 
     def term(self) -> Expr:
         node = self.factor()
         while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
+            op, _, off = self.advance()
             rhs = self.factor()
-            node = Bin(op, node, rhs, span=(node.span[0], rhs.span[1]))
+            node = self.grow(Bin(op, node, rhs, span=(node.span[0], rhs.span[1])), off, node, rhs)
         return node
 
     def factor(self) -> Expr:
         if self.peek()[0] == "-":
             _, _, off = self.advance()
-            arg = self.factor()
-            return Neg(arg, span=(off, arg.span[1]))
+            arg = self.nested(off, self.factor)
+            return self.grow(Neg(arg, span=(off, arg.span[1])), off, arg)
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
         if self.peek()[0] == "^":
-            self.advance()
-            expo = self.factor()
-            return Bin("^", base, expo, span=(base.span[0], expo.span[1]))
+            _, _, off = self.advance()
+            expo = self.nested(off, self.factor)
+            node = Bin("^", base, expo, span=(base.span[0], expo.span[1]))
+            return self.grow(node, off, base, expo)
         return base
 
     def atom(self) -> Expr:
@@ -204,7 +232,7 @@ class _Parser:
             return Num(float(text), span=(off, off + len(text)))
         if kind == "(":
             self.advance()
-            node = self.expr()
+            node = self.nested(off, self.expr)
             self.expect(")")
             return node
         if kind == "ident":
@@ -212,11 +240,11 @@ class _Parser:
             if self.peek()[0] == "(":
                 if text not in FUNCTIONS:
                     raise ExpressionError(f"unknown function {text!r}", off + 1)
-                self.advance()
-                args = [self.expr()]
+                _, _, paren = self.advance()
+                args = [self.nested(paren, self.expr)]
                 while self.peek()[0] == ",":
                     self.advance()
-                    args.append(self.expr())
+                    args.append(self.nested(paren, self.expr))
                 _, _, close = self.expect(")")
                 want = FUNCTIONS[text]
                 if len(args) != want:
@@ -224,7 +252,7 @@ class _Parser:
                         f"function {text!r} expects {want} argument(s), got {len(args)}",
                         off + 1,
                     )
-                return Call(text, tuple(args), span=(off, close + 1))
+                return self.grow(Call(text, tuple(args), span=(off, close + 1)), off, *args)
             if text in CONSTANTS:
                 return Num(CONSTANTS[text], span=(off, off + len(text)))
             if text in VARIABLES:

@@ -140,11 +140,6 @@ def _stencil_pairs(d: int, axis: int, order: int):
 def _check_grid(sys: CoefficientSystem, grid: Grid, order: int) -> None:
     if grid.domain != sys.domain:
         raise ValidationError("grid domain does not match the system domain")
-    if not grid.interior:
-        raise ValidationError(
-            "evolution requires an interior grid (Grid(..., interior=True)); "
-            "closure grids place nodes on the window edge"
-        )
     _check_order(order)
 
 

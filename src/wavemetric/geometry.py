@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dsl
 from .errors import DomainEvalError, MajorantError, UnsupportedSystemError, ValidationError
 from .grids import Grid, write_csv
 from .matkernel import sym_eigen
@@ -48,6 +47,7 @@ __all__ = [
     "eikonal_arrival",
     "boundary_distance_probe",
     "ray_completeness",
+    "ray_cutoff",
     "power_law_classify",
     "combine_classifications",
     "node_boundary_distances",
@@ -577,13 +577,14 @@ def power_law_classify(p: float) -> str:
     return "divergent" if p >= 1.0 else "convergent"
 
 
-def _cutoff_sequence(t0: float, t_end: float, n: int) -> list[float]:
+def ray_cutoff(t0: float, t_end: float, k: int) -> float:
+    """Cutoff k >= 1 of the increasing sequence from t0 to t_end; inf past the float range."""
     if math.isfinite(t_end):
-        span = t_end - t0
-        return [t_end - span * 0.5**k for k in range(1, n + 1)]
-    if t0 > 0:
-        return [t0 * 2.0**k for k in range(1, n + 1)]
-    return [t0 + (2.0**k - 1.0) for k in range(1, n + 1)]
+        return t_end - (t_end - t0) * 0.5**k
+    try:
+        return t0 * 2.0**k if t0 > 0 else t0 + (2.0**k - 1.0)
+    except OverflowError:
+        return math.inf
 
 
 # --- adaptive Gauss-Kronrod quadrature --------------------------------------
@@ -686,15 +687,16 @@ def ray_completeness(
 ) -> CompletenessVerdict:
     """Grade divergence of the traversal-time integral of 1/speed.
 
-    ``speed`` is a positive profile of the ray parameter: a DSL expression
-    in x, or a callable taking an ndarray of ray parameters and returning
-    the speeds there (that shape, or broadcastable to it).  ``t_end`` may be
-    infinite.  The cutoff segments, approaching ``t_end`` geometrically, are
+    ``speed`` is a positive profile of the ray parameter: a callable taking
+    an ndarray of ray parameters and returning the speeds there (that shape,
+    or broadcastable to it).  ``t_end`` may be infinite.  The cutoff
+    segments, approaching ``t_end`` geometrically (``ray_cutoff``), are
     mapped onto [0, 1] and integrated together by the adaptive 21-point
     Gauss-Kronrod loop, which halves the worst interval until every segment
     meets ``RAY_RTOL`` or ``RAY_MAX_SUBDIVISIONS`` halvings are spent; a
     segment missing the tolerance ends the partial integrals (inconclusive);
-    otherwise ``_classify_increments`` grades the increments.
+    otherwise ``_classify_increments`` grades the increments.  So many
+    cutoffs that the last one rounds onto ``t_end`` are a ``ValidationError``.
     """
     t0 = float(t0)
     t_end = float(t_end)
@@ -702,21 +704,9 @@ def ray_completeness(
         raise ValidationError(f"need t0 < t_end, got [{t0}, {t_end}]")
     if n_cutoffs < 4:
         raise ValidationError("need at least 4 cutoffs")
-    if callable(speed):
-        src = "<callable>"
-    else:
-        expr = dsl.parse(speed) if isinstance(speed, str) else speed
-        free = dsl.expr_variables(expr)
-        if not free <= {"x"}:
-            raise ValidationError(
-                f"ray speed must be a function of x alone, found {sorted(free)}"
-            )
-        src = speed if isinstance(speed, str) else dsl.to_text(expr)
-
-        def speed(t: np.ndarray) -> np.ndarray:
-            return dsl.eval_expr(expr, {"x": t}, source=src)
-
-    cutoffs = _cutoff_sequence(t0, t_end, n_cutoffs)
+    if not ray_cutoff(t0, t_end, n_cutoffs) < t_end:
+        raise ValidationError(f"{n_cutoffs} cutoffs put the last one on t_end = {t_end:.17g}")
+    cutoffs = [ray_cutoff(t0, t_end, k) for k in range(1, n_cutoffs + 1)]
     lo = np.array([t0] + cutoffs[:-1])
     width = np.array(cutoffs) - lo
 
@@ -728,7 +718,7 @@ def ray_completeness(
             raise DomainEvalError(
                 "speed must stay positive along the ray",
                 point=float(t[bad][0]),
-                fragment=src,
+                fragment="<callable>",
             )
         return width / v
 
@@ -736,7 +726,7 @@ def ray_completeness(
     good = np.isfinite(est) & (err <= RAY_RTOL * np.abs(est))
     n_good = n_cutoffs if good.all() else int(np.argmin(good))
     integrals = np.cumsum(est[:n_good]).tolist()
-    params = {"t0": t0, "t_end": t_end, "n_cutoffs": n_cutoffs, "speed": src}
+    params = {"t0": t0, "t_end": t_end, "n_cutoffs": n_cutoffs, "speed": "<callable>"}
     if extra_parameters:
         params.update(extra_parameters)
     if n_good < n_cutoffs:

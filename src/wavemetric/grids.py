@@ -1,11 +1,9 @@
 """Uniform rectilinear grids over the finite window of a box domain, and CSV output.
 
-Two node placements are supported.  Interior grids (the default, and the only
-kind the evolution code accepts) put nodes strictly inside the window with
-spacing extent/(n+1), so coefficient fields that degenerate or blow up on the
-boundary stay evaluable.  Closure grids include the window edges with spacing
-extent/(n-1), which the lattice-distance code uses so that distances between
-box corners come out exact.
+A grid's n nodes per axis lie strictly inside the window with spacing
+extent/(n+1), so coefficient fields that degenerate or blow up on the
+boundary stay evaluable.  Nodes on the edges of a window are those of the
+grid on the window widened by one spacing on each side.
 
 ``write_csv`` writes the float tables behind every CSV the CLI produces (the
 velocity, distance and state fields and the evolution log).  A grid field's
@@ -34,7 +32,6 @@ MIN_NODES = 8
 class Grid:
     domain: "BoxDomain"
     shape: tuple[int, ...]
-    interior: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
@@ -54,13 +51,8 @@ class Grid:
         axes = []
         spacing = []
         for n, lo, hi in zip(self.shape, self.domain.lower, self.domain.upper):
-            extent = hi - lo
-            if self.interior:
-                h = extent / (n + 1)
-                axes.append(lo + h * np.arange(1, n + 1))
-            else:
-                h = extent / (n - 1)
-                axes.append(lo + h * np.arange(n))
+            h = (hi - lo) / (n + 1)
+            axes.append(lo + h * np.arange(1, n + 1))
             spacing.append(h)
         object.__setattr__(self, "_axes", tuple(axes))
         object.__setattr__(self, "_spacing", tuple(spacing))
@@ -166,9 +158,11 @@ def write_csv(path, names, table, axes=()) -> None:
         fh.write((",".join(names) + "\r\n").encode())
         if not len(bits):
             return
+        # (columns, rows) masks in C order: numpy reduces rows several times faster
         varies = np.zeros(bits.shape[1], bool)
         for start in range(0, len(bits), CSV_CHUNK_ROWS):
-            varies |= _differs(bits[start:start + CSV_CHUNK_ROWS], bits[0])
+            part = bits[start:start + CSV_CHUNK_ROWS].T
+            varies |= np.not_equal(part, bits[0][:, None], order="C").any(axis=1)
         live = np.flatnonzero(varies)
         # the axis values and the constant columns' values, formatted in one call
         text, lengths = _formatted(np.concatenate(axes + [bits[0, ~varies].view(np.float64)]))
@@ -190,44 +184,28 @@ def write_csv(path, names, table, axes=()) -> None:
             fh.write(_csv_chunk(part, live + len(axes), cells, fills, buffer, mask))
 
 
-def _differs(part: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Which columns of a 2-D block hold a bit pattern other than ``row``'s.
-
-    The mask is formed column by column, (columns, rows) in C order, whose
-    rows numpy reduces several times faster than the columns of a
-    (rows, columns) mask.
-    """
-    return np.not_equal(part.T, row[:, None], order="C").any(axis=1)
-
-
 def _csv_chunk(part, live, cells, fills, buffer, mask) -> np.ndarray:
     """The CSV rows of one chunk, as a uint8 array.
 
     ``cells`` is the table's line, with None at the ``live`` columns, whose
     bit patterns in this chunk are the columns of ``part``, and at the
     columns of ``fills``: (column, text, index) triples whose per-row cell
-    is row ``index[r]`` of ``text``.  A live column whose cells all share the
-    first row's bit pattern is written from that row alone.  The first row's
-    bit patterns and those of the other live columns are sorted together by
-    ``np.unique``, and ``_formatted`` converts each distinct one in a single
-    call; those other columns join ``fills``.  One line holds the constant
-    cells' text and a run of NULs as wide as each filled column's widest
-    text, every cell followed by "," (or "\r\n" after the last).  It is
-    copied to each row of ``buffer``, the filled columns' text is written in,
-    and the NULs, found through ``mask``, are dropped.
+    is row ``index[r]`` of ``text``.  The live columns' bit patterns are
+    sorted together by ``np.unique``, ``_formatted`` converts each distinct
+    one in a single call, and the live columns join ``fills``.  One line
+    holds the constant cells' text and a run of NULs as wide as each filled
+    column's widest text, every cell followed by "," (or "\r\n" after the
+    last).  It is copied to each row of ``buffer``, the filled columns' text
+    is written in, and the NULs, found through ``mask``, are dropped.
     """
     cells, fills = list(cells), list(fills)
     if len(live):
-        moving = np.flatnonzero(_differs(part, part[0]))
-        keys, inverse = np.unique(np.concatenate([part[0], part[:, moving].ravel()]),
-                                  return_inverse=True)
+        keys, inverse = np.unique(part.ravel(), return_inverse=True)
         text, lengths = _formatted(keys.view(np.float64))
-        for c, i in zip(live.tolist(), inverse[:len(live)].tolist()):
-            cells[c] = text[i, :lengths[i]].tobytes()
-        inverse = inverse[len(live):].reshape(len(part), len(moving))
-        for j, m in enumerate(moving.tolist()):
+        inverse = inverse.reshape(part.shape)
+        for j, c in enumerate(live.tolist()):
             width = int(np.take(lengths, inverse[:, j]).max())
-            fills.append((int(live[m]), text[:, :width], inverse[:, j]))
+            fills.append((c, text[:, :width], inverse[:, j]))
     for c, text, _ in fills:
         cells[c] = bytes(text.shape[1])
     line = b",".join(cells) + b"\r\n"

@@ -31,11 +31,10 @@ kernel for a point and a stack of samples (diag(E)^{-1/2} from the
 diagonals alone, with no eigendecomposition, for a diagonal E), so a point
 and a grid node agree bit for bit; the first sample in C order that is
 non-finite, not Hermitian positive definite or numerically singular raises
-the kernel's error, naming that sample's point.  Gradients come from an
-analytic evaluator when supplied, otherwise from central finite differences
-with step 1e-5 (scaled by axis extent), shrunk per sample near a bounded
-side with one warning per evaluation; a sample on or outside the boundary
-raises ``ValidationError``.
+the kernel's error, naming that sample's point.  The gradient of E^{-1/2}
+comes from central finite differences with step 1e-5 (scaled by axis
+extent), shrunk per sample near a bounded side with one warning per
+evaluation; a sample on or outside the boundary raises ``ValidationError``.
 
 Whether the coefficients are admissible (Hermitian A^j and V, E positive
 definite) is decided by the ``matkernel`` kernels alone: ``validate_system``
@@ -50,7 +49,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -485,22 +484,19 @@ class _CanonicalAField(MatrixField):
 class _CanonicalVField(MatrixField):
     """Zero-order term of the canonical form: gradient part plus E^{-1/2} V E^{-1/2}."""
 
-    def __init__(self, E, A_fields, V, domain, E_grad):
+    def __init__(self, E, A_fields, V, domain):
         self.E = E
         self.A_fields = tuple(A_fields)
         self.V = V
         self.domain = domain
-        self.E_grad = E_grad
         self.k = V.k
 
     def _gradients(self, coords) -> list[np.ndarray]:
-        """d/dx_j of E^{-1/2}, analytic when available, else central differences.
+        """d/dx_j of E^{-1/2} by central differences.
 
         Where a bounded side is nearer than the step, the step becomes half
         the room left; one warning names the smallest such step.
         """
-        if self.E_grad is not None:
-            return [g.sample(coords) for g in self.E_grad]
         dom, grads, shrunk = self.domain, [], []
         for j, x in enumerate(coords):
             ext = dom.extent(j)
@@ -545,9 +541,8 @@ class _CanonicalVField(MatrixField):
 class CoefficientSystem:
     """Immutable bundle (domain, k, E, A^1..A^d, V) plus optional metadata.
 
-    ``E_grad``, when given, holds d evaluators for the gradient of E^{-1/2}
-    used by the canonical transform.  ``kind``/``parts`` carry the structure
-    the specialized velocity formulas need for the built-in families.
+    ``kind``/``parts`` carry the structure the specialized velocity formulas
+    need for the built-in families.
     """
 
     domain: BoxDomain
@@ -555,11 +550,9 @@ class CoefficientSystem:
     E: MatrixField
     A: tuple[MatrixField, ...]
     V: MatrixField
-    E_grad: tuple[MatrixField, ...] | None = None
     label: str = ""
     kind: str = "custom"
     parts: dict = field(default=None, compare=False)
-    canonical: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "A", tuple(self.A))
@@ -573,11 +566,6 @@ class CoefficientSystem:
         ]:
             if f.k != self.k:
                 raise ValueError(f"field {name} has size {f.k}, expected {self.k}")
-        if self.E_grad is not None:
-            grad = tuple(self.E_grad)
-            if len(grad) != self.domain.d:
-                raise ValueError("E_grad needs one evaluator per axis")
-            object.__setattr__(self, "E_grad", grad)
 
     @property
     def d(self) -> int:
@@ -608,13 +596,13 @@ def symbol(sys: CoefficientSystem, x, xi) -> HermitianMatrix:
 def zero_order_term(sys: CoefficientSystem, x) -> np.ndarray:
     """The gradient-induced Hermitian zero-order term of the canonical form."""
     fld = _CanonicalVField(sys.E, sys.A, ConstMatrixField(np.zeros((sys.k, sys.k))),
-                           sys.domain, sys.E_grad)
+                           sys.domain)
     return fld(x)
 
 
 def _is_canonical(sys: CoefficientSystem) -> bool:
-    """Flagged canonical, or a constant identity weight."""
-    return sys.canonical or (isinstance(sys.E, ConstMatrixField) and sys.E.is_identity)
+    """Whether the weight is the constant identity."""
+    return isinstance(sys.E, ConstMatrixField) and sys.E.is_identity
 
 
 def canonical_planes(sys: CoefficientSystem, coords) -> list[EntryPlanes]:
@@ -640,24 +628,21 @@ def canonical_A(sys: CoefficientSystem, coords) -> list[np.ndarray]:
 def canonicalize(sys: CoefficientSystem) -> CoefficientSystem:
     """Equivalent system with identity weight.
 
-    Already-canonical systems (flag set, or constant identity E) are returned
-    with only the flag updated; fields are reused unchanged.
+    A system whose weight is already the constant identity is returned
+    unchanged.
     """
-    if sys.canonical:
-        return sys
     if _is_canonical(sys):
-        return replace(sys, canonical=True)
+        return sys
     label = f"{sys.label} (canonical)" if sys.label else "canonical"
     return CoefficientSystem(
         domain=sys.domain,
         k=sys.k,
         E=ConstMatrixField(np.eye(sys.k)),
         A=tuple(_CanonicalAField(sys.E, A) for A in sys.A),
-        V=_CanonicalVField(sys.E, sys.A, sys.V, sys.domain, sys.E_grad),
+        V=_CanonicalVField(sys.E, sys.A, sys.V, sys.domain),
         label=label,
         kind=sys.kind,
         parts=sys.parts,
-        canonical=True,
     )
 
 

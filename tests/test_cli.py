@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import wavemetric as wm
-from wavemetric import cli, geometry, velocity, verify
+from wavemetric import cli, dsl, geometry, velocity, verify
 from wavemetric.errors import ScenarioError
 
 from metric_oracle import lapack_eigen, mollify_every_plane
@@ -446,6 +446,38 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_scenario_that_is_not_utf8_exits_2(tmp_path, capsys):
+    p = tmp_path / "utf16.json"
+    p.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert cli.main(["analyze", str(p)]) == 2
+    assert capsys.readouterr().err == (
+        f"{p}: not UTF-8 text: byte 0xff at offset 0 does not decode\n")
+
+
+def test_scenario_nested_too_deeply_exits_2(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 200_000, encoding="utf-8")
+    assert cli.main(["analyze", str(p)]) == 2
+    assert capsys.readouterr().err == f"{p}: invalid JSON: nested too deeply to parse\n"
+
+
+@pytest.mark.parametrize("L, message", [
+    ("(" * dsl.MAX_NESTING + "1 + x" + ")" * dsl.MAX_NESTING, None),
+    ("(" * (dsl.MAX_NESTING + 1) + "1 + x" + ")" * (dsl.MAX_NESTING + 1),
+     f"expression nests deeper than {dsl.MAX_NESTING} levels at position "
+     f"{dsl.MAX_NESTING + 1}"),
+    ("1+" * dsl.MAX_TREE_HEIGHT + "x", None),
+    ("1+" * (dsl.MAX_TREE_HEIGHT + 1) + "x",
+     f"expression tree is taller than {dsl.MAX_TREE_HEIGHT} operators at position "
+     f"{2 * dsl.MAX_TREE_HEIGHT + 2}"),
+], ids=["nesting-at-limit", "nesting-past-limit", "height-at-limit", "height-past-limit"])
+def test_expression_depth_limits(tmp_path, capsys, L, message):
+    p = telegraph_scenario(tmp_path, L=L, nodes=32)
+    assert cli.main(["analyze", str(p)]) == (0 if message is None else 2)
+    if message is not None:
+        assert capsys.readouterr().err == f"{p}: {message}\n"
+
+
 # -- analyze -----------------------------------------------------------------
 
 def test_analyze_degenerate_speed_is_certified(tmp_path, capsys):
@@ -640,6 +672,36 @@ def test_analyze_ray_partial_integrals_match_closed_form(tmp_path, crit, c):
         assert len(T) == 24
         want = np.log(np.tan(np.pi * (0.5 + T) / 2.0)) / (np.pi * c)
         np.testing.assert_allclose(route["integrals"], want, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("lower, upper, cutoffs, usable", [
+    (0.0, 1.0, 53, [53, 52]),
+    (0.0, 1.0, 1_000_000, [53, 52]),
+    (1e9, 1e9 + 1.0, 24, [22, 22]),
+], ids=["53-cutoffs", "a-million-cutoffs", "window-at-1e9"])
+def test_ray_routes_use_the_cutoffs_inside_the_window(tmp_path, lower, upper, cutoffs, usable):
+    # a cutoff whose point rounds onto the window's end is not used: on (0, 1)
+    # the lower end's points 2**-(k+1) stay inside up to k = 53, the upper
+    # end's 1 - 2**-(k+1) up to k = 52
+    p = telegraph_scenario(tmp_path, nodes=64, analysis={"cutoffs": cutoffs},
+                           domain={"lower": [lower], "upper": [upper], "unbounded": ["none"]})
+    t0 = time.perf_counter()
+    assert cli.main(["analyze", str(p)]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    routes = json.loads((tmp_path / "out" / "verdict.json").read_text())["routes"]
+    assert [r["parameters"]["n_cutoffs"] for r in routes] == usable
+    assert all(r["classification"] in geometry.VERDICT_GRADES for r in routes)
+
+
+def test_ray_route_with_too_few_usable_cutoffs_is_inconclusive(tmp_path):
+    # at 1e15 the doubles are 1/8 apart: two cutoffs fit before each end
+    p = telegraph_scenario(tmp_path, nodes=8,
+                           domain={"lower": [1e15], "upper": [1e15 + 1.0], "unbounded": ["none"]})
+    assert cli.main(["analyze", str(p)]) == 0
+    routes = json.loads((tmp_path / "out" / "verdict.json").read_text())["routes"]
+    assert [r["classification"] for r in routes] == ["inconclusive", "inconclusive"]
+    assert [r["parameters"]["diagnostic"] for r in routes] == [
+        "only 2 ray cutoffs map strictly inside the window; need at least 4"] * 2
 
 
 def test_analyze_criterion_flag_agrees_on_classification(tmp_path):

@@ -17,6 +17,7 @@ from wavemetric import systems, verify
 from wavemetric.errors import ConvergenceError, InstabilityError, ValidationError
 
 from evolve_oracle import full_evolution
+from grid_windows import closure_grid
 
 
 def _central_diff(values: np.ndarray, axis: int, coeffs) -> np.ndarray:
@@ -94,13 +95,6 @@ def test_operator_rejects_mismatched_grid():
     other = wm.Grid(wm.BoxDomain((0.0,), (2.0,)), (32,))
     with pytest.raises(ValidationError, match="domain"):
         ev.DiscreteOperator(sysm, other)
-
-
-def test_operator_rejects_closure_grid():
-    sysm = unit_telegraph()
-    grid = wm.Grid(sysm.domain, (32,), interior=False)
-    with pytest.raises(ValidationError, match="interior"):
-        ev.DiscreteOperator(sysm, grid)
 
 
 def reference_apply(sysm, grid, order, values):
@@ -322,12 +316,12 @@ def test_discrete_symmetry(order):
 
 def test_energy_constant_states():
     tg = wm.telegraph("2", "1")
-    grid = wm.Grid(tg.domain, (64,), interior=False)
+    grid = closure_grid(tg.domain, (64,))
     st = ev.WaveState(grid, np.broadcast_to(np.array([1.0 + 0j, 0.0]), (64, 2)).copy())
     assert ev.energy(tg, st) == pytest.approx(2.0, rel=1e-14)
 
     el = wm.elastic_isotropic("1", "1", "0.3")
-    g3 = wm.Grid(el.domain, (8, 8, 8), interior=False)
+    g3 = closure_grid(el.domain, (8, 8, 8))
     comps = np.zeros(9)
     comps[6] = 1.0
     st = ev.WaveState(g3, np.broadcast_to(comps, (8, 8, 8, 9)).copy())

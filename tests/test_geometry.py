@@ -20,12 +20,13 @@ from wavemetric.errors import (
     ValidationError,
 )
 
+from grid_windows import closure_grid
 from lattice_oracle import lattice_graph_every_slot
 from metric_oracle import metric_every_eigh
 
 
-def const_metric(domain, shape, G, interior=False):
-    grid = wm.Grid(domain, shape, interior=interior)
+def const_metric(domain, shape, G):
+    grid = closure_grid(domain, shape)
     G = np.asarray(G, dtype=float)
     samples = np.broadcast_to(G, grid.shape + G.shape).copy()
     return geo.MetricField(grid, samples)
@@ -92,7 +93,7 @@ def test_anisotropic_axis_distance():
 
 def test_1d_distance_matches_quadrature():
     dom = wm.BoxDomain((0.0,), (1.0,))
-    grid = wm.Grid(dom, (4096,), interior=False)
+    grid = closure_grid(dom, (4096,))
     x = grid.axes[0]
     c = 1.0 / np.sqrt((1.0 + 0.5 * np.sin(3.0 * x)) * 2.0)  # c = (L C)^{-1/2}
     G = (1.0 / (2.0 * c**2)).reshape(-1, 1, 1)
@@ -338,7 +339,7 @@ def test_metric_inversion_matches_eigh_at_every_node(d, kind, seed, exponent):
 
 def test_arrival_constant_speed_1d():
     dom = wm.BoxDomain((0.0,), (1.0,))
-    grid = wm.Grid(dom, (65,), interior=False)
+    grid = closure_grid(dom, (65,))
     arr = geo.eikonal_arrival(grid, iso_field(grid, 2.0), [(0,)])
     assert np.allclose(arr.values, grid.axes[0] / 2.0, atol=1e-12)
 
@@ -346,7 +347,7 @@ def test_arrival_constant_speed_1d():
 def test_arrival_from_velocity_matrix():
     # telegraph with c = 1: M = 2, directional speed sqrt(2)
     dom = wm.BoxDomain((-1.0,), (1.0,))
-    grid = wm.Grid(dom, (64,), interior=False)
+    grid = closure_grid(dom, (64,))
     fld = vel.VelocityField(grid, np.full((64, 1, 1), 2.0))
     mid = (31,)
     arr = geo.eikonal_arrival(grid, fld, [mid])
@@ -356,14 +357,14 @@ def test_arrival_from_velocity_matrix():
 
 def test_arrival_2d_unit_speed_matches_geodesic_example():
     dom = wm.BoxDomain((0.0, 0.0), (8.0, 8.0))
-    grid = wm.Grid(dom, (9, 9), interior=False)
+    grid = closure_grid(dom, (9, 9))
     arr = geo.eikonal_arrival(grid, iso_field(grid, 1.0), [(0, 0)])
     assert arr.values[3, 4] == pytest.approx(3.0 * math.sqrt(2.0) + 1.0, rel=1e-12)
 
 
 def test_arrival_impassable_nodes():
     dom = wm.BoxDomain((0.0,), (1.0,))
-    grid = wm.Grid(dom, (16,), interior=False)
+    grid = closure_grid(dom, (16,))
     speed = np.ones(16)
     speed[8] = 0.0  # wall
     arr = geo.eikonal_arrival(grid, iso_field(grid, speed), [(0,)])
@@ -387,7 +388,7 @@ def test_arrival_skips_excluded_ball():
         (-1.0, -1.0), (1.0, 1.0),
         excluded_ball=((0.0, 0.0), 0.4),
     )
-    grid = wm.Grid(dom, (33, 33), interior=False)
+    grid = closure_grid(dom, (33, 33))
     arr = geo.eikonal_arrival(grid, iso_field(grid, 1.0), [(0, 0)])
     center = (16, 16)
     assert math.isinf(arr.values[center])
@@ -433,7 +434,7 @@ def test_lattice_edge_rules_match_bellman_ford(shape):
     d = len(shape)
     center = (0.1,) + (0.0,) * (d - 1)
     dom = wm.BoxDomain((-1.0,) * d, (1.0,) * (d - 1) + (1.2,), excluded_ball=(center, 0.35))
-    grid = wm.Grid(dom, shape, interior=False)
+    grid = closure_grid(dom, shape)
     _, offsets = geo.stencil_offsets(d)
     outside = np.linalg.norm(grid.coords() - np.asarray(center), axis=-1) > 0.35
     rng = np.random.default_rng(5)
@@ -485,7 +486,7 @@ def test_lattice_edge_rules_match_bellman_ford(shape):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-def _graph_inputs(d, interior):
+def _graph_inputs(d):
     """A grid with an excluded ball, random impassable nodes and per-mode inputs.
 
     G is random SPD.  M is zero on a slab two nodes wide and rank one along
@@ -496,7 +497,7 @@ def _graph_inputs(d, interior):
     shape = {1: (23,), 2: (9, 11), 3: (8, 9, 8)}[d]
     center = (0.1,) + (0.0,) * (d - 1)
     dom = wm.BoxDomain((-1.0,) * d, (1.0,) * (d - 1) + (1.3,), excluded_ball=(center, 0.35))
-    grid = wm.Grid(dom, shape, interior=interior)
+    grid = wm.Grid(dom, shape)
     rng = np.random.default_rng(31 + d)
     A = rng.normal(size=shape + (d, d))
     G = A @ np.swapaxes(A, -1, -2) + 0.2 * np.eye(d)
@@ -553,12 +554,11 @@ _GRAPH_CASES = {
 }
 
 
-@pytest.mark.parametrize("interior", [True, False], ids=["interior", "closure"])
 @pytest.mark.parametrize("case", list(_GRAPH_CASES))
 @pytest.mark.parametrize("d,stencil", [(1, 2), (2, 8), (2, 16), (3, 26)])
-def test_lattice_graph_matches_every_slot_oracle_bit_for_bit(d, stencil, case, interior):
+def test_lattice_graph_matches_every_slot_oracle_bit_for_bit(d, stencil, case):
     mode, planes = _GRAPH_CASES[case]
-    grid, mats, passable = _graph_inputs(d, interior)
+    grid, mats, passable = _graph_inputs(d)
     m = mats[mode] if planes is None else _plane_case(grid, mats, planes)
     _, offsets = geo.stencil_offsets(d, stencil)
     data, strides = geo._lattice_graph(grid, offsets, mode, m, passable)
@@ -579,7 +579,7 @@ def test_lattice_graph_matches_every_slot_oracle_bit_for_bit(d, stencil, case, i
         assert np.isinf(want.data).sum() > np.isinf(kept.data).sum()
 
 
-def _search_inputs(d, mode, interior, ball, seed, contrast, ties, walled, n_sources,
+def _search_inputs(d, mode, ball, seed, contrast, ties, walled, n_sources,
                    shape=None, blocked=0.2):
     """Graph inputs for the search oracle: rough or tied weights, walls, sources.
 
@@ -598,7 +598,7 @@ def _search_inputs(d, mode, interior, ball, seed, contrast, ties, walled, n_sour
     center = tuple(0.5 * u for u in upper)
     dom = wm.BoxDomain((0.0,) * d, upper,
                        excluded_ball=(center, 0.3 * min(upper)) if ball else None)
-    grid = wm.Grid(dom, shape, interior=interior)
+    grid = closure_grid(dom, shape)
     if ties:
         scale = 2.0 ** rng.integers(-1, 3, size=shape)
     else:
@@ -637,15 +637,15 @@ def _search_and_dijkstra(grid, stencil, mode, mats, passable, sources):
 @pytest.mark.parametrize("mode", [geo.GEODESIC, geo.ARRIVAL_TIME], ids=["geodesic", "aniso"])
 @pytest.mark.parametrize("d,stencil", [(1, 2), (2, 8), (2, 16), (3, 26)])
 @settings(derandomize=True, database=None, deadline=None, max_examples=20)
-@given(interior=st.booleans(), ball=st.booleans(), seed=st.integers(0, 2**32 - 1),
+@given(ball=st.booleans(), seed=st.integers(0, 2**32 - 1),
        contrast=st.sampled_from([10.0, 1e3, 1e6]), ties=st.booleans(),
        walled=st.booleans(), n_sources=st.integers(1, 4))
 def test_shortest_distances_match_scipy_dijkstra_bit_for_bit(
-        d, stencil, mode, interior, ball, seed, contrast, ties, walled, n_sources):
+        d, stencil, mode, ball, seed, contrast, ties, walled, n_sources):
     # every distance has Dijkstra's bits, +inf on the unreached nodes and 0
     # on every source, passable or not
     grid, mats, passable, sources = _search_inputs(
-        d, mode, interior, ball, seed, contrast, ties, walled, n_sources)
+        d, mode, ball, seed, contrast, ties, walled, n_sources)
     got, want, src = _search_and_dijkstra(grid, stencil, mode, mats, passable, sources)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.all(got[src] == 0.0)
@@ -663,7 +663,7 @@ def test_long_rays_match_scipy_dijkstra_bit_for_bit(shape, n_sources, mode, ties
     d = len(shape)
     for seed, walled in ((3, False), (4, True)):
         grid, mats, passable, sources = _search_inputs(
-            d, mode, False, False, seed, 1e3, ties, walled, n_sources, shape, blocked=0.0)
+            d, mode, False, seed, 1e3, ties, walled, n_sources, shape, blocked=0.0)
         got, want, _ = _search_and_dijkstra(grid, None, mode, mats, passable, sources)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert walled or np.isfinite(got).all()
@@ -672,20 +672,20 @@ def test_long_rays_match_scipy_dijkstra_bit_for_bit(shape, n_sources, mode, ties
 # -- divergence grading -----------------------------------------------------
 
 def test_ray_constant_speed_unbounded():
-    v = geo.ray_completeness("1", 0.0, math.inf)
+    v = geo.ray_completeness(lambda t: 1.0, 0.0, math.inf)
     assert v.classification == "certified-divergent"
     assert v.criterion == "ray-quadrature"
     assert len(v.cutoffs) == 24
 
 
 def test_ray_quadratic_speed_converges():
-    v = geo.ray_completeness("x^2", 1.0, math.inf)
+    v = geo.ray_completeness(lambda t: t**2, 1.0, math.inf)
     assert v.classification == "likely-convergent"
     assert v.parameters["limit_estimate"] == pytest.approx(1.0, rel=1e-3)
 
 
 def test_ray_vanishing_speed_at_boundary():
-    v = geo.ray_completeness("1 - x", 0.0, 1.0)
+    v = geo.ray_completeness(lambda t: 1.0 - t, 0.0, 1.0)
     assert v.classification == "certified-divergent"
 
 
@@ -697,26 +697,36 @@ def test_ray_vanishing_speed_at_boundary():
     (2.0, "certified-divergent"),
 ])
 def test_ray_power_family(p, expected):
-    v = geo.ray_completeness(f"(1 - x)^{p}", 0.0, 1.0)
+    v = geo.ray_completeness(lambda t: (1.0 - t) ** p, 0.0, 1.0)
     assert v.classification == expected, v.parameters
 
 
 def test_ray_scaling_invariance():
-    for expr in ["1 - x", "(1 - x)^0.5", "(1 - x)^2"]:
-        base = geo.ray_completeness(expr, 0.0, 1.0)
-        scaled = geo.ray_completeness(f"7.3*({expr})", 0.0, 1.0)
+    for p in [1.0, 0.5, 2.0]:
+        base = geo.ray_completeness(lambda t: (1.0 - t) ** p, 0.0, 1.0)
+        scaled = geo.ray_completeness(lambda t: 7.3 * (1.0 - t) ** p, 0.0, 1.0)
         assert base.classification == scaled.classification
 
 
 def test_ray_partial_integrals_monotone():
-    v = geo.ray_completeness("1 + x^2", 0.0, math.inf)
+    v = geo.ray_completeness(lambda t: 1.0 + t**2, 0.0, math.inf)
     vals = [val for _, val in v.partial_integrals]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_ray_rejects_nonpositive_speed():
     with pytest.raises(DomainEvalError, match="positive"):
-        geo.ray_completeness("0.5 - x", 0.0, 1.0)
+        geo.ray_completeness(lambda t: 0.5 - t, 0.0, 1.0)
+
+
+def test_ray_cutoffs_stay_below_t_end():
+    # 1 - 2**-53 is the last double below 1: the 54th cutoff rounds onto t_end
+    assert geo.ray_cutoff(0.0, 1.0, 53) == 1.0 - 2.0**-53
+    v = geo.ray_completeness(lambda t: 1.0 - t, 0.0, 1.0, n_cutoffs=53)
+    assert v.classification in geo.VERDICT_GRADES
+    assert v.parameters["n_cutoffs"] == 53
+    with pytest.raises(ValidationError, match="^54 cutoffs put the last one on t_end = 1$"):
+        geo.ray_completeness(lambda t: 1.0 - t, 0.0, 1.0, n_cutoffs=54)
 
 
 def test_ray_accepts_callable():
@@ -726,7 +736,7 @@ def test_ray_accepts_callable():
 
 def test_ray_inverse_linear_tail_is_certified():
     # 1/x integrates to log: constant increments on doubling cutoffs
-    v = geo.ray_completeness("x", 1.0, math.inf)
+    v = geo.ray_completeness(lambda t: t, 1.0, math.inf)
     assert v.classification == "certified-divergent"
     assert abs(v.parameters["tail_exponent"]) <= geo.POWER_FIT_TOL
 
@@ -757,11 +767,6 @@ def test_classify_increments_rules(increments, total, grade, extras):
         assert params[key] == pytest.approx(value, rel=1e-15)
 
 
-def test_ray_rejects_multivariate_speed():
-    with pytest.raises(ValueError, match="function of x alone"):
-        geo.ray_completeness("x + y", 0.0, 1.0)
-
-
 def test_ray_quadrature_trouble_is_inconclusive():
     def wild(t):
         return abs(np.sin(1.0 / (1.0000001 - t))) + 1e-12
@@ -769,12 +774,6 @@ def test_ray_quadrature_trouble_is_inconclusive():
     v = geo.ray_completeness(wild, 0.0, 1.0)
     assert v.classification == "inconclusive"
     assert "diagnostic" in v.parameters
-
-
-def test_ray_dsl_error_names_a_point():
-    with pytest.raises(DomainEvalError, match="log of a non-positive value") as info:
-        geo.ray_completeness("log(x - 0.5)", 0.0, 1.0)
-    assert 0.0 < info.value.point["x"] <= 0.5
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
@@ -819,7 +818,7 @@ def test_gk21_loop_matches_cubature_bit_for_bit(kind, budget, c, kink):
 
 
 def test_verdict_json_round_trip():
-    v = geo.ray_completeness("1", 0.0, math.inf)
+    v = geo.ray_completeness(lambda t: 1.0, 0.0, math.inf)
     blob = json.dumps(v.to_json())
     back = json.loads(blob)
     assert back["classification"] == "certified-divergent"
@@ -953,13 +952,16 @@ def _line_metric():
     (lambda: geo.boundary_distance_probe(_line_metric(), [0.5], [0.7, 0.3]),
      r"margin 0.7 reaches the deepest interior node \(0.492308 from the boundary\); "
      "start below that"),
-    (lambda: geo.ray_completeness("1", 1.0, 1.0), r"need t0 < t_end, got \[1.0, 1.0\]"),
-    (lambda: geo.ray_completeness("1", 0.0, 1.0, n_cutoffs=3), "need at least 4 cutoffs"),
-    (lambda: geo.ray_completeness("x + y", 0.0, 1.0),
-     r"ray speed must be a function of x alone, found \['x', 'y'\]"),
+    (lambda: geo.ray_completeness(lambda t: 1.0, 1.0, 1.0), r"need t0 < t_end, got \[1.0, 1.0\]"),
+    (lambda: geo.ray_completeness(lambda t: 1.0, 0.0, 1.0, n_cutoffs=3),
+     "need at least 4 cutoffs"),
+    (lambda: geo.ray_completeness(lambda t: 1.0 - t, 0.0, 1.0, n_cutoffs=56),
+     "56 cutoffs put the last one on t_end = 1"),
+    (lambda: geo.ray_completeness(lambda t: 1.0, 1.0, math.inf, n_cutoffs=1100),
+     "1100 cutoffs put the last one on t_end = inf"),
 ], ids=["stencil", "probe-outside", "one-margin", "margins-2-d", "margin-negative",
         "margins-not-decreasing", "margin-too-deep", "ray-interval", "ray-cutoffs",
-        "ray-variable"])
+        "ray-cutoff-on-end", "ray-cutoff-past-float-range"])
 def test_bad_arguments_raise_validation_error(call, message):
     # argument errors are the package's own class, with their messages kept;
     # inside a CLI command they still exit 3 like any other ValueError

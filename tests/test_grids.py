@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from wavemetric import BoxDomain, Grid, ValidationError
 from wavemetric.grids import CSV_CHUNK_ROWS, _formatted, _powers, _significand, write_csv
 
+from grid_windows import closure_grid
+
 
 def test_interior_grid_excludes_endpoints():
     g = Grid(BoxDomain((0.0,), (1.0,)), (9,))
@@ -17,14 +19,6 @@ def test_interior_grid_excludes_endpoints():
     assert ax[0] > 0.0 and ax[-1] < 1.0
     assert ax[0] == pytest.approx(0.1)
     assert g.spacing[0] == pytest.approx(0.1)
-
-
-def test_closure_grid_hits_endpoints():
-    g = Grid(BoxDomain((0.0, -1.0), (2.0, 1.0)), (11, 21), interior=False)
-    assert g.axes[0][0] == 0.0 and g.axes[0][-1] == 2.0
-    assert g.axes[1][0] == -1.0 and g.axes[1][-1] == 1.0
-    assert g.spacing[0] == pytest.approx(0.2)
-    assert g.spacing[1] == pytest.approx(0.1)
 
 
 def test_minimum_node_count():
@@ -84,8 +78,8 @@ def test_bad_grid_arguments_raise_validation_error(make, message):
 
 
 def test_trapezoid_weights_integrate_linear_exactly():
-    # on the closure grid the rule is exact for affine integrands
-    g = Grid(BoxDomain((0.0,), (2.0,)), (33,), interior=False)
+    # with nodes on the window's edges the rule is exact for affine integrands
+    g = closure_grid(BoxDomain((0.0,), (2.0,)), (33,))
     w = g.trapezoid_weights()
     f = 3.0 * g.axes[0] + 1.0
     assert np.sum(w * f) == pytest.approx(8.0, rel=1e-14)
@@ -101,7 +95,7 @@ def test_trapezoid_weights_interior_value():
 
 
 def test_trapezoid_weights_2d_product():
-    g = Grid(BoxDomain((0.0, 0.0), (1.0, 1.0)), (16, 16), interior=False)
+    g = closure_grid(BoxDomain((0.0, 0.0), (1.0, 1.0)), (16, 16))
     w = g.trapezoid_weights()
     assert w.shape == (16, 16)
     assert np.sum(w) == pytest.approx(1.0, rel=1e-13)
@@ -268,10 +262,10 @@ def test_write_csv_matches_csv_writer(tmp_path_factory, table):
     assert path.read_bytes() == _csv_oracle(names, table)
 
 
-# Windows whose axes mix negative and positive values of short and long
-# text: integers on (-9, 9) with 17 interior nodes, eighths with 17 closure
-# nodes, long decimals, and values in exponent notation.
-_AXIS_WINDOWS = [(-9.0, 9.0), (-1.0, 2.5), (-1e6, 1e-3), (-3.0, 1e17)]
+# Windows whose axes, with nodes on their edges, mix negative and positive
+# values of short and long text: integers on (-8, 8) with 17 nodes, eighths
+# on (-1, 2.5) with 17 nodes, long decimals, and values in exponent notation.
+_AXIS_WINDOWS = [(-8.0, 8.0), (-1.0, 2.5), (-1e6, 1e-3), (-3.0, 1e17)]
 
 
 @st.composite
@@ -285,7 +279,7 @@ def grid_tables(draw):
     shape = draw(st.sampled_from([(CSV_CHUNK_ROWS + 1,), (64, 65), (16, 16, 17)]))
     windows = draw(st.lists(st.sampled_from(_AXIS_WINDOWS), min_size=len(shape),
                             max_size=len(shape)))
-    grid = Grid(BoxDomain(*zip(*windows)), shape, interior=draw(st.booleans()))
+    grid = closure_grid(BoxDomain(*zip(*windows)), shape)
     values = draw(csv_tables(rows=grid.node_count, max_cols=4))
     if draw(st.booleans()):
         values = np.broadcast_to(values[:1], values.shape)

@@ -40,7 +40,6 @@ def coupling_system(entry, domain=FREE_LINE):
         E=wm.ConstMatrixField(np.eye(2)),
         A=(wm.ExprMatrixField([[0.0, entry], [entry, 0.0]]),),
         V=wm.ConstMatrixField(np.zeros((2, 2))),
-        canonical=True,
     )
 
 

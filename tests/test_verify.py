@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import wavemetric as wm
 from wavemetric import verify
 from wavemetric.errors import ValidationError
+from wavemetric.matkernel import spd_sqrt
 
 
 def test_all_checks_pass():
@@ -41,6 +42,26 @@ def test_seed_changes_draws_but_not_outcomes():
     b = verify.run_checks("matkernel.spd_sqrt_roundtrip", seed=2)
     assert a[0].residual != b[0].residual
     assert a[0].passed and b[0].passed
+
+
+def test_draws_follow_the_check_id_not_the_registry_order(monkeypatch):
+    pattern = "matkernel|dsl|systems"
+    before = {r.check_id: r.residual for r in verify.run_checks(pattern, seed=7)}
+    first = verify.CHECKS[0]
+    monkeypatch.setattr(verify, "CHECKS", [c for c in reversed(verify.CHECKS) if c is not first])
+    after = {r.check_id: r.residual for r in verify.run_checks(pattern, seed=7)}
+    del before[first.check_id]
+    assert after == before
+
+
+def test_weight_check_fails_on_a_wrong_inverse_square_root(monkeypatch):
+    # R = E^{1/2} in place of E^{-1/2} makes R E R = E^2
+    chk = verify.get_check("systems.canonical_weight_is_identity")
+    case = chk.draw(np.random.default_rng(3))
+    assert chk.residual(case) <= chk.tolerance
+    monkeypatch.setattr(verify, "_inv_sqrt",
+                        lambda E, coords: spd_sqrt(E(np.array(coords))))
+    assert chk.residual(case) > 1e-3
 
 
 def test_tampered_majorant_fails_domination():

@@ -75,7 +75,7 @@ def velocity_matrix_structured(sys: CoefficientSystem, x) -> np.ndarray:
 def canonical_stacks(sys: CoefficientSystem, coords) -> list[np.ndarray]:
     """The canonical B^j at coords as dense stacks, each at the shape its field gives."""
     E = sys.E
-    if sys.canonical or (isinstance(E, ConstMatrixField) and E.is_identity):
+    if isinstance(E, ConstMatrixField) and E.is_identity:
         return [A.sample(coords) for A in sys.A]
     if E.is_diagonal:
         R = spd_inv_sqrt(np.diagonal(E.sample(coords), axis1=-2, axis2=-1), diagonal=True)
