@@ -486,8 +486,11 @@ def test_lattice_edge_rules_match_bellman_ford(shape):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-def _graph_inputs(d):
+def _graph_inputs(d, interior):
     """A grid with an excluded ball, random impassable nodes and per-mode inputs.
+
+    ``interior`` puts the nodes strictly inside the window; otherwise the end
+    nodes lie on its edges (see ``grid_windows``).
 
     G is random SPD.  M is zero on a slab two nodes wide and rank one along
     the first axis on another, so anisotropic edges inside the first, and
@@ -497,7 +500,7 @@ def _graph_inputs(d):
     shape = {1: (23,), 2: (9, 11), 3: (8, 9, 8)}[d]
     center = (0.1,) + (0.0,) * (d - 1)
     dom = wm.BoxDomain((-1.0,) * d, (1.0,) * (d - 1) + (1.3,), excluded_ball=(center, 0.35))
-    grid = wm.Grid(dom, shape)
+    grid = wm.Grid(dom, shape) if interior else closure_grid(dom, shape)
     rng = np.random.default_rng(31 + d)
     A = rng.normal(size=shape + (d, d))
     G = A @ np.swapaxes(A, -1, -2) + 0.2 * np.eye(d)
@@ -554,11 +557,12 @@ _GRAPH_CASES = {
 }
 
 
+@pytest.mark.parametrize("interior", [True, False], ids=["interior", "closure"])
 @pytest.mark.parametrize("case", list(_GRAPH_CASES))
 @pytest.mark.parametrize("d,stencil", [(1, 2), (2, 8), (2, 16), (3, 26)])
-def test_lattice_graph_matches_every_slot_oracle_bit_for_bit(d, stencil, case):
+def test_lattice_graph_matches_every_slot_oracle_bit_for_bit(d, stencil, case, interior):
     mode, planes = _GRAPH_CASES[case]
-    grid, mats, passable = _graph_inputs(d)
+    grid, mats, passable = _graph_inputs(d, interior)
     m = mats[mode] if planes is None else _plane_case(grid, mats, planes)
     _, offsets = geo.stencil_offsets(d, stencil)
     data, strides = geo._lattice_graph(grid, offsets, mode, m, passable)
