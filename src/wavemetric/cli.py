@@ -40,6 +40,7 @@ from .errors import (
 )
 from .evolve import (
     DEFAULT_SUPPORT_THRESHOLD,
+    EDGE_MARGIN_NODES,
     gaussian_state,
     integrate,
 )
@@ -346,16 +347,20 @@ def _normalize_simulate(raw, d: int, k: int, lower, upper, nodes) -> dict | None
                       "simulate.pulse.components", k)
     if not any(c != 0.0 for c in comps):
         raise ScenarioError("simulate.pulse.components must not all vanish")
-    # support box of the pulse must clear the grid edge by 4 nodes
+    # the pulse's support box must clear the grid edge by EDGE_MARGIN_NODES
+    # nodes: node i of an axis sits at lower + (i + 1) h, so the support
+    # must start at node EDGE_MARGIN_NODES or later and end as far from the top
     halfwidth = sigma * math.sqrt(-2.0 * math.log(DEFAULT_SUPPORT_THRESHOLD))
     for j in range(d):
         h = (upper[j] - lower[j]) / (nodes[j] + 1)
-        if (center[j] - halfwidth < lower[j] + 5 * h
-                or center[j] + halfwidth > upper[j] - 5 * h):
+        clear = (EDGE_MARGIN_NODES + 1) * h
+        if (center[j] - halfwidth < lower[j] + clear
+                or center[j] + halfwidth > upper[j] - clear):
             raise ScenarioError(
                 f"simulate.pulse support [{center[j] - halfwidth:.6g}, "
                 f"{center[j] + halfwidth:.6g}] on axis {j + 1} comes within "
-                "4 nodes of the window edge; shrink sigma or move the center"
+                f"{EDGE_MARGIN_NODES} nodes of the window edge; shrink sigma or "
+                "move the center"
             )
     return {"T": T, "cfl": cfl,
             "pulse": {"center": center, "sigma": sigma, "components": comps}}

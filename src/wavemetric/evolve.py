@@ -13,10 +13,13 @@ The assembled matrix is the generator G = -i Op itself, so a time step
 multiplies by G and nothing else.  G is real (float64) when E and A are real
 and V is zero or purely imaginary, which holds for every built-in family
 except Dirac, its canonical forms included; a real state then steps in
-float64, at half the memory and flops, and a complex one as float64 pairs of
-its real and imaginary parts.  A weight E that is diagonal by structure
-(``E.is_diagonal``) is kept as its diagonal alone, for the assembly and for
-the energy density.
+float64, at half the memory and flops, and any other state in complex128.
+The weight E on the grid comes from ``systems.weight_on_grid``, the
+E^{-1/2} check of the canonical sampler run at every node, so a weight is
+admitted here exactly when the velocity field on that grid admits it, and
+rejected with the same ``MatrixError``.  A weight E that is diagonal by
+structure (``E.is_diagonal``) is kept as its diagonal alone, for the
+assembly and for the energy density.
 
 A run steps only the live block of G.  Components a and b are coupled when
 some entry of G joins a row of component a to a column of component b; the
@@ -63,7 +66,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InstabilityError, ValidationError
 from .grids import Grid, write_csv
-from .systems import CoefficientSystem, ConstMatrixField, MatrixField
+from .systems import CoefficientSystem, ConstMatrixField, weight_on_grid
 from .velocity import VelocityField
 
 EDGE_MARGIN_NODES = 4
@@ -148,24 +151,11 @@ def _check_order(order: int) -> None:
         raise ValidationError(f"difference order must be one of {sorted(_DIFF_COEFFS)}")
 
 
-def _weight(E: MatrixField, grid: Grid) -> np.ndarray:
-    """E on the grid as ``_density`` reads it.
-
-    A diagonal E (``E.is_diagonal``) is sampled on its diagonal only, and
-    kept as one C-ordered array of shape grid + (k,); any other E is
-    grid + (k, k).
-    """
-    if not E.is_diagonal:
-        return E.on_grid(grid.axes)
-    diag = E.sample_diagonal(tuple(np.meshgrid(*grid.axes, indexing="ij", sparse=True)))
-    return np.broadcast_to(diag, grid.shape + (E.k,)).copy()
-
-
 def _density(values: np.ndarray, E: np.ndarray) -> np.ndarray:
     """Pointwise energy density <psi, E psi> of a state array, one value per node.
 
-    E is the weight as ``_weight`` gives it: a diagonal (one axis fewer than
-    a matrix, so as many axes as the values) contracts as
+    E is the weight as ``weight_on_grid`` gives it: a diagonal (one axis
+    fewer than a matrix, so as many axes as the values) contracts as
     sum_a conj(psi_a) E_a psi_a, which gives the same bits as the full
     contraction with the zero off-diagonal entries.
     """
@@ -175,19 +165,8 @@ def _density(values: np.ndarray, E: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("...a,...ab,...b->...", np.conj(values), E, values))
 
 
-def _positive_definite(E: np.ndarray, diagonal: bool) -> bool:
-    """Whether the weight is positive definite at every node, E as ``_weight`` gives it."""
-    if diagonal:
-        return bool(np.all(np.real(E) > 0))
-    try:
-        np.linalg.cholesky(E)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _matvec(matrix, x: np.ndarray) -> np.ndarray:
-    """One sparse product with a flat state vector, or with its (n, 2) float64 pairs."""
+    """One sparse product with a flat state vector: every product a step takes."""
     return matrix @ x
 
 
@@ -207,16 +186,17 @@ class DiscreteOperator:
     and the diagonal block -i E^{-1}(n) V(n); neighbours outside the grid are
     zero exterior values and have no entry.  A non-finite entry, from
     coefficients that overflow somewhere on the grid, is rejected with its
-    node.  Entries whose imaginary parts are all zero are stored as float64.  ``matrix`` is Op, derived from G
-    when read.
+    node.  Entries whose imaginary parts are all zero are stored as float64.
 
-    A diagonal weight (``E.is_diagonal``) is inverted entry by entry and
-    ``E_samples`` keeps only its diagonal; every block, constant A^j or not,
-    is then written from the coefficient's entries that are nonzero
-    somewhere, each times the node's E^{-1} entry, with no dense per-node
-    k-by-k block.  Any other weight is checked with a batched Cholesky
-    factorisation and inverted per node with ``np.linalg.inv``, and its
-    blocks are E^{-1} times the per-node k-by-k sums.
+    The weight is sampled and checked by ``weight_on_grid``: a node where E
+    is not Hermitian positive definite, or is numerically singular, raises
+    the kernel's ``MatrixError`` before anything is assembled.  A diagonal
+    weight (``E.is_diagonal``) is inverted entry by entry and ``E_samples``
+    keeps only its diagonal; every block, constant A^j or not, is then
+    written from the coefficient's entries that are nonzero somewhere, each
+    times the node's E^{-1} entry, with no dense per-node k-by-k block.  Any
+    other weight is inverted per node with ``np.linalg.inv``, and its blocks
+    are E^{-1} times the per-node k-by-k sums.
     """
 
     def __init__(self, sys: CoefficientSystem, grid: Grid, order: int = 2):
@@ -227,10 +207,8 @@ class DiscreteOperator:
         self.order = order
         d, k = grid.d, sys.k
 
-        self.E_samples = E = _weight(sys.E, grid)
+        self.E_samples = E = weight_on_grid(sys.E, grid.axes)
         diagonal = sys.E.is_diagonal
-        if not _positive_definite(E, diagonal):
-            raise ValidationError("weight field must be positive definite on the grid")
         einv = 1.0 / np.real(E) if diagonal else np.linalg.inv(E)
 
         idx = np.arange(grid.node_count * k, dtype=np.int32).reshape(grid.shape + (k,))
@@ -286,19 +264,9 @@ class DiscreteOperator:
             vals = vals.real
         self.generator = sparse.csr_array((vals, (rows, cols)), shape=(idx.size, idx.size))
 
-    @property
-    def matrix(self):
-        """The weighted operator Op = i G as a complex sparse matrix."""
-        return 1j * self.generator
-
     def derivative(self, values: np.ndarray) -> np.ndarray:
-        """G v = -i Op v: the time derivative of a state array, in its dtype when G is real.
-
-        Trailing axes beyond the (node, component) rows, such as the float64
-        pairs of a complex state, become columns of one product.
-        """
-        G = self.generator
-        return (G @ values.reshape(G.shape[1], -1)).reshape(values.shape)
+        """G v = -i Op v: the time derivative of a state array, in its dtype when G is real."""
+        return (self.generator @ values.reshape(-1)).reshape(values.shape)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """The discrete weighted operator applied to a state array."""
@@ -319,7 +287,7 @@ def apply_operator(sys: CoefficientSystem, state: WaveState, order: int = 2) -> 
 
 def energy(sys: CoefficientSystem, state: WaveState) -> float:
     """Trapezoid quadrature of the energy density <psi, E psi> over the grid."""
-    dens = _density(state.values, _weight(sys.E, state.grid))
+    dens = _density(state.values, weight_on_grid(sys.E, state.grid.axes))
     return float((state.grid.trapezoid_weights() * dens).sum())
 
 
@@ -368,7 +336,7 @@ def support_box(sys: CoefficientSystem, state: WaveState, threshold: float = DEF
     """
     if not 0.0 < threshold < 1.0:
         raise ValidationError(f"support threshold must be in (0, 1), got {threshold}")
-    dens = _density(state.values, _weight(sys.E, state.grid))
+    dens = _density(state.values, weight_on_grid(sys.E, state.grid.axes))
     ref = float(dens.max()) if ref_density is None else float(ref_density)
     found = _support_extent(state.grid, dens, ref, threshold)
     return None if found is None else found[1]
@@ -525,9 +493,7 @@ def _evolution(sys, state0, T, cfl, threshold, method, order, dt):
     real, complex128 otherwise.  Only the live block (``_live_block``) steps,
     as a flat vector; each yielded state is the full array, a view of that
     vector when every component is live and its values scattered into +0
-    otherwise.  A complex state on a real generator steps as (n, 2) float64
-    pairs of its real and imaginary parts and is yielded as their complex128
-    view.
+    otherwise.
     """
     if method not in _STEPPERS:
         raise ValidationError(f"method must be one of {sorted(_STEPPERS)}")
@@ -555,15 +521,10 @@ def _evolution(sys, state0, T, cfl, threshold, method, order, dt):
 
     def states():
         values = state0.values
-        real_g = G.dtype.kind == "f"
-        pairs = real_g and values.imag.any()
-        if pairs:  # real and imaginary parts side by side, stepped in float64
-            values = np.ascontiguousarray(values).view(np.float64).reshape(values.shape + (2,))
-        elif real_g:
+        if G.dtype.kind == "f" and not values.imag.any():
             values = values.real.copy()
-        yield 0, state0.t, state0.values if pairs else values
-        shape = values.shape
-        x = values.reshape((-1,) + shape[state0.grid.d + 1:])
+        yield 0, state0.t, values
+        x = values.reshape(-1)
         if rows is not None:
             x = x[rows]
         for i in range(1, steps + 1):
@@ -572,11 +533,11 @@ def _evolution(sys, state0, T, cfl, threshold, method, order, dt):
             if not np.all(np.isfinite(x)):
                 raise InstabilityError(i, t, f"retry with a smaller cfl, e.g. {0.5 * cfl:g}")
             if rows is None:
-                values = x.reshape(shape)
+                values = x.reshape(values.shape)
             else:
-                values = np.zeros(shape, dtype=x.dtype)
-                values.reshape((-1,) + x.shape[1:])[rows] = x
-            yield i, t, values.view(np.complex128)[..., 0] if pairs else values
+                values = np.zeros(values.shape, dtype=x.dtype)
+                values.reshape(-1)[rows] = x
+            yield i, t, values
 
     return op, dt, steps, states()
 

@@ -41,7 +41,12 @@ definite) is decided by the ``matkernel`` kernels alone: ``validate_system``
 and the construction probes of the built-in families sample each field once
 at all their Halton points and run it through ``hermitian_part``,
 ``spd_sqrt`` or ``spd_inv_sqrt``, so an input is rejected there exactly when
-the kernel that later decomposes it would reject it at those points.
+the kernel that later decomposes it would reject it at those points.  The
+weight on a grid comes from ``weight_on_grid``, which runs the same
+E^{-1/2} check at every node; the evolution operator, ``energy`` and
+``support_box`` of ``wavemetric.evolve`` read E through it, so they admit
+exactly the weights the canonical sampler behind the velocity field admits
+on that grid, with the same error.
 """
 
 from __future__ import annotations
@@ -72,6 +77,7 @@ __all__ = [
     "canonicalize",
     "canonical_A",
     "canonical_planes",
+    "weight_on_grid",
     "EntryPlanes",
     "zero_order_term",
     "validate_system",
@@ -356,6 +362,26 @@ def _weight_check(E: MatrixField):
     if E.is_diagonal:
         return ("E", E.sample_diagonal, functools.partial(spd_inv_sqrt, diagonal=True))
     return ("E", E.sample, spd_inv_sqrt)
+
+
+def weight_on_grid(E: MatrixField, axes: tuple[np.ndarray, ...]) -> np.ndarray:
+    """E on the tensor grid of the axes, admitted by the E^{-1/2} kernel.
+
+    The samples go through the check ``canonical_planes`` and
+    ``validate_system`` run, so the first node in C order that is
+    non-finite, not Hermitian positive definite or numerically singular
+    raises the kernel's ``MatrixError``, naming that node's point.  A
+    diagonal E (``E.is_diagonal``) gives its diagonals, one C-ordered array
+    of shape grid + (k,); any other E gives grid + (k, k).
+    """
+    coords = tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
+    name, sample, kernel = _weight_check(E)
+    samples = sample(coords)
+    _run((name, lambda _: samples, kernel), coords)
+    full = tuple(len(ax) for ax in axes) + (E.k,) * (1 if E.is_diagonal else 2)
+    if samples.shape == full and samples.flags.c_contiguous:
+        return samples
+    return np.broadcast_to(samples, full).copy()
 
 
 def _inv_sqrt_samples(E: MatrixField, coords) -> np.ndarray:

@@ -1,9 +1,9 @@
 """The full-generator stepper, for the tests only.
 
 ``full_evolution`` steps every component of the state with the whole
-generator G, each product on the state array reshaped to (rows, columns):
-``(n, 1)`` for a real or complex state, ``(n, 2)`` for the float64 pairs of
-a complex state on a real G.  RK4 is Horner's rule written out of place,
+generator G, each product on the state array flattened to one vector: a
+float64 state when G and the initial state are both real, complex128
+otherwise.  RK4 is Horner's rule written out of place,
 ``x + (dt/j) G w``, with R(dt G) assembled for 1-D grids.  It has the
 signature and the yields of ``wavemetric.evolve._evolution``, which the
 tests hold to it bit for bit.
@@ -18,7 +18,7 @@ from wavemetric.errors import InstabilityError
 
 
 def _product(matrix, values):
-    return (matrix @ values.reshape(matrix.shape[1], -1)).reshape(values.shape)
+    return (matrix @ values.reshape(-1)).reshape(values.shape)
 
 
 def _rk4_polynomial(apply, x, dt):
@@ -65,18 +65,14 @@ def full_evolution(sys, state0, T, cfl, threshold, method, order, dt):
 
     def states():
         values = state0.values
-        real_g = op.generator.dtype.kind == "f"
-        pairs = real_g and values.imag.any()
-        if pairs:
-            values = np.ascontiguousarray(values).view(np.float64).reshape(values.shape + (2,))
-        elif real_g:
+        if op.generator.dtype.kind == "f" and not values.imag.any():
             values = values.real.copy()
-        yield 0, state0.t, state0.values if pairs else values
+        yield 0, state0.t, values
         for i in range(1, steps + 1):
             values = step(values)
             t = state0.t + i * dt
             if not np.all(np.isfinite(values)):
                 raise InstabilityError(i, t, "")
-            yield i, t, values.view(np.complex128)[..., 0] if pairs else values
+            yield i, t, values
 
     return op, dt, steps, states()

@@ -11,6 +11,7 @@ import pytest
 
 import wavemetric as wm
 from wavemetric import cli, dsl, geometry, velocity, verify
+from wavemetric import evolve as ev
 from wavemetric.errors import ScenarioError
 
 from metric_oracle import lapack_eigen, mollify_every_plane
@@ -272,6 +273,56 @@ def test_simulate_section_validation():
             cli.normalize_scenario(bad)
 
 
+def _pulse_scenario(name, d, nodes, center, sigma):
+    k = {"telegraph": 2, "maxwell_isotropic": 6}[name]
+    raw = family_scenario(name, {}, d)
+    raw["grid"]["nodes"] = nodes
+    raw["simulate"] = {"T": 0.1, "pulse": {"center": center, "sigma": sigma,
+                                           "components": [1.0] + [0.0] * (k - 1)}}
+    return raw
+
+
+@pytest.mark.parametrize("name, d, nodes, sigma", [
+    ("telegraph", 1, [64], 0.01),
+    ("telegraph", 1, [257], 0.004),
+    ("telegraph", 1, [2048], 0.02),
+    ("maxwell_isotropic", 2, [48, 40], 0.03),
+])
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_pulse_edge_rule_is_the_evolution_margin(name, d, nodes, sigma, side):
+    # a pulse whose support comes within EDGE_MARGIN_NODES nodes of the grid
+    # edge is rejected; one at the limit is accepted, and under a constant
+    # weight its initial support box starts or ends EDGE_MARGIN_NODES nodes
+    # from the edge node, so the run does not start out boundary-contaminated
+    margin = ev.EDGE_MARGIN_NODES
+    halfwidth = sigma * math.sqrt(-2.0 * math.log(ev.DEFAULT_SUPPORT_THRESHOLD))
+    h = 1.0 / (nodes[-1] + 1)
+    edge = (margin + 1) * h + halfwidth
+    center = [0.5] * (d - 1) + [edge if side == "lower" else 1.0 - edge]
+    for _ in range(8):  # the limit itself, to rounding
+        try:
+            scn = cli.Scenario.from_dict(_pulse_scenario(name, d, nodes, center, sigma))
+            break
+        except ScenarioError:
+            center[-1] = np.nextafter(center[-1], 0.5)
+    else:
+        pytest.fail(f"a pulse at the edge rule's limit {center} is rejected")
+    assert abs(center[-1] - (edge if side == "lower" else 1.0 - edge)) < 1e-12
+    pulse = scn.simulate["pulse"]
+    state = ev.gaussian_state(scn.grid, pulse["components"], pulse["center"], pulse["sigma"])
+    lo, hi = ev.support_box(scn.system, state)[-1]
+    axis = scn.grid.axes[-1]
+    assert axis[margin] <= lo and hi <= axis[-1 - margin]
+    assert (lo == axis[margin]) if side == "lower" else (hi == axis[-1 - margin])
+
+    center[-1] += (-h if side == "lower" else h) / 8
+    lo, hi = center[-1] - halfwidth, center[-1] + halfwidth
+    message = (f"simulate.pulse support [{lo:.6g}, {hi:.6g}] on axis {d} comes within "
+               f"{margin} nodes of the window edge; shrink sigma or move the center")
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        cli.normalize_scenario(_pulse_scenario(name, d, nodes, center, sigma))
+
+
 def test_scenario_root_must_be_an_object(tmp_path, capsys):
     p = tmp_path / "list.json"
     p.write_text("[1]", encoding="utf-8")
@@ -408,13 +459,18 @@ def test_non_finite_coefficients_exit_2(tmp_path, capsys, field, entries):
     )
 
 
-def test_weight_failing_at_a_grid_node_exits_2(tmp_path, capsys):
-    # eps = x - 0.05 passes the construction probe but not the node at x = 1/33
+@pytest.mark.parametrize("command", [["analyze"], ["distance", "--mode", "geodesic"],
+                                     ["distance", "--mode", "arrival"], ["simulate"]])
+def test_weight_failing_at_a_grid_node_exits_2(tmp_path, capsys, command):
+    # eps = x - 0.05 passes the construction probe but not the node at x = 1/33;
+    # every command samples the weight through the same kernel check
     raw = family_scenario("maxwell_isotropic", {"eps": "x - 0.05"}, 2)
     raw["grid"]["nodes"] = [32, 32]
+    raw["simulate"] = {"T": 0.1, "pulse": {"center": [0.5, 0.5], "sigma": 0.02,
+                                           "components": [0, 0, 1, 0, 0, 0]}}
     raw["output"]["dir"] = str(tmp_path / "out")
     p = write_scenario(tmp_path, raw)
-    assert cli.main(["analyze", str(p)]) == 2
+    assert cli.main([command[0], str(p)] + command[1:]) == 2
     assert capsys.readouterr().err == (
         f"{p}: matrix is not positive definite: smallest eigenvalue -1.969697e-02 "
         "(E at [0.03030303 0.03030303])\n"
