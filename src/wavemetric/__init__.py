@@ -5,141 +5,10 @@ matrix, extracts the quadratic form giving local propagation speeds, builds
 Riemannian metrics from it, probes metric completeness with lattice shortest
 paths and ray integrals, and evolves wave pulses to compare analytic bounds
 against observed fronts.
+
+The names live in the submodules (``systems``, ``grids``, ``velocity``,
+``geometry``, ``evolve``, ``verify``, ``errors``); the package root imports
+none of them, so a command loads only the modules it runs.
 """
 
-from .errors import (
-    ConvergenceError,
-    DomainEvalError,
-    ExpressionError,
-    InstabilityError,
-    MajorantError,
-    MatrixError,
-    ScenarioError,
-    SingularMatrixError,
-    UnsupportedSystemError,
-    ValidationError,
-    WavemetricError,
-)
-from .evolve import (
-    DiscreteOperator,
-    EvolutionLog,
-    WaveState,
-    apply_operator,
-    arrival_time,
-    cfl_dt,
-    component_divergence,
-    energy,
-    gaussian_state,
-    integrate,
-    support_box,
-)
-from .geometry import (
-    CompletenessVerdict,
-    DistanceField,
-    MetricField,
-    boundary_distance_probe,
-    combine_classifications,
-    eikonal_arrival,
-    lattice_geodesic,
-    metric_from_velocity,
-    power_law_classify,
-    ray_completeness,
-    stencil_offsets,
-)
-from .grids import Grid
-from .systems import (
-    BoxDomain,
-    CoefficientSystem,
-    ConstMatrixField,
-    ExprMatrixField,
-    FuncMatrixField,
-    MatrixField,
-    ValidationReport,
-    canonicalize,
-    dirac_free,
-    elastic,
-    elastic_isotropic,
-    eval_coeffs,
-    maxwell_anisotropic,
-    maxwell_isotropic,
-    symbol,
-    telegraph,
-    validate_system,
-    zero_order_term,
-)
-from .velocity import (
-    SpeedBracket,
-    VelocityField,
-    char_speed,
-    chernoff_c,
-    fattorini_r,
-    majorant,
-    radial_envelope,
-    velocity_matrix,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoxDomain",
-    "CoefficientSystem",
-    "CompletenessVerdict",
-    "ConstMatrixField",
-    "ConvergenceError",
-    "DiscreteOperator",
-    "DistanceField",
-    "DomainEvalError",
-    "EvolutionLog",
-    "ExpressionError",
-    "ExprMatrixField",
-    "FuncMatrixField",
-    "Grid",
-    "InstabilityError",
-    "MajorantError",
-    "MatrixError",
-    "MatrixField",
-    "MetricField",
-    "ScenarioError",
-    "SingularMatrixError",
-    "SpeedBracket",
-    "UnsupportedSystemError",
-    "ValidationError",
-    "ValidationReport",
-    "VelocityField",
-    "WaveState",
-    "WavemetricError",
-    "apply_operator",
-    "arrival_time",
-    "boundary_distance_probe",
-    "canonicalize",
-    "cfl_dt",
-    "char_speed",
-    "chernoff_c",
-    "combine_classifications",
-    "component_divergence",
-    "dirac_free",
-    "eikonal_arrival",
-    "elastic",
-    "elastic_isotropic",
-    "energy",
-    "eval_coeffs",
-    "fattorini_r",
-    "gaussian_state",
-    "integrate",
-    "lattice_geodesic",
-    "majorant",
-    "maxwell_anisotropic",
-    "maxwell_isotropic",
-    "metric_from_velocity",
-    "power_law_classify",
-    "radial_envelope",
-    "ray_completeness",
-    "stencil_offsets",
-    "support_box",
-    "symbol",
-    "telegraph",
-    "validate_system",
-    "velocity_matrix",
-    "zero_order_term",
-    "__version__",
-]

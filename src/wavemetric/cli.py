@@ -29,7 +29,6 @@ from typing import Callable
 import numpy as np
 
 from . import velocity as vel
-from . import verify as verify_mod
 from .errors import (
     DomainEvalError,
     ExpressionError,
@@ -37,12 +36,6 @@ from .errors import (
     ScenarioError,
     ValidationError,
     WavemetricError,
-)
-from .evolve import (
-    DEFAULT_SUPPORT_THRESHOLD,
-    EDGE_MARGIN_NODES,
-    gaussian_state,
-    integrate,
 )
 from .geometry import (
     CompletenessVerdict,
@@ -71,12 +64,13 @@ from .systems import (
     validate_system,
 )
 from .velocity import VelocityField, char_speed, majorant, velocity_matrix
-from .verify import DEFAULT_SEED
 
 EXIT_OK = 0
 EXIT_SCENARIO = 2
 EXIT_NUMERIC = 3
 EXIT_INCONCLUSIVE = 4
+
+DEFAULT_SEED = 0x5EED
 
 RADIAL_OCTAVES = 12
 RADIAL_PER_OCTAVE = 4
@@ -329,6 +323,8 @@ def _normalize_analysis(raw) -> dict:
 def _normalize_simulate(raw, d: int, k: int, lower, upper, nodes) -> dict | None:
     if raw is None:
         return None
+    # evolve is loaded only for scenarios that evolve, not for analyze or distance
+    from .evolve import DEFAULT_SUPPORT_THRESHOLD, EDGE_MARGIN_NODES
     _check_keys(raw, {"T", "cfl", "pulse"}, "simulate")
     T = _num(_need(raw, "T", "simulate"), "simulate.T")
     if not T > 0:
@@ -746,6 +742,8 @@ def cmd_distance(scn: Scenario, mode: str = "geodesic") -> int:
 
 def cmd_simulate(scn: Scenario, method: str = "rk4") -> int:
     """Integrate the pulse from the scenario and write log plus snapshots."""
+    from .evolve import gaussian_state, integrate
+
     sim = scn.simulate
     if sim is None:
         raise ScenarioError("scenario has no simulate section")
@@ -775,15 +773,17 @@ def cmd_verify(pattern: str | None = None, seed: int = DEFAULT_SEED) -> int:
     """Run registered self-checks and print the residual table."""
     import re
 
+    from . import verify
+
     try:
-        results = verify_mod.run_checks(pattern, seed=seed)
+        results = verify.run_checks(pattern, seed=seed)
     except re.error as exc:
         print(f"bad --filter regex: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
     if not results:
         print(f"no checks match filter {pattern!r}", file=sys.stderr)
         return EXIT_SCENARIO
-    print(verify_mod.format_table(results))
+    print(verify.format_table(results))
     if any(r.status == "fail" for r in results):
         return EXIT_NUMERIC
     return EXIT_OK

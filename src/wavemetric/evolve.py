@@ -143,10 +143,6 @@ def _stencil_pairs(d: int, axis: int, order: int):
 def _check_grid(sys: CoefficientSystem, grid: Grid, order: int) -> None:
     if grid.domain != sys.domain:
         raise ValidationError("grid domain does not match the system domain")
-    _check_order(order)
-
-
-def _check_order(order: int) -> None:
     if order not in _DIFF_COEFFS:
         raise ValidationError(f"difference order must be one of {sorted(_DIFF_COEFFS)}")
 
@@ -278,11 +274,6 @@ class DiscreteOperator:
     def density(self, values: np.ndarray) -> np.ndarray:
         """Pointwise energy density <psi, E psi>, one value per node."""
         return _density(values, self.E_samples)
-
-
-def apply_operator(sys: CoefficientSystem, state: WaveState, order: int = 2) -> np.ndarray:
-    """Discrete weighted operator applied to the state; same shape as values."""
-    return DiscreteOperator(sys, state.grid, order).apply(state.values)
 
 
 def energy(sys: CoefficientSystem, state: WaveState) -> float:
@@ -620,34 +611,4 @@ def arrival_time(sys: CoefficientSystem, state0: WaveState, T: float, probes,
         out[np.isinf(out) & (_density(values[at], E_at) >= cutoff)] = t
         if not np.isinf(out).any():
             break
-    return out
-
-
-def component_divergence(state: WaveState, components, order: int = 2) -> np.ndarray:
-    """Discrete divergence sum_j D_j psi[component_j], one component per axis.
-
-    Diagnostic for vector blocks (e.g. the electric or magnetic triple of an
-    electromagnetic state): built from the same antisymmetric differences as
-    the evolution operator, so divergence-free data stays divergence-free.
-    """
-    _check_order(order)
-    components = [int(c) for c in components]
-    if len(components) != state.grid.d:
-        raise ValidationError(
-            f"need one component per axis ({state.grid.d}), got {len(components)}"
-        )
-    for c in components:
-        if not 0 <= c < state.k:
-            raise ValidationError(
-                f"component {c} is outside 0..{state.k - 1} for a {state.k}-component state"
-            )
-    out = np.zeros(state.grid.shape, dtype=np.complex128)
-    for j, c in enumerate(components):
-        v = state.values[..., c]
-        dv = np.zeros(state.grid.shape, dtype=np.complex128)
-        for lo, hi, w in _stencil_pairs(state.grid.d, j, order):
-            cm = w / state.grid.spacing[j]
-            dv[lo] += cm * v[hi]
-            dv[hi] -= cm * v[lo]
-        out += dv
     return out

@@ -484,10 +484,6 @@ class CompletenessVerdict:
     integrals: list
     parameters: dict = field(default_factory=dict)
 
-    @property
-    def partial_integrals(self) -> list[tuple[float, float]]:
-        return list(zip(self.cutoffs, self.integrals))
-
     def to_json(self) -> dict:
         return {
             "classification": self.classification,

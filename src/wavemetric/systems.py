@@ -25,16 +25,16 @@ each out as ``EntryPlanes``: the sample planes of its nonzero entries.
 Under a diagonal E each A^j, constant or not, gives the planes of the
 entries where A^j or its transpose is nonzero at some sample, formed entry
 by entry with no k-by-k stack per sample; under any other E, B^j gives the
-planes of its stack that are not zero everywhere.  ``canonical_A`` gives
-the same B^j as matrices.  E^{-1/2} comes from ``spd_inv_sqrt``, the one
-kernel for a point and a stack of samples (diag(E)^{-1/2} from the
-diagonals alone, with no eigendecomposition, for a diagonal E), so a point
-and a grid node agree bit for bit; the first sample in C order that is
-non-finite, not Hermitian positive definite or numerically singular raises
-the kernel's error, naming that sample's point.  The gradient of E^{-1/2}
-comes from central finite differences with step 1e-5 (scaled by axis
-extent), shrunk per sample near a bounded side with one warning per
-evaluation; a sample on or outside the boundary raises ``ValidationError``.
+planes of its stack that are not zero everywhere.  E^{-1/2} comes from
+``spd_inv_sqrt``, the one kernel for a point and a stack of samples
+(diag(E)^{-1/2} from the diagonals alone, with no eigendecomposition, for a
+diagonal E), so a point and a grid node agree bit for bit; the first sample
+in C order that is non-finite, not Hermitian positive definite or
+numerically singular raises the kernel's error, naming that sample's point.
+The gradient of E^{-1/2} comes from central finite differences with step
+1e-5 (scaled by axis extent), shrunk per sample near a bounded side with one
+warning per evaluation; a sample on or outside the boundary raises
+``ValidationError``.
 
 Whether the coefficients are admissible (Hermitian A^j and V, E positive
 definite) is decided by the ``matkernel`` kernels alone: ``validate_system``
@@ -72,14 +72,11 @@ __all__ = [
     "FuncMatrixField",
     "CoefficientSystem",
     "ValidationReport",
-    "eval_coeffs",
     "symbol",
     "canonicalize",
-    "canonical_A",
     "canonical_planes",
     "weight_on_grid",
     "EntryPlanes",
-    "zero_order_term",
     "validate_system",
     "telegraph",
     "maxwell_isotropic",
@@ -567,8 +564,11 @@ class _CanonicalVField(MatrixField):
 class CoefficientSystem:
     """Immutable bundle (domain, k, E, A^1..A^d, V) plus optional metadata.
 
-    ``kind``/``parts`` carry the structure the specialized velocity formulas
-    need for the built-in families.
+    ``parts`` holds the physical fields a built-in family was built from:
+    ``L``/``C`` (telegraph), ``eps``/``mu`` (Maxwell), ``rho``/``stiffness``
+    (elastic); a Dirac or custom system has none.  ``validate_system`` reads
+    the stiffness for its square-root check and ``canonicalize`` carries the
+    parts over; closed-form velocity formulas can tell the family by its keys.
     """
 
     domain: BoxDomain
@@ -577,7 +577,6 @@ class CoefficientSystem:
     A: tuple[MatrixField, ...]
     V: MatrixField
     label: str = ""
-    kind: str = "custom"
     parts: dict = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -598,14 +597,6 @@ class CoefficientSystem:
         return self.domain.d
 
 
-def eval_coeffs(sys: CoefficientSystem, x):
-    """(E, (A^1..A^d), V) at a point strictly inside the domain."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not sys.domain.contains(x, strict=True):
-        raise ValueError(f"point {x} is not strictly inside the domain")
-    return sys.E(x), tuple(A(x) for A in sys.A), sys.V(x)
-
-
 def symbol(sys: CoefficientSystem, x, xi) -> HermitianMatrix:
     """Principal symbol sum_j xi_j A^j(x)."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -617,13 +608,6 @@ def symbol(sys: CoefficientSystem, x, xi) -> HermitianMatrix:
         term = c * A(x)
         acc = term if acc is None else acc + term
     return HermitianMatrix(acc)
-
-
-def zero_order_term(sys: CoefficientSystem, x) -> np.ndarray:
-    """The gradient-induced Hermitian zero-order term of the canonical form."""
-    fld = _CanonicalVField(sys.E, sys.A, ConstMatrixField(np.zeros((sys.k, sys.k))),
-                           sys.domain)
-    return fld(x)
 
 
 def _is_canonical(sys: CoefficientSystem) -> bool:
@@ -646,11 +630,6 @@ def canonical_planes(sys: CoefficientSystem, coords) -> list[EntryPlanes]:
     return _sandwiches(sys.E, sys.A, coords)
 
 
-def canonical_A(sys: CoefficientSystem, coords) -> list[np.ndarray]:
-    """The canonical B^j of sys at coords as matrices, S + (k, k) each, S = () for a constant."""
-    return [planes.dense() for planes in canonical_planes(sys, coords)]
-
-
 def canonicalize(sys: CoefficientSystem) -> CoefficientSystem:
     """Equivalent system with identity weight.
 
@@ -667,7 +646,6 @@ def canonicalize(sys: CoefficientSystem) -> CoefficientSystem:
         A=tuple(_CanonicalAField(sys.E, A) for A in sys.A),
         V=_CanonicalVField(sys.E, sys.A, sys.V, sys.domain),
         label=label,
-        kind=sys.kind,
         parts=sys.parts,
     )
 
@@ -783,7 +761,6 @@ def telegraph(L="1", C="1", domain: BoxDomain | None = None) -> CoefficientSyste
         A=(ConstMatrixField(_OFFDIAG2),),
         V=ConstMatrixField(np.zeros((2, 2))),
         label="telegraph",
-        kind="telegraph",
         parts={"L": (Le, Ls), "C": (Ce, Cs)},
     )
 
@@ -825,7 +802,6 @@ def _maxwell_system(eps_field, mu_field, domain, label) -> CoefficientSystem:
         A=_maxwell_A(domain.d),
         V=ConstMatrixField(np.zeros((6, 6))),
         label=label,
-        kind="maxwell",
         parts={
             "eps": ExprMatrixField(eps_field),
             "mu": ExprMatrixField(mu_field),
@@ -891,7 +867,6 @@ def _elastic_system(rho, stiffness_rows, domain, label) -> CoefficientSystem:
         A=_elastic_A(domain.d),
         V=ConstMatrixField(np.zeros((9, 9))),
         label=label,
-        kind="elastic",
         parts={"rho": (rho_e, rho_s), "stiffness": C},
     )
 
@@ -988,5 +963,4 @@ def dirac_free(radius: float = 0.1, half_width: float = 2.0) -> CoefficientSyste
         A=tuple(A),
         V=ConstMatrixField(np.zeros((4, 4))),
         label="free Dirac (punctured)",
-        kind="dirac",
     )

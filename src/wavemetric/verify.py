@@ -21,6 +21,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import dsl
+from .cli import DEFAULT_SEED, normalize_scenario
 from .errors import ValidationError
 from .evolve import DiscreteOperator, gaussian_state, integrate
 from .geometry import MetricField, lattice_geodesic, metric_from_velocity
@@ -44,8 +45,6 @@ from .velocity import (
     majorant,
     velocity_matrix,
 )
-
-DEFAULT_SEED = 0x5EED
 
 
 @dataclass(frozen=True)
@@ -377,8 +376,6 @@ def _draw_scenario(rng) -> dict:
 
 @_register("cli.scenario_normalization_idempotent", 0.0, _draw_scenario)
 def _normalization_idempotent(raw) -> float:
-    from .cli import normalize_scenario  # cli imports this module
-
     once = normalize_scenario(raw)
     return 0.0 if normalize_scenario(once) == once else 1.0
 

@@ -7,13 +7,13 @@ n nodes run from the window's lower edge to its upper edge with spacing h.
 
 from dataclasses import replace
 
-import wavemetric as wm
+from wavemetric import grids
 
 
-def closure_grid(domain, shape) -> wm.Grid:
+def closure_grid(domain, shape) -> grids.Grid:
     """Nodes from ``domain.lower`` to ``domain.upper``: the grid of ``shape``
     on the domain widened by one spacing, its flags and ball kept."""
     h = [(hi - lo) / (n - 1) for lo, hi, n in zip(domain.lower, domain.upper, shape)]
     wide = replace(domain, lower=tuple(lo - s for lo, s in zip(domain.lower, h)),
                    upper=tuple(hi + s for hi, s in zip(domain.upper, h)))
-    return wm.Grid(wide, shape)
+    return grids.Grid(wide, shape)

@@ -3,8 +3,9 @@
 Each test exercises a full slice of the package and prints a single
 pass/fail line through the capture-disabled console so the verdicts are
 visible in any pytest run.  Runtime limits are part of the checks; the
-compiled kernels are warmed once up front so the limits measure the
-algorithms rather than JIT compilation.
+evolution and lattice paths run once up front so the limits measure the
+algorithms rather than first-call costs such as the lazy ``scipy.sparse``
+import.
 """
 
 import json
@@ -15,10 +16,10 @@ import warnings
 import numpy as np
 import pytest
 
-import wavemetric as wm
 from wavemetric import dsl
 from wavemetric.cli import main as cli_main
 from wavemetric.errors import DomainEvalError, ExpressionError
+from wavemetric.evolve import WaveState, arrival_time, cfl_dt, gaussian_state, integrate
 from wavemetric.geometry import (
     STENCIL_BOUNDS,
     MetricField,
@@ -26,12 +27,19 @@ from wavemetric.geometry import (
     lattice_geodesic,
     ray_completeness,
 )
+from wavemetric.grids import Grid
 from wavemetric.matkernel import op_norm
 from wavemetric.systems import (
     BoxDomain,
     CoefficientSystem,
     ConstMatrixField,
     canonicalize,
+    dirac_free,
+    elastic,
+    elastic_isotropic,
+    maxwell_anisotropic,
+    maxwell_isotropic,
+    telegraph,
 )
 from wavemetric.velocity import (
     VelocityField,
@@ -57,14 +65,14 @@ def _report(capsys, num, title, ok, detail, elapsed):
 
 @pytest.fixture(scope="module", autouse=True)
 def _warm_kernels():
-    """Trigger kernel compilation outside the timed sections."""
+    """Run the evolution and lattice paths once, outside the timed sections."""
     dom = BoxDomain((0.0,), (1.0,))
-    sysm = wm.telegraph(1.0, 1.0, domain=dom)
-    grid = wm.Grid(dom, (64,))
-    pulse = wm.gaussian_state(grid, [1.0, 0.0], [0.5], 0.05)
+    sysm = telegraph(1.0, 1.0, domain=dom)
+    grid = Grid(dom, (64,))
+    pulse = gaussian_state(grid, [1.0, 0.0], [0.5], 0.05)
     for order in (2, 4):
-        wm.integrate(sysm, pulse, 0.01, order=order)
-    g2 = wm.Grid(BoxDomain((0.0, 0.0), (1.0, 1.0)), (9, 9))
+        integrate(sysm, pulse, 0.01, order=order)
+    g2 = Grid(BoxDomain((0.0, 0.0), (1.0, 1.0)), (9, 9))
     ident = np.broadcast_to(np.eye(2), g2.shape + (2, 2)).copy()
     lattice_geodesic(MetricField(g2, ident), [(4, 4)])
     eikonal_arrival(g2, VelocityField(g2, ident.copy()), [(4, 4)])
@@ -76,17 +84,17 @@ def test_closed_form_velocity_matrices(capsys):
     worst = 0.0
     for _ in range(100):
         L, C = rng.uniform(0.2, 5.0, 2)
-        M = velocity_matrix(wm.telegraph(float(L), float(C)), [0.5])
+        M = velocity_matrix(telegraph(float(L), float(C)), [0.5])
         want = 2.0 / (L * C)
         worst = max(worst, abs(M[0, 0] - want) / want)
     for _ in range(100):
         eps, mu = rng.uniform(0.2, 5.0, 2)
-        M = velocity_matrix(wm.maxwell_isotropic(float(eps), float(mu)), [0.5] * 3)
+        M = velocity_matrix(maxwell_isotropic(float(eps), float(mu)), [0.5] * 3)
         want = 4.0 / (eps * mu)
         worst = max(worst, float(np.abs(M - want * np.eye(3)).max()) / want)
     for _ in range(100):
         rho, K, mu_s = rng.uniform(0.2, 5.0, 3)
-        sysm = wm.elastic_isotropic(float(rho), float(K), float(mu_s))
+        sysm = elastic_isotropic(float(rho), float(K), float(mu_s))
         want = (2.0 / rho) * (K + 10.0 * mu_s / 3.0)
         M = velocity_matrix(sysm, [0.5] * 3)
         worst = max(worst, float(np.abs(M - want * np.eye(3)).max()) / want)
@@ -110,7 +118,7 @@ def test_structured_formulas_match_generic_trace(capsys):
     for _ in range(100):
         eps = _random_spd(rng, 3)
         mu = _random_spd(rng, 3)
-        sysm = wm.maxwell_anisotropic(eps.tolist(), mu.tolist())
+        sysm = maxwell_anisotropic(eps.tolist(), mu.tolist())
         x = rng.uniform(0.2, 0.8, 3)
         a = velocity_matrix(sysm, x)
         b = velocity_matrix_structured(sysm, x)
@@ -118,7 +126,7 @@ def test_structured_formulas_match_generic_trace(capsys):
     for _ in range(100):
         C_voigt = _random_spd(rng, 6, 0.5, 3.0)
         upper = [float(C_voigt[i, j]) for i in range(6) for j in range(i, 6)]
-        sysm = wm.elastic(float(rng.uniform(0.5, 3.0)), upper)
+        sysm = elastic(float(rng.uniform(0.5, 3.0)), upper)
         x = rng.uniform(0.2, 0.8, 3)
         a = velocity_matrix(sysm, x)
         b = velocity_matrix_structured(sysm, x)
@@ -189,12 +197,12 @@ def test_matrix_inequality_suite(capsys):
     # every direction at once).
     fields = [
         VelocityField.from_system(
-            wm.telegraph("1 + 0.5*sin(3*x)", "2 - x"),
-            wm.Grid(BoxDomain((0.0,), (1.0,)), (512,))),
+            telegraph("1 + 0.5*sin(3*x)", "2 - x"),
+            Grid(BoxDomain((0.0,), (1.0,)), (512,))),
         VelocityField.from_system(
-            wm.maxwell_isotropic("1 + 0.3*x*y", "1 + 0.2*y",
+            maxwell_isotropic("1 + 0.3*x*y", "1 + 0.2*y",
                                  domain=BoxDomain((0.0, 0.0), (1.0, 1.0))),
-            wm.Grid(BoxDomain((0.0, 0.0), (1.0, 1.0)), (24, 24))),
+            Grid(BoxDomain((0.0, 0.0), (1.0, 1.0)), (24, 24))),
     ]
     w_majorant = 0.0
     checked = 0
@@ -224,25 +232,25 @@ def test_energy_conservation_three_media(capsys):
     t0 = time.perf_counter()
     runs = [
         ("telegraph",
-         wm.telegraph("1 + 0.2*sin(2*x)", "1.5 - 0.3*x",
+         telegraph("1 + 0.2*sin(2*x)", "1.5 - 0.3*x",
                       domain=BoxDomain((0.0,), (4.0,))),
          (1024,), [2.0], 0.05, 0),
         ("maxwell-2d",
-         wm.maxwell_isotropic("1 + 0.3*x*y/49", "1",
+         maxwell_isotropic("1 + 0.3*x*y/49", "1",
                               domain=BoxDomain((0.0, 0.0), (7.0, 7.0))),
          (256, 256), [3.5, 3.5], 0.2, 3),
         ("elastic-1d",
-         wm.elastic_isotropic("1 + 0.1*x", "1 + 0.05*x", "0.3",
+         elastic_isotropic("1 + 0.1*x", "1 + 0.05*x", "0.3",
                               domain=BoxDomain((0.0,), (6.0,))),
          (1024,), [3.0], 0.05, 7),
     ]
     drifts = {}
     for name, sysm, nodes, center, sigma, comp in runs:
-        grid = wm.Grid(sysm.domain, nodes)
+        grid = Grid(sysm.domain, nodes)
         amps = [0.0] * sysm.k
         amps[comp] = 1.0
-        pulse = wm.gaussian_state(grid, amps, center, sigma)
-        _, log = wm.integrate(sysm, pulse, 1.0, cfl=0.4, order=4)
+        pulse = gaussian_state(grid, amps, center, sigma)
+        _, log = integrate(sysm, pulse, 1.0, cfl=0.4, order=4)
         drifts[name] = max(abs(e / log.energies[0] - 1.0) for e in log.energies)
         assert not log.contaminated
     elapsed = time.perf_counter() - t0
@@ -257,11 +265,11 @@ def test_energy_conservation_three_media(capsys):
 def test_finite_propagation_speed_arrival(capsys):
     t0 = time.perf_counter()
     dom = BoxDomain((0.0,), (1.0,))
-    sysm = wm.telegraph(1.0, 1.0, domain=dom)
-    grid = wm.Grid(dom, (4095,))
-    pulse = wm.gaussian_state(grid, [1.0, 0.0], [0.5], 1e-3)
+    sysm = telegraph(1.0, 1.0, domain=dom)
+    grid = Grid(dom, (4095,))
+    pulse = gaussian_state(grid, [1.0, 0.0], [0.5], 1e-3)
     probes = [grid.nearest_node([0.1]), grid.nearest_node([0.9])]
-    arrivals = wm.arrival_time(sysm, pulse, 0.6, probes, threshold=1e-3, order=4)
+    arrivals = arrival_time(sysm, pulse, 0.6, probes, threshold=1e-3, order=4)
 
     vel = VelocityField.from_system(sysm, grid)
     eik = eikonal_arrival(grid, vel, [grid.nearest_node([0.5])])
@@ -302,19 +310,19 @@ def _analyze_telegraph(workdir, coeff):
 def test_degenerate_speed_confinement_and_verdicts(tmp_path, capsys):
     t0 = time.perf_counter()
     dom = BoxDomain((0.0,), (1.0,))
-    grid = wm.Grid(dom, (2048,))
-    pulse = wm.gaussian_state(grid, [1.0, 0.0], [0.5], 0.02)
+    grid = Grid(dom, (2048,))
+    pulse = gaussian_state(grid, [1.0, 0.0], [0.5], 0.02)
 
-    slow = wm.telegraph("1/sin(pi*x)^2", "1/sin(pi*x)^2", domain=dom)
-    _, log = wm.integrate(slow, pulse, 10.0, order=4, log_every=100)
+    slow = telegraph("1/sin(pi*x)^2", "1/sin(pi*x)^2", domain=dom)
+    _, log = integrate(slow, pulse, 10.0, order=4, log_every=100)
     lo = min(b[0][0] for b in log.boxes if b is not None)
     hi = max(b[0][1] for b in log.boxes if b is not None)
     margins_ok = lo >= 0.02 and hi <= 0.98
 
-    flat = wm.telegraph(1.0, 1.0, domain=dom)
+    flat = telegraph(1.0, 1.0, domain=dom)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        _, clog = wm.integrate(flat, pulse, 0.6, order=4, log_every=50)
+        _, clog = integrate(flat, pulse, 0.6, order=4, log_every=50)
     reached = [t for t, b in zip(clog.times, clog.boxes)
                if b is not None and (b[0][1] >= 0.98 or b[0][0] <= 0.02)]
     control_ok = bool(reached) and reached[0] < 0.6
@@ -349,10 +357,10 @@ def test_degenerate_speed_peak_follows_the_characteristic():
     # offsets below, gated while sigma c(x) spans at least 8 nodes and the
     # left-moving half lies more than 5 sigma behind.
     dom = BoxDomain((0.0,), (1.0,))
-    grid = wm.Grid(dom, (2048,))
+    grid = Grid(dom, (2048,))
     h, sigma, x0, order = grid.spacing[0], 0.02, 0.5, 4
-    slow = wm.telegraph("1/sin(pi*x)^2", "1/sin(pi*x)^2", domain=dom)
-    pulse = wm.gaussian_state(grid, [1.0, 0.0], [x0], sigma)
+    slow = telegraph("1/sin(pi*x)^2", "1/sin(pi*x)^2", domain=dom)
+    pulse = gaussian_state(grid, [1.0, 0.0], [x0], sigma)
 
     def characteristic(t):
         return x0 + math.atan(math.pi * t) / math.pi  # cot(pi x) = -pi t, x > 1/2
@@ -371,7 +379,7 @@ def test_degenerate_speed_peak_follows_the_characteristic():
     x, E = grid.axes[0], slow.E.on_grid(grid.axes)
     worst = 0.0
     for T in np.linspace(t_start, t_end, 6):
-        state, _ = wm.integrate(slow, pulse, float(T), order=order)
+        state, _ = integrate(slow, pulse, float(T), order=order)
         dens = np.real(np.einsum("na,nab,nb->n", np.conj(state.values), E, state.values))
         dens[x <= x0] = 0.0
         m = int(np.argmax(dens))
@@ -406,7 +414,7 @@ def test_lattice_geodesic_reference_distances(capsys):
     t0 = time.perf_counter()
 
     # Euclidean plane: every distance within the 8-neighbour stencil bound.
-    grid = wm.Grid(BoxDomain((0.0, 0.0), (1.0, 1.0)), (257, 257))
+    grid = Grid(BoxDomain((0.0, 0.0), (1.0, 1.0)), (257, 257))
     ident = np.broadcast_to(np.eye(2), grid.shape + (2, 2)).copy()
     dist = lattice_geodesic(MetricField(grid, ident), [(128, 128)])
     xs, ys = np.meshgrid(grid.axes[0], grid.axes[1], indexing="ij")
@@ -417,13 +425,13 @@ def test_lattice_geodesic_reference_distances(capsys):
     # Anisotropic diag(1/4, 1): the cheap axis costs half the coordinate
     # span.  Spacing 1/256 along both axes puts the probe nodes exactly at
     # x = 0.5 and x = 1.5, one coordinate unit apart.
-    grid_a = wm.Grid(BoxDomain((0.0, 0.0), (513.0 / 256.0, 0.5)), (512, 127))
+    grid_a = Grid(BoxDomain((0.0, 0.0), (513.0 / 256.0, 0.5)), (512, 127))
     mats = np.broadcast_to(np.diag([0.25, 1.0]), grid_a.shape + (2, 2)).copy()
     dist_a = lattice_geodesic(MetricField(grid_a, mats), [(127, 63)])
     axis_err = abs(float(dist_a.values[383, 63]) - 0.5)
 
     # Variable 1-D metric against the closed-form line integral.
-    grid_1 = wm.Grid(BoxDomain((0.0,), (2.0,)), (4096,))
+    grid_1 = Grid(BoxDomain((0.0,), (2.0,)), (4096,))
     x = grid_1.axes[0]
     g = (0.8 + 0.3 * np.cos(x)) ** 2
     dist_1 = lattice_geodesic(MetricField(grid_1, g.reshape(-1, 1, 1)), [(0,)])
@@ -446,18 +454,18 @@ def test_lattice_geodesic_reference_distances(capsys):
 def test_canonical_transform_commutes_with_evolution(capsys):
     t0 = time.perf_counter()
     dom = BoxDomain((0.0,), (2.0,))
-    sysm = wm.telegraph("1 + 0.25*x", "1", domain=dom)
-    grid = wm.Grid(dom, (3072,))
-    psi0 = wm.gaussian_state(grid, [1.0, 0.0], [1.0], 0.05)
+    sysm = telegraph("1 + 0.25*x", "1", domain=dom)
+    grid = Grid(dom, (3072,))
+    psi0 = gaussian_state(grid, [1.0, 0.0], [1.0], 0.05)
 
     weights = sysm.E.on_grid(grid.axes)
     lam, Q = np.linalg.eigh(weights)
     W = np.einsum("...ab,...b,...cb->...ac", Q, np.sqrt(lam), Q)
-    phi0 = wm.WaveState(grid, np.einsum("...ab,...b->...a", W, psi0.values), 0.0)
+    phi0 = WaveState(grid, np.einsum("...ab,...b->...a", W, psi0.values), 0.0)
 
-    dt = wm.cfl_dt(sysm, grid, 0.4)
-    fin_orig, _ = wm.integrate(sysm, psi0, 0.3, order=4, dt=dt)
-    fin_canon, _ = wm.integrate(canonicalize(sysm), phi0, 0.3, order=4, dt=dt)
+    dt = cfl_dt(sysm, grid, 0.4)
+    fin_orig, _ = integrate(sysm, psi0, 0.3, order=4, dt=dt)
+    fin_canon, _ = integrate(canonicalize(sysm), phi0, 0.3, order=4, dt=dt)
     mapped = np.einsum("...ab,...b->...a", W, fin_orig.values)
     rel = float(np.abs(mapped - fin_canon.values).max()
                 / np.abs(fin_canon.values).max())
@@ -532,7 +540,7 @@ def test_expression_round_trips_and_positioned_errors(capsys):
 
 def test_punctured_dirac_demo(tmp_path, capsys):
     t0 = time.perf_counter()
-    M = velocity_matrix(wm.dirac_free(), [0.5, 0.5, 0.5])
+    M = velocity_matrix(dirac_free(), [0.5, 0.5, 0.5])
     mat_err = float(np.abs(M - 4.0 * np.eye(3)).max())
 
     out = tmp_path / "out"

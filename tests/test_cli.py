@@ -9,8 +9,7 @@ import time
 import numpy as np
 import pytest
 
-import wavemetric as wm
-from wavemetric import cli, dsl, geometry, velocity, verify
+from wavemetric import cli, dsl, geometry, systems, velocity, verify
 from wavemetric import evolve as ev
 from wavemetric.errors import ScenarioError
 
@@ -39,19 +38,44 @@ def test_cli_start_up_does_not_import_scipy_stats():
     code = (
         "import sys\n"
         "import wavemetric.cli\n"
-        "import wavemetric as wm\n"
-        "print(wm.validate_system(wm.telegraph('1 + x', '2')).ok)\n"
+        "from wavemetric import systems\n"
+        "print(systems.validate_system(systems.telegraph('1 + x', '2')).ok)\n"
         "print('scipy.stats' in sys.modules)\n"
         "print('scipy.integrate' in sys.modules)\n"
         "print('scipy.sparse' in sys.modules)\n"
         "print('hypothesis' in sys.modules)\n"
         "print('pytest' in sys.modules)\n"
+        "print('wavemetric.evolve' in sys.modules)\n"
+        "print('wavemetric.verify' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.split() == ["True"] + ["False"] * 5
+    assert out.stdout.split() == ["True"] + ["False"] * 7
+
+
+def test_only_simulate_and_verify_load_their_modules(tmp_path):
+    # analyze and distance on a scenario with no simulate section load
+    # neither evolve nor verify; simulate loads evolve alone
+    plain = telegraph_scenario(tmp_path, nodes=64, name="plain.json")
+    pulsed = telegraph_scenario(tmp_path, nodes=64, name="pulsed.json", simulate={
+        "T": 0.05, "pulse": {"center": [0.5], "sigma": 0.05, "components": [1.0, 0.0]}})
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, loaded in ((["analyze", str(plain)], []),
+                         (["distance", str(plain)], []),
+                         (["simulate", str(pulsed)], ["wavemetric.evolve"])):
+        code = (
+            "import sys\n"
+            "from wavemetric.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, [m for m in ('wavemetric.evolve', 'wavemetric.verify')"
+            " if m in sys.modules])\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.splitlines()[-1] == f"0 {loaded}", argv
 
 
 def test_1d_analyze_imports_no_scipy(tmp_path):
@@ -411,12 +435,12 @@ def test_asymmetric_permittivity_exits_2(tmp_path, capsys, eps, mu, message):
 ], ids=["A-not-hermitian", "E-singular", "E-non-finite"])
 def test_inadmissible_custom_coefficients_exit_2(tmp_path, capsys, params, issue):
     k = params["k"]
-    sysm = wm.CoefficientSystem(
-        domain=wm.BoxDomain((0.0,), (1.0,)), k=k,
-        E=wm.ExprMatrixField(params["E"]) if "E" in params else wm.ConstMatrixField(np.eye(k)),
-        A=tuple(wm.ExprMatrixField(a) for a in params["A"]),
-        V=wm.ConstMatrixField(np.zeros((k, k))))
-    rep = wm.validate_system(sysm, samples=64)
+    sysm = systems.CoefficientSystem(
+        domain=systems.BoxDomain((0.0,), (1.0,)), k=k,
+        E=systems.ExprMatrixField(params["E"]) if "E" in params else systems.ConstMatrixField(np.eye(k)),
+        A=tuple(systems.ExprMatrixField(a) for a in params["A"]),
+        V=systems.ConstMatrixField(np.zeros((k, k))))
+    rep = systems.validate_system(sysm, samples=64)
     assert not rep.ok
     assert rep.issues == [issue]
     raw = family_scenario("custom", params, 1)
@@ -444,7 +468,7 @@ def test_non_finite_coefficients_exit_2(tmp_path, capsys, field, entries):
     from wavemetric.matkernel import hermitian_part
 
     with pytest.raises(MatrixError, match=r"^matrix has non-finite entries$"):
-        hermitian_part(wm.ExprMatrixField(entries).sample((np.array(0.5),)))
+        hermitian_part(systems.ExprMatrixField(entries).sample((np.array(0.5),)))
     params = {"k": 2, "A": [entries if field == "A[1]" else [[0, 1], [1, 0]]]}
     if field == "V":
         params["V"] = entries

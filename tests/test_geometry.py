@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cubature, quad
 
-import wavemetric as wm
 from wavemetric import geometry as geo
+from wavemetric import grids, systems, verify
 from wavemetric import velocity as vel
-from wavemetric import verify
 from wavemetric.errors import (
     DomainEvalError,
     MajorantError,
@@ -42,7 +41,7 @@ def iso_field(grid, speed):
 
 def unit_square_metric(n, size=None):
     size = float(n - 1) if size is None else size
-    dom = wm.BoxDomain((0.0, 0.0), (size, size))
+    dom = systems.BoxDomain((0.0, 0.0), (size, size))
     return const_metric(dom, (n, n), np.eye(2))
 
 
@@ -85,14 +84,14 @@ def test_unit_grid_distance_3_4():
 
 
 def test_anisotropic_axis_distance():
-    dom = wm.BoxDomain((0.0, 0.0), (1.0, 1.0))
+    dom = systems.BoxDomain((0.0, 0.0), (1.0, 1.0))
     metric = const_metric(dom, (65, 65), np.diag([0.25, 1.0]))
     dist = geo.lattice_geodesic(metric, [(0, 0)])
     assert dist.values[64, 0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_1d_distance_matches_quadrature():
-    dom = wm.BoxDomain((0.0,), (1.0,))
+    dom = systems.BoxDomain((0.0,), (1.0,))
     grid = closure_grid(dom, (4096,))
     x = grid.axes[0]
     c = 1.0 / np.sqrt((1.0 + 0.5 * np.sin(3.0 * x)) * 2.0)  # c = (L C)^{-1/2}
@@ -110,8 +109,8 @@ def test_1d_distance_matches_quadrature():
 
 def test_distance_zero_on_sources_and_triangle_inequality():
     rng = np.random.default_rng(41)
-    dom = wm.BoxDomain((0.0, 0.0), (1.0, 1.0))
-    grid = wm.Grid(dom, (16, 16))
+    dom = systems.BoxDomain((0.0, 0.0), (1.0, 1.0))
+    grid = grids.Grid(dom, (16, 16))
     a = rng.standard_normal((16, 16, 2, 2))
     G = a @ np.swapaxes(a, -1, -2) + 0.3 * np.eye(2)
     metric = geo.MetricField(grid, G)
@@ -152,14 +151,14 @@ def test_consistency_ratio_2d_extended_stencil():
 
 
 def test_consistency_ratio_3d():
-    dom = wm.BoxDomain((0.0,) * 3, (16.0,) * 3)
+    dom = systems.BoxDomain((0.0,) * 3, (16.0,) * 3)
     assert_consistency_ratio(const_metric(dom, (17, 17, 17), np.eye(3)), None, 2e-3)
 
 
 def test_deterministic_under_source_order():
     rng = np.random.default_rng(42)
-    dom = wm.BoxDomain((0.0, 0.0), (1.0, 1.0))
-    grid = wm.Grid(dom, (24, 24))
+    dom = systems.BoxDomain((0.0, 0.0), (1.0, 1.0))
+    grid = grids.Grid(dom, (24, 24))
     a = rng.standard_normal((24, 24, 2, 2))
     G = a @ np.swapaxes(a, -1, -2) + 0.2 * np.eye(2)
     metric = geo.MetricField(grid, G)
@@ -170,8 +169,8 @@ def test_deterministic_under_source_order():
 
 def test_metric_monotonicity():
     rng = np.random.default_rng(43)
-    dom = wm.BoxDomain((0.0, 0.0), (1.0, 1.0))
-    grid = wm.Grid(dom, (12, 12))
+    dom = systems.BoxDomain((0.0, 0.0), (1.0, 1.0))
+    grid = grids.Grid(dom, (12, 12))
     for _ in range(3):
         a = rng.standard_normal((12, 12, 2, 2))
         G2 = a @ np.swapaxes(a, -1, -2) + 0.2 * np.eye(2)
@@ -183,8 +182,8 @@ def test_metric_monotonicity():
 
 
 def test_metric_field_rejects_indefinite_node():
-    dom = wm.BoxDomain((0.0,), (1.0,))
-    grid = wm.Grid(dom, (8,))
+    dom = systems.BoxDomain((0.0,), (1.0,))
+    grid = grids.Grid(dom, (8,))
     G = np.tile(np.eye(1), (8, 1, 1))
     G[5] = -1.0
     with pytest.raises(ValidationError, match=r"node \(5,\)"):
@@ -193,8 +192,8 @@ def test_metric_field_rejects_indefinite_node():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_metric_field_rejects_non_finite_node(bad):
-    dom = wm.BoxDomain((0.0, 0.0), (1.0, 1.0))
-    grid = wm.Grid(dom, (8, 8))
+    dom = systems.BoxDomain((0.0, 0.0), (1.0, 1.0))
+    grid = grids.Grid(dom, (8, 8))
     G = np.tile(np.eye(2), (8, 8, 1, 1))
     G[3, 3, 0, 1] = bad
     with pytest.raises(ValidationError, match=r"not finite at node \(3, 3\)"):
@@ -222,7 +221,7 @@ def test_bad_sources_raise_validation_error(sources, match):
 
 def test_bad_arrival_speeds_raise_validation_error():
     grid = unit_square_metric(9).grid
-    other = wm.Grid(grid.domain, (8, 8))
+    other = grids.Grid(grid.domain, (8, 8))
     fld = vel.VelocityField(other, np.broadcast_to(np.eye(2), (8, 8, 2, 2)).copy())
     with pytest.raises(ValidationError, match="velocity field grid does not match"):
         geo.eikonal_arrival(grid, fld, [(0, 0)])
@@ -243,9 +242,9 @@ def test_distance_csv(tmp_path):
 # -- metric from velocity ---------------------------------------------------
 
 def test_metric_inverts_majorant():
-    dom = wm.BoxDomain((0.0,), (2.0,))
-    sysm = wm.telegraph(L="1 + 0.5*x", C="1", domain=dom)
-    grid = wm.Grid(dom, (32,))
+    dom = systems.BoxDomain((0.0,), (2.0,))
+    sysm = systems.telegraph(L="1 + 0.5*x", C="1", domain=dom)
+    grid = grids.Grid(dom, (32,))
     fld = vel.majorant(vel.VelocityField.from_system(sysm, grid), 0.1)
     metric = geo.metric_from_velocity(fld)
     assert not metric.degenerate
@@ -254,16 +253,16 @@ def test_metric_inverts_majorant():
 
 
 def test_metric_requires_majorant():
-    dom = wm.BoxDomain((0.0,), (1.0,))
-    grid = wm.Grid(dom, (8,))
+    dom = systems.BoxDomain((0.0,), (1.0,))
+    grid = grids.Grid(dom, (8,))
     fld = vel.VelocityField(grid, np.ones((8, 1, 1)))
     with pytest.raises(MajorantError, match="majorant"):
         geo.metric_from_velocity(fld)
 
 
 def test_metric_caps_degenerate_majorant():
-    dom = wm.BoxDomain((0.0,), (1.0,))
-    grid = wm.Grid(dom, (16,))
+    dom = systems.BoxDomain((0.0,), (1.0,))
+    grid = grids.Grid(dom, (16,))
     fld = vel.VelocityField(grid, np.zeros((16, 1, 1)))
     with pytest.warns(UserWarning):
         fld = vel.majorant(fld, 0.1)
@@ -275,7 +274,7 @@ def test_metric_caps_degenerate_majorant():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_metric_inversion_matches_three_operand_einsum(d):
     shape = {1: (40,), 2: (9, 8), 3: (8, 9, 8)}[d]
-    grid = wm.Grid(wm.BoxDomain((0.0,) * d, (1.0,) * d), shape)
+    grid = grids.Grid(systems.BoxDomain((0.0,) * d, (1.0,) * d), shape)
     rng = np.random.default_rng(23 + d)
     A = rng.normal(size=shape + (d, d))
     H = A @ np.swapaxes(A, -1, -2) + 0.05 * np.eye(d)
@@ -310,7 +309,7 @@ def test_metric_inversion_matches_eigh_at_every_node(d, kind, seed, exponent):
     # diagonal majorants skip LAPACK; capped ones put exact zeros and tiny
     # entries on the diagonal; full and mixed stacks take the eigh path
     shape = (9, 8, 8)[:d]
-    grid = wm.Grid(wm.BoxDomain((0.0,) * d, (1.0,) * d), shape)
+    grid = grids.Grid(systems.BoxDomain((0.0,) * d, (1.0,) * d), shape)
     rng = np.random.default_rng(seed)
     scale = 10.0**exponent
     H = np.zeros(shape + (d, d))
@@ -338,7 +337,7 @@ def test_metric_inversion_matches_eigh_at_every_node(d, kind, seed, exponent):
 # -- arrival times ----------------------------------------------------------
 
 def test_arrival_constant_speed_1d():
-    dom = wm.BoxDomain((0.0,), (1.0,))
+    dom = systems.BoxDomain((0.0,), (1.0,))
     grid = closure_grid(dom, (65,))
     arr = geo.eikonal_arrival(grid, iso_field(grid, 2.0), [(0,)])
     assert np.allclose(arr.values, grid.axes[0] / 2.0, atol=1e-12)
@@ -346,7 +345,7 @@ def test_arrival_constant_speed_1d():
 
 def test_arrival_from_velocity_matrix():
     # telegraph with c = 1: M = 2, directional speed sqrt(2)
-    dom = wm.BoxDomain((-1.0,), (1.0,))
+    dom = systems.BoxDomain((-1.0,), (1.0,))
     grid = closure_grid(dom, (64,))
     fld = vel.VelocityField(grid, np.full((64, 1, 1), 2.0))
     mid = (31,)
@@ -356,14 +355,14 @@ def test_arrival_from_velocity_matrix():
 
 
 def test_arrival_2d_unit_speed_matches_geodesic_example():
-    dom = wm.BoxDomain((0.0, 0.0), (8.0, 8.0))
+    dom = systems.BoxDomain((0.0, 0.0), (8.0, 8.0))
     grid = closure_grid(dom, (9, 9))
     arr = geo.eikonal_arrival(grid, iso_field(grid, 1.0), [(0, 0)])
     assert arr.values[3, 4] == pytest.approx(3.0 * math.sqrt(2.0) + 1.0, rel=1e-12)
 
 
 def test_arrival_impassable_nodes():
-    dom = wm.BoxDomain((0.0,), (1.0,))
+    dom = systems.BoxDomain((0.0,), (1.0,))
     grid = closure_grid(dom, (16,))
     speed = np.ones(16)
     speed[8] = 0.0  # wall
@@ -375,8 +374,8 @@ def test_arrival_impassable_nodes():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_arrival_rejects_non_finite_speed(bad):
     # the velocity field of the arrival rejects the node before any search
-    dom = wm.BoxDomain((0.0, 0.0), (1.0, 1.0))
-    grid = wm.Grid(dom, (8, 8))
+    dom = systems.BoxDomain((0.0, 0.0), (1.0, 1.0))
+    grid = grids.Grid(dom, (8, 8))
     speed = np.ones((8, 8))
     speed[2, 5] = bad
     with pytest.raises(ValueError, match=r"not finite at node \(2, 5\)"):
@@ -384,7 +383,7 @@ def test_arrival_rejects_non_finite_speed(bad):
 
 
 def test_arrival_skips_excluded_ball():
-    dom = wm.BoxDomain(
+    dom = systems.BoxDomain(
         (-1.0, -1.0), (1.0, 1.0),
         excluded_ball=((0.0, 0.0), 0.4),
     )
@@ -433,7 +432,7 @@ def _bellman_ford(grid, offsets, passable, weight, sources):
 def test_lattice_edge_rules_match_bellman_ford(shape):
     d = len(shape)
     center = (0.1,) + (0.0,) * (d - 1)
-    dom = wm.BoxDomain((-1.0,) * d, (1.0,) * (d - 1) + (1.2,), excluded_ball=(center, 0.35))
+    dom = systems.BoxDomain((-1.0,) * d, (1.0,) * (d - 1) + (1.2,), excluded_ball=(center, 0.35))
     grid = closure_grid(dom, shape)
     _, offsets = geo.stencil_offsets(d)
     outside = np.linalg.norm(grid.coords() - np.asarray(center), axis=-1) > 0.35
@@ -499,8 +498,8 @@ def _graph_inputs(d, interior):
     """
     shape = {1: (23,), 2: (9, 11), 3: (8, 9, 8)}[d]
     center = (0.1,) + (0.0,) * (d - 1)
-    dom = wm.BoxDomain((-1.0,) * d, (1.0,) * (d - 1) + (1.3,), excluded_ball=(center, 0.35))
-    grid = wm.Grid(dom, shape) if interior else closure_grid(dom, shape)
+    dom = systems.BoxDomain((-1.0,) * d, (1.0,) * (d - 1) + (1.3,), excluded_ball=(center, 0.35))
+    grid = grids.Grid(dom, shape) if interior else closure_grid(dom, shape)
     rng = np.random.default_rng(31 + d)
     A = rng.normal(size=shape + (d, d))
     G = A @ np.swapaxes(A, -1, -2) + 0.2 * np.eye(d)
@@ -600,7 +599,7 @@ def _search_inputs(d, mode, ball, seed, contrast, ties, walled, n_sources,
                  3: tuple(int(m) for m in rng.integers(8, 11, size=3))}[d]
     upper = tuple(float(m - 1) for m in shape)
     center = tuple(0.5 * u for u in upper)
-    dom = wm.BoxDomain((0.0,) * d, upper,
+    dom = systems.BoxDomain((0.0,) * d, upper,
                        excluded_ball=(center, 0.3 * min(upper)) if ball else None)
     grid = closure_grid(dom, shape)
     if ties:
@@ -714,7 +713,7 @@ def test_ray_scaling_invariance():
 
 def test_ray_partial_integrals_monotone():
     v = geo.ray_completeness(lambda t: 1.0 + t**2, 0.0, math.inf)
-    vals = [val for _, val in v.partial_integrals]
+    vals = v.integrals
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -859,8 +858,8 @@ def test_boundary_probe_divergent_speed():
     # speed c(x) = x(1-x) vanishes linearly: metric distance to the ends
     # grows like log(1/margin), which the probe must certify as divergent
     n = 2**19 - 1
-    dom = wm.BoxDomain((0.0,), (1.0,))
-    grid = wm.Grid(dom, (n,))
+    dom = systems.BoxDomain((0.0,), (1.0,))
+    grid = grids.Grid(dom, (n,))
     x = grid.axes[0]
     c = x * (1.0 - x)
     G = (1.0 / (2.0 * c**2)).reshape(-1, 1, 1)
@@ -873,8 +872,8 @@ def test_boundary_probe_divergent_speed():
 
 
 def test_boundary_probe_constant_speed_converges():
-    dom = wm.BoxDomain((0.0,), (1.0,))
-    grid = wm.Grid(dom, (2**12 - 1,))
+    dom = systems.BoxDomain((0.0,), (1.0,))
+    grid = grids.Grid(dom, (2**12 - 1,))
     G = np.full((grid.shape[0], 1, 1), 0.5)  # majorant 2, speed sqrt(2)
     metric = geo.MetricField(grid, G)
     margins = [2.0**-k for k in range(2, 9)]
@@ -886,14 +885,14 @@ def test_boundary_probe_constant_speed_converges():
 
 
 def test_boundary_probe_excluded_ball_converges():
-    dom = wm.BoxDomain(
+    dom = systems.BoxDomain(
         (-2.0,) * 3,
         (2.0,) * 3,
         unbounded_lower=(True,) * 3,
         unbounded_upper=(True,) * 3,
         excluded_ball=((0.0, 0.0, 0.0), 0.1),
     )
-    grid = wm.Grid(dom, (64, 64, 64))
+    grid = grids.Grid(dom, (64, 64, 64))
     G = np.broadcast_to(0.25 * np.eye(3), grid.shape + (3, 3)).copy()
     metric = geo.MetricField(grid, G)
     margins = [0.8, 0.4, 0.2, 0.1, 0.05, 0.025]
@@ -903,41 +902,41 @@ def test_boundary_probe_excluded_ball_converges():
 
 
 def test_boundary_probe_rejects_unbounded_domain():
-    dom = wm.BoxDomain(
+    dom = systems.BoxDomain(
         (-1.0,), (1.0,), unbounded_lower=(True,), unbounded_upper=(True,)
     )
-    grid = wm.Grid(dom, (16,))
+    grid = grids.Grid(dom, (16,))
     metric = geo.MetricField(grid, np.ones((16, 1, 1)))
     with pytest.raises(UnsupportedSystemError, match="no finite boundary"):
         geo.boundary_distance_probe(metric, [0.0], [0.5, 0.25])
 
 
 def test_boundary_probe_margin_too_large():
-    dom = wm.BoxDomain((0.0,), (1.0,))
-    grid = wm.Grid(dom, (64,))
+    dom = systems.BoxDomain((0.0,), (1.0,))
+    grid = grids.Grid(dom, (64,))
     metric = geo.MetricField(grid, np.ones((64, 1, 1)))
     with pytest.raises(ValueError, match="deepest interior"):
         geo.boundary_distance_probe(metric, [0.5], [0.7, 0.3])
 
 
 def test_boundary_probe_rejects_nondecreasing_margins():
-    dom = wm.BoxDomain((0.0,), (1.0,))
-    grid = wm.Grid(dom, (64,))
+    dom = systems.BoxDomain((0.0,), (1.0,))
+    grid = grids.Grid(dom, (64,))
     metric = geo.MetricField(grid, np.ones((64, 1, 1)))
     with pytest.raises(ValueError, match="strictly decreasing"):
         geo.boundary_distance_probe(metric, [0.5], [0.2, 0.2])
 
 
 def test_boundary_probe_rejects_exterior_probe():
-    dom = wm.BoxDomain((0.0,), (1.0,))
-    grid = wm.Grid(dom, (64,))
+    dom = systems.BoxDomain((0.0,), (1.0,))
+    grid = grids.Grid(dom, (64,))
     metric = geo.MetricField(grid, np.ones((64, 1, 1)))
     with pytest.raises(ValueError, match="inside"):
         geo.boundary_distance_probe(metric, [1.5], [0.2, 0.1])
 
 
 def _line_metric():
-    grid = wm.Grid(wm.BoxDomain((0.0,), (1.0,)), (64,))
+    grid = grids.Grid(systems.BoxDomain((0.0,), (1.0,)), (64,))
     return geo.MetricField(grid, np.ones((64, 1, 1)))
 
 
@@ -987,8 +986,8 @@ def test_lattice_graph_peak_stays_near_its_weight_array():
     # buffers (1.38 MB) and numpy's own small buffers: 1.51 MB measured
     # with tracemalloc.  A head index per slot (int32, 3.4 MB) or one more
     # pair of full-size temporaries per metric term (0.5 MB) breaks the margin.
-    dom = wm.BoxDomain((-2.0,) * 3, (2.0,) * 3, excluded_ball=((0.0,) * 3, 0.15))
-    grid = wm.Grid(dom, (32, 32, 32))
+    dom = systems.BoxDomain((-2.0,) * 3, (2.0,) * 3, excluded_ball=((0.0,) * 3, 0.15))
+    grid = grids.Grid(dom, (32, 32, 32))
     G = geo.MetricField(grid, np.broadcast_to(0.227 * np.eye(3), grid.shape + (3, 3)).copy())
     _, offsets = geo.stencil_offsets(3, 26)
     passable = geo._passable_mask(grid)
@@ -1011,21 +1010,21 @@ def test_lattice_graph_peak_stays_near_its_weight_array():
 def _skew_custom_system():
     # a constant non-diagonal weight and coefficients with Tr(B^1 B^2) != 0:
     # the velocity matrix, the majorant and the metric are not diagonal
-    dom = wm.BoxDomain((0.0, 0.0), (1.0, 1.0))
-    return wm.CoefficientSystem(
+    dom = systems.BoxDomain((0.0, 0.0), (1.0, 1.0))
+    return systems.CoefficientSystem(
         domain=dom, k=2,
-        E=wm.ExprMatrixField([["2", "0.5"], ["0.5", "1"]]),
-        A=(wm.ConstMatrixField(np.array([[1.0, 0.0], [0.0, -1.0]])),
-           wm.ConstMatrixField(np.array([[1.0, 1.0], [1.0, -1.0]]))),
-        V=wm.ConstMatrixField(np.zeros((2, 2))),
+        E=systems.ExprMatrixField([["2", "0.5"], ["0.5", "1"]]),
+        A=(systems.ConstMatrixField(np.array([[1.0, 0.0], [0.0, -1.0]])),
+           systems.ConstMatrixField(np.array([[1.0, 1.0], [1.0, -1.0]]))),
+        V=systems.ConstMatrixField(np.zeros((2, 2))),
     )
 
 
 _CONSTANT_CASES = {
-    "dirac-32": lambda: (wm.dirac_free(radius=0.15), (32, 32, 32)),
-    "maxwell-2d": lambda: (wm.maxwell_isotropic(
-        "1", "1", domain=wm.BoxDomain((0.0, 0.0), (1.0, 1.0))), (24, 20)),
-    "telegraph-1d": lambda: (wm.telegraph("1", "1"), (64,)),
+    "dirac-32": lambda: (systems.dirac_free(radius=0.15), (32, 32, 32)),
+    "maxwell-2d": lambda: (systems.maxwell_isotropic(
+        "1", "1", domain=systems.BoxDomain((0.0, 0.0), (1.0, 1.0))), (24, 20)),
+    "telegraph-1d": lambda: (systems.telegraph("1", "1"), (64,)),
     "custom-skew": lambda: (_skew_custom_system(), (20, 24)),
 }
 
@@ -1037,7 +1036,7 @@ def _same_bits(one, full):
 @pytest.mark.parametrize("case", sorted(_CONSTANT_CASES))
 def test_constant_field_has_the_bits_of_its_full_stack(case, tmp_path):
     sysm, shape = _CONSTANT_CASES[case]()
-    grid = wm.Grid(sysm.domain, shape)
+    grid = grids.Grid(sysm.domain, shape)
     d = grid.d
     one = vel.VelocityField.from_system(sysm, grid)
     assert one.M_samples.shape == (1,) * d + (d, d)
@@ -1091,7 +1090,7 @@ def _one_and_full(grid, matrix):
 ], ids=["M-nan", "M-indefinite", "majorant-nan", "majorant-short", "metric-nan",
         "metric-indefinite"])
 def test_constant_bad_samples_raise_the_messages_of_their_full_stacks(d, build, bad):
-    grid = wm.Grid(wm.BoxDomain((0.0,) * d, (1.0,) * d), (8, 9, 10)[:d])
+    grid = grids.Grid(systems.BoxDomain((0.0,) * d, (1.0,) * d), (8, 9, 10)[:d])
     m = np.eye(d)
     m[-1, -1] = np.nan if bad == "nan" else -1.0
     messages = []
@@ -1113,7 +1112,7 @@ def test_constant_bad_samples_raise_the_messages_of_their_full_stacks(d, build, 
 @pytest.mark.parametrize("shape", [(16, 1, 2, 2), (1, 17, 2, 2), (2, 2), (1, 2, 2),
                                    (1, 1, 1, 2, 2), (1, 1, 3, 3), (16, 17, 3, 3)])
 def test_field_shapes_other_than_full_or_one_matrix_raise(build, shape):
-    grid = wm.Grid(wm.BoxDomain((0.0, 0.0), (1.0, 1.0)), (16, 17))
+    grid = grids.Grid(systems.BoxDomain((0.0, 0.0), (1.0, 1.0)), (16, 17))
     with pytest.raises(ValidationError, match="shape"):
         build(grid, np.broadcast_to(np.eye(shape[-1]), shape).copy())
 
@@ -1121,8 +1120,8 @@ def test_field_shapes_other_than_full_or_one_matrix_raise(build, shape):
 def test_constant_field_majorant_and_metric_stay_below_one_matrix_stack():
     # one 3x3 float64 matrix per node of the 32^3 Dirac grid is 2.36 MB; the
     # velocity field, its majorant and its metric are each one matrix
-    sysm = wm.dirac_free(radius=0.15)
-    grid = wm.Grid(sysm.domain, (32, 32, 32))
+    sysm = systems.dirac_free(radius=0.15)
+    grid = grids.Grid(sysm.domain, (32, 32, 32))
     stack = 32**3 * 3 * 3 * 8
 
     def build():

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavemetric import BoxDomain, Grid, ValidationError
+from wavemetric.errors import ValidationError
+from wavemetric.grids import Grid
+from wavemetric.systems import BoxDomain
 from wavemetric.grids import CSV_CHUNK_ROWS, _formatted, _powers, _significand, write_csv
 
 from grid_windows import closure_grid

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
-from wavemetric import ValidationError
+from wavemetric.errors import ValidationError
 from wavemetric.sampling import HALTON_BASES, halton_unit, unit_directions
 
 

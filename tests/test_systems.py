@@ -8,20 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import wavemetric as wm
-from wavemetric import systems
+from wavemetric import dsl, grids, systems, velocity
 from wavemetric.errors import MatrixError, SingularMatrixError, ValidationError
 from wavemetric.matkernel import spd_inv_sqrt
 from wavemetric.systems import CURL_GENERATORS, STRAIN_GENERATORS
 
 
-UNIT_BOX_3 = wm.BoxDomain((0.0,) * 3, (1.0,) * 3)
+UNIT_BOX_3 = systems.BoxDomain((0.0,) * 3, (1.0,) * 3)
 
 
 # -- domains ----------------------------------------------------------------
 
 def test_box_contains_strict():
-    dom = wm.BoxDomain((0.0, 0.0), (1.0, 2.0))
+    dom = systems.BoxDomain((0.0, 0.0), (1.0, 2.0))
     assert dom.contains([0.5, 1.0])
     assert not dom.contains([0.0, 1.0])
     assert dom.contains([0.0, 1.0], strict=False)
@@ -29,19 +28,19 @@ def test_box_contains_strict():
 
 
 def test_box_boundary_distance():
-    dom = wm.BoxDomain((0.0, 0.0), (1.0, 2.0))
+    dom = systems.BoxDomain((0.0, 0.0), (1.0, 2.0))
     assert dom.boundary_distance([0.3, 1.0]) == pytest.approx(0.3)
     assert dom.boundary_distance([0.5, 1.9]) == pytest.approx(0.1)
 
 
 def test_unbounded_sides_do_not_count_as_boundary():
-    dom = wm.BoxDomain((-2.0,), (2.0,), unbounded_lower=(True,), unbounded_upper=(True,))
+    dom = systems.BoxDomain((-2.0,), (2.0,), unbounded_lower=(True,), unbounded_upper=(True,))
     assert dom.boundary_distance([0.0]) == math.inf
     assert dom.contains([100.0])
 
 
 def test_excluded_ball_is_boundary():
-    dom = wm.BoxDomain(
+    dom = systems.BoxDomain(
         (-2.0,) * 2, (2.0,) * 2,
         unbounded_lower=(True, True), unbounded_upper=(True, True),
         excluded_ball=((0.0, 0.0), 0.5),
@@ -53,28 +52,28 @@ def test_excluded_ball_is_boundary():
 
 def test_infinite_bound_requires_flag():
     with pytest.raises(ValueError, match="unbounded flag"):
-        wm.BoxDomain((0.0,), (math.inf,))
+        systems.BoxDomain((0.0,), (math.inf,))
 
 
 # -- field evaluation -------------------------------------------------------
 
-UNIT_BOX_2 = wm.BoxDomain((0.0, 0.0), (1.0, 1.0))
+UNIT_BOX_2 = systems.BoxDomain((0.0, 0.0), (1.0, 1.0))
 AXES_2 = (np.linspace(0.1, 0.9, 8), np.linspace(0.2, 0.8, 9))
 
 
 def maxwell_anisotropic_variable():
     eps = [["2 + x", "0.3*y", 0], ["0.3*y", "1 + y^2", "0.1*x"], [0, "0.1*x", "1.5"]]
     mu = [["1 + 0.5*x*y", 0, 0], [0, 1, "0.2"], [0, "0.2", "1 + x"]]
-    return wm.maxwell_anisotropic(eps, mu, domain=UNIT_BOX_2)
+    return systems.maxwell_anisotropic(eps, mu, domain=UNIT_BOX_2)
 
 
 def elastic_isotropic_variable():
-    return wm.elastic_isotropic(rho="1 + x", K="2 + sin(3*y)", mu="1 + 0.5*x*y",
+    return systems.elastic_isotropic(rho="1 + x", K="2 + sin(3*y)", mu="1 + 0.5*x*y",
                                 domain=UNIT_BOX_2)
 
 
 @pytest.mark.parametrize("make", [
-    lambda: wm.ExprMatrixField([["exp(x)", "x*y"], ["x*y", "1 + y^2"]]),
+    lambda: systems.ExprMatrixField([["exp(x)", "x*y"], ["x*y", "1 + y^2"]]),
     lambda: maxwell_anisotropic_variable().E,
     lambda: elastic_isotropic_variable().E,
 ], ids=["expr", "maxwell_anisotropic", "elastic_isotropic"])
@@ -88,25 +87,25 @@ def test_expr_field_grid_matches_pointwise(make):
 
 
 def test_const_field_identity_flag():
-    assert wm.ConstMatrixField(np.eye(3)).is_identity
-    assert not wm.ConstMatrixField(2 * np.eye(3)).is_identity
+    assert systems.ConstMatrixField(np.eye(3)).is_identity
+    assert not systems.ConstMatrixField(2 * np.eye(3)).is_identity
 
 
 _EYE_TABLE = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 @pytest.mark.parametrize("make, diagonal", [
-    (lambda: wm.telegraph("1 + x", "2").E, True),
-    (lambda: wm.maxwell_isotropic("1 + x*y", "2", domain=UNIT_BOX_2).E, True),
-    (lambda: wm.maxwell_anisotropic(_EYE_TABLE, [["2", 0, 0], [0, "1 + x", "0"], [0, "0", 1]],
+    (lambda: systems.telegraph("1 + x", "2").E, True),
+    (lambda: systems.maxwell_isotropic("1 + x*y", "2", domain=UNIT_BOX_2).E, True),
+    (lambda: systems.maxwell_anisotropic(_EYE_TABLE, [["2", 0, 0], [0, "1 + x", "0"], [0, "0", 1]],
                                     domain=UNIT_BOX_2).E, True),
     (lambda: maxwell_anisotropic_variable().E, False),
-    (lambda: wm.elastic_isotropic().E, False),
-    (lambda: wm.dirac_free().E, True),
-    (lambda: wm.ConstMatrixField(np.diag([2.0, 3.0])), True),
-    (lambda: wm.ConstMatrixField([[2.0, 0.5], [0.5, 3.0]]), False),
-    (lambda: wm.ExprMatrixField([["1 + x", "0*x"], ["0*x", "1"]]), False),
-    (lambda: wm.FuncMatrixField(lambda x: np.eye(2), 2), False),
+    (lambda: systems.elastic_isotropic().E, False),
+    (lambda: systems.dirac_free().E, True),
+    (lambda: systems.ConstMatrixField(np.diag([2.0, 3.0])), True),
+    (lambda: systems.ConstMatrixField([[2.0, 0.5], [0.5, 3.0]]), False),
+    (lambda: systems.ExprMatrixField([["1 + x", "0*x"], ["0*x", "1"]]), False),
+    (lambda: systems.FuncMatrixField(lambda x: np.eye(2), 2), False),
 ], ids=["telegraph", "maxwell_isotropic", "maxwell_anisotropic-diagonal-tables",
         "maxwell_anisotropic-off-diagonal", "elastic_isotropic", "dirac_free", "const-diagonal",
         "const-full", "expr-zero-expression", "func"])
@@ -116,16 +115,10 @@ def test_diagonal_answer_comes_from_structure(make, diagonal):
     assert make().is_diagonal is diagonal
 
 
-def test_eval_coeffs_rejects_exterior_point():
-    sysm = wm.telegraph()
-    with pytest.raises(ValueError, match="strictly inside"):
-        wm.eval_coeffs(sysm, [1.5])
-
-
 def test_symbol_combines_directions():
-    sysm = wm.maxwell_isotropic(domain=UNIT_BOX_3)
+    sysm = systems.maxwell_isotropic(domain=UNIT_BOX_3)
     xi = np.array([0.3, -1.2, 0.5])
-    s = wm.symbol(sysm, [0.5, 0.5, 0.5], xi)
+    s = systems.symbol(sysm, [0.5, 0.5, 0.5], xi)
     manual = sum(c * A.mat for c, A in zip(xi, sysm.A))
     assert np.allclose(np.asarray(s), manual)
 
@@ -133,8 +126,8 @@ def test_symbol_combines_directions():
 # -- built-in families ------------------------------------------------------
 
 def test_telegraph_weight_and_coupling():
-    sysm = wm.telegraph(L="2", C="8")
-    E, (A1,), V = wm.eval_coeffs(sysm, [0.5])
+    sysm = systems.telegraph(L="2", C="8")
+    E, (A1,), V = sysm.E([0.5]), [A([0.5]) for A in sysm.A], sysm.V([0.5])
     assert np.allclose(E, np.diag([2.0, 8.0]))
     assert np.allclose(A1, [[0.0, 1.0], [1.0, 0.0]])
     assert np.allclose(V, 0.0)
@@ -142,7 +135,7 @@ def test_telegraph_weight_and_coupling():
 
 def test_telegraph_rejects_nonpositive_inductance():
     with pytest.raises(ValidationError, match="positive"):
-        wm.telegraph(L="x - 0.5", C="1")
+        systems.telegraph(L="x - 0.5", C="1")
 
 
 def test_curl_generators_trace_identity():
@@ -159,8 +152,9 @@ def test_strain_generators_shape_and_rank():
 
 
 def test_maxwell_weight_blocks():
-    sysm = wm.maxwell_isotropic(eps="2", mu="3", domain=UNIT_BOX_3)
-    E, A, V = wm.eval_coeffs(sysm, [0.5, 0.5, 0.5])
+    sysm = systems.maxwell_isotropic(eps="2", mu="3", domain=UNIT_BOX_3)
+    x = [0.5, 0.5, 0.5]
+    E, A, V = sysm.E(x), [Aj(x) for Aj in sysm.A], sysm.V(x)
     assert np.allclose(E, np.diag([2.0] * 3 + [3.0] * 3))
     assert len(A) == 3
     for Aj in A:
@@ -168,17 +162,17 @@ def test_maxwell_weight_blocks():
 
 
 def test_maxwell_d2_reduction_uses_first_two_generators():
-    dom = wm.BoxDomain((0.0, 0.0), (1.0, 1.0))
-    sysm = wm.maxwell_isotropic(domain=dom)
+    dom = systems.BoxDomain((0.0, 0.0), (1.0, 1.0))
+    sysm = systems.maxwell_isotropic(domain=dom)
     assert len(sysm.A) == 2
-    full = wm.maxwell_isotropic(domain=UNIT_BOX_3)
+    full = systems.maxwell_isotropic(domain=UNIT_BOX_3)
     for j in range(2):
         assert np.array_equal(sysm.A[j].mat, full.A[j].mat)
 
 
 def test_maxwell_rejects_indefinite_permittivity():
     with pytest.raises(ValidationError, match="positive definite"):
-        wm.maxwell_anisotropic(
+        systems.maxwell_anisotropic(
             eps=[[1, 0, 0], [0, -1, 0], [0, 0, 1]],
             mu=[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
             domain=UNIT_BOX_3,
@@ -190,45 +184,45 @@ def test_weight_is_built_only_if_the_kernel_accepts_it(skew, accepted):
     # every entry pair of eps is within 1e-13 of its norm, but the Frobenius
     # defect of eps can still exceed what the kernels accept
     eps = [[1, 0.5 + skew, 0], [0.5, 1, 0], [0, 0, 1]]
-    build = lambda: wm.maxwell_anisotropic(eps, _EYE_TABLE, domain=UNIT_BOX_2)
+    build = lambda: systems.maxwell_anisotropic(eps, _EYE_TABLE, domain=UNIT_BOX_2)
     if not accepted:
         with pytest.raises(ValidationError, match=r"^matrix is not Hermitian: relative defect "
                                                   r"1\.391e-13 .* \(permittivity at "):
             build()
         return
     sysm = build()
-    assert wm.validate_system(sysm, samples=32).ok
-    grid = wm.Grid(UNIT_BOX_2, (8, 9))
+    assert systems.validate_system(sysm, samples=32).ok
+    grid = grids.Grid(UNIT_BOX_2, (8, 9))
     coords = tuple(np.meshgrid(*grid.axes, indexing="ij", sparse=True))
-    assert all(np.all(np.isfinite(b)) for b in systems.canonical_A(sysm, coords))
+    assert all(np.all(np.isfinite(p.dense())) for p in systems.canonical_planes(sysm, coords))
 
 
 def test_validate_holds_the_weight_to_the_kernel_hermitian_test():
     E = [[1.0, 0.5 + 1.3e-13], [0.5, 1.0]]
-    sysm = wm.CoefficientSystem(
-        domain=wm.BoxDomain((0.0,), (1.0,)),
+    sysm = systems.CoefficientSystem(
+        domain=systems.BoxDomain((0.0,), (1.0,)),
         k=2,
-        E=wm.ExprMatrixField(E),
-        A=(wm.ConstMatrixField(np.array([[0.0, 1.0], [1.0, 0.0]])),),
-        V=wm.ConstMatrixField(np.zeros((2, 2))),
+        E=systems.ExprMatrixField(E),
+        A=(systems.ConstMatrixField(np.array([[0.0, 1.0], [1.0, 0.0]])),),
+        V=systems.ConstMatrixField(np.zeros((2, 2))),
     )
     assert np.abs(np.subtract(E, np.transpose(E))).max() / np.linalg.norm(E) <= 1e-13
-    rep = wm.validate_system(sysm, samples=8)
+    rep = systems.validate_system(sysm, samples=8)
     assert not rep.ok
     assert rep.issues == ["matrix is not Hermitian: relative defect 1.163e-13 exceeds 1e-13, "
                           "largest at entries (1, 2) and (2, 1) (E at [0.5])"]
     with pytest.raises(MatrixError, match="not Hermitian"):
-        systems.canonical_A(sysm, np.array([0.5]))
+        systems.canonical_planes(sysm, np.array([0.5]))
 
 
 def test_elastic_isotropic_stiffness_structure():
-    sysm = wm.elastic_isotropic(rho="2", K="3", mu="1.5", domain=UNIT_BOX_3)
+    sysm = systems.elastic_isotropic(rho="2", K="3", mu="1.5", domain=UNIT_BOX_3)
     C = sysm.parts["stiffness"](np.array([0.5, 0.5, 0.5]))
     lam = 3.0 - 2.0 * 1.5 / 3.0
     assert np.allclose(np.diagonal(C)[:3], lam + 2 * 1.5)
     assert np.allclose(np.diagonal(C)[3:], 1.5)
     assert C[0, 1] == pytest.approx(lam)
-    E, _, _ = wm.eval_coeffs(sysm, [0.5, 0.5, 0.5])
+    E = sysm.E([0.5, 0.5, 0.5])
     # velocity block carries rho * C^{-1}; displacement-rate block is identity
     assert np.allclose(E[:6, :6], 2.0 * np.linalg.inv(C))
     assert np.allclose(E[6:, 6:], np.eye(3))
@@ -243,19 +237,19 @@ def test_elastic_21_entry_round_trip():
            mu, 0, 0,
            mu, 0,
            mu]
-    direct = wm.elastic(rho=1.3, stiffness=tri, domain=UNIT_BOX_3)
-    iso = wm.elastic_isotropic(rho="1.3", K=str(K), mu=str(mu), domain=UNIT_BOX_3)
+    direct = systems.elastic(rho=1.3, stiffness=tri, domain=UNIT_BOX_3)
+    iso = systems.elastic_isotropic(rho="1.3", K=str(K), mu=str(mu), domain=UNIT_BOX_3)
     x = np.array([0.3, 0.6, 0.9])
     assert np.allclose(direct.E(x), iso.E(x))
 
 
 def test_elastic_wrong_entry_count():
     with pytest.raises(ValueError, match="21"):
-        wm.elastic(rho=1.0, stiffness=[1.0] * 20)
+        systems.elastic(rho=1.0, stiffness=[1.0] * 20)
 
 
 def test_dirac_structure():
-    sysm = wm.dirac_free(radius=0.1)
+    sysm = systems.dirac_free(radius=0.1)
     assert sysm.k == 4 and sysm.d == 3
     for A in sysm.A:
         a = A(np.zeros(3))
@@ -270,7 +264,7 @@ def test_dirac_structure():
 # -- canonical transform ----------------------------------------------------
 
 def test_canonical_telegraph_constant():
-    sysm = wm.canonicalize(wm.telegraph(L="4", C="1"))
+    sysm = systems.canonicalize(systems.telegraph(L="4", C="1"))
     x = np.array([0.5])
     assert np.allclose(sysm.A[0](x), [[0.0, 0.5], [0.5, 0.0]])
     assert np.allclose(sysm.V(x), 0.0)
@@ -278,8 +272,8 @@ def test_canonical_telegraph_constant():
 
 
 def test_canonical_telegraph_variable():
-    dom = wm.BoxDomain((0.0,), (2.0,))
-    sysm = wm.canonicalize(wm.telegraph(L="exp(2*x)", C="1", domain=dom))
+    dom = systems.BoxDomain((0.0,), (2.0,))
+    sysm = systems.canonicalize(systems.telegraph(L="exp(2*x)", C="1", domain=dom))
     x = np.array([0.7])
     r = math.exp(-0.7)
     assert np.allclose(sysm.A[0](x), [[0.0, r], [r, 0.0]], atol=1e-12)
@@ -291,41 +285,41 @@ def test_canonical_telegraph_variable():
 
 
 def test_canonical_gradient_term_vanishes_for_constant_weight():
-    sysm = wm.maxwell_isotropic(eps="2", mu="5", domain=UNIT_BOX_3)
-    v0 = wm.zero_order_term(sysm, [0.5, 0.5, 0.5])
+    sysm = systems.maxwell_isotropic(eps="2", mu="5", domain=UNIT_BOX_3)
+    v0 = systems.canonicalize(sysm).V([0.5, 0.5, 0.5])
     assert np.allclose(v0, 0.0, atol=1e-10)
 
 
 def test_canonical_idempotent():
-    sysm = wm.canonicalize(wm.telegraph(L="1 + x", C="1"))
-    again = wm.canonicalize(sysm)
+    sysm = systems.canonicalize(systems.telegraph(L="1 + x", C="1"))
+    again = systems.canonicalize(sysm)
     assert again is sysm
 
 
 def test_canonical_identity_weight_short_circuit():
-    sysm = wm.dirac_free()
-    assert wm.canonicalize(sysm) is sysm
+    sysm = systems.dirac_free()
+    assert systems.canonicalize(sysm) is sysm
 
 
 def test_analytic_gradient_matches_finite_difference():
     # E = diag(exp(2x), 1), so R = E^{-1/2} = diag(exp(-x), 1) and
     # G = d/dx R = diag(-exp(-x), 0): the zero-order term in closed form
-    dom = wm.BoxDomain((0.0,), (2.0,))
-    base = wm.telegraph(L="exp(2*x)", C="1", domain=dom)
+    dom = systems.BoxDomain((0.0,), (2.0,))
+    base = systems.telegraph(L="exp(2*x)", C="1", domain=dom)
     x = np.array([0.9])
     R = np.diag([math.exp(-x[0]), 1.0])
     G = np.diag([-math.exp(-x[0]), 0.0])
     A, V = base.A[0](x), base.V(x)
     van = -0.5j * (R @ A @ G - G @ A @ R) + R @ V @ R
     van = 0.5 * (van + van.conj().T)
-    vfd = wm.canonicalize(base).V(x)
+    vfd = systems.canonicalize(base).V(x)
     assert np.allclose(vfd, van, atol=1e-9)
 
 
 def test_gradient_step_shrinks_near_boundary():
-    dom = wm.BoxDomain((0.0,), (1.0,))
-    sysm = wm.telegraph(L="1 + x", C="1", domain=dom)
-    can = wm.canonicalize(sysm)
+    dom = systems.BoxDomain((0.0,), (1.0,))
+    sysm = systems.telegraph(L="1 + x", C="1", domain=dom)
+    can = systems.canonicalize(sysm)
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
         can.V(np.array([1e-7]))
@@ -333,15 +327,15 @@ def test_gradient_step_shrinks_near_boundary():
 
 
 @pytest.mark.parametrize("make, shape", [
-    (lambda: wm.telegraph(L="exp(2*x)", C="1 + 0.5*x", domain=wm.BoxDomain((0.0,), (2.0,))),
+    (lambda: systems.telegraph(L="exp(2*x)", C="1 + 0.5*x", domain=systems.BoxDomain((0.0,), (2.0,))),
      (16,)),
     (maxwell_anisotropic_variable, (8, 9)),
     (elastic_isotropic_variable, (8, 9)),
 ], ids=["telegraph", "maxwell_anisotropic", "elastic_isotropic"])
 def test_canonical_grid_matches_pointwise(make, shape):
     sysm = make()
-    can = wm.canonicalize(sysm)
-    g = wm.Grid(sysm.domain, shape)
+    can = systems.canonicalize(sysm)
+    g = grids.Grid(sysm.domain, shape)
     fields = [can.V] + list(can.A)
     samples = [f.on_grid(g.axes) for f in fields]
     for index in [(0,) * g.d, tuple(n // 2 for n in shape), tuple(n - 1 for n in shape)]:
@@ -351,8 +345,8 @@ def test_canonical_grid_matches_pointwise(make, shape):
 
 
 def test_gradient_at_the_window_edge_raises_positioned_error():
-    dom = wm.BoxDomain((0.0,), (1.0,))
-    can = wm.canonicalize(wm.telegraph(L="1 + x", C="1", domain=dom))
+    dom = systems.BoxDomain((0.0,), (1.0,))
+    can = systems.canonicalize(systems.telegraph(L="1 + x", C="1", domain=dom))
     # 16 nodes from the lower edge to the upper one
     with pytest.raises(ValidationError) as info:
         can.V.on_grid((np.linspace(0.0, 1.0, 16),))
@@ -363,9 +357,9 @@ def test_gradient_at_the_window_edge_raises_positioned_error():
 
 
 def test_grid_near_edge_shrinks_steps_with_one_warning():
-    dom = wm.BoxDomain((0.0,), (1e-4,))
-    can = wm.canonicalize(wm.telegraph(L="exp(2000*x)", C="1", domain=dom))
-    g = wm.Grid(dom, (16,))
+    dom = systems.BoxDomain((0.0,), (1e-4,))
+    can = systems.canonicalize(systems.telegraph(L="exp(2000*x)", C="1", domain=dom))
+    g = grids.Grid(dom, (16,))
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
         Vg = can.V.on_grid(g.axes)
@@ -397,7 +391,7 @@ _NON_SPD = "matrix is not positive definite: smallest eigenvalue "
      _NON_SPD + "-5.000000e-06 (E at [0.049995])"),
 ], ids=["A", "A-grid", "A-singular", "V", "V-gradient"])
 def test_canonical_point_error_names_the_point(call, error, message):
-    can = wm.canonicalize(wm.telegraph(L="x - 0.05", C="1"))
+    can = systems.canonicalize(systems.telegraph(L="x - 0.05", C="1"))
     with pytest.raises(error) as info:
         call(can)
     assert type(info.value) is error
@@ -406,7 +400,7 @@ def test_canonical_point_error_names_the_point(call, error, message):
 
 def hide_structure(sysm):
     """The same system with E behind a callable, so it is not known to be diagonal."""
-    return dataclasses.replace(sysm, E=wm.FuncMatrixField(sysm.E, sysm.k))
+    return dataclasses.replace(sysm, E=systems.FuncMatrixField(sysm.E, sysm.k))
 
 
 # The 2-D counterparts of the cases above, on a Maxwell weight diag(eps, eps,
@@ -422,12 +416,12 @@ def hide_structure(sysm):
      "matrix has non-finite entries (E at [0.05 0.5 ])"),
 ], ids=["non-spd", "singular", "non-finite"])
 def test_diagonal_weight_point_error_names_the_point(eps, x, error, message):
-    sysm = wm.maxwell_isotropic(eps, "1", domain=UNIT_BOX_2)
+    sysm = systems.maxwell_isotropic(eps, "1", domain=UNIT_BOX_2)
     assert sysm.E.is_diagonal
     axes = (np.array([0.5, x]), np.array([0.5]))
     for s in (sysm, hide_structure(sysm)):
         with pytest.raises(error) as info:
-            wm.canonicalize(s).A[0].on_grid(axes)
+            systems.canonicalize(s).A[0].on_grid(axes)
         assert type(info.value) is error
         assert str(info.value) == message
 
@@ -446,29 +440,29 @@ _OFFDIAG = np.array([[0.0, 1.0], [1.0, 0.0]])
     [1.0 + 1e-3j, "1 + x"],
 ], ids=["non-finite", "non-positive", "singular", "complex"])
 def test_bad_diagonal_weight_fails_as_the_general_path_fails(cells):
-    E = wm.ExprMatrixField([[cells[0], 0.0], [0.0, cells[1]]])
+    E = systems.ExprMatrixField([[cells[0], 0.0], [0.0, cells[1]]])
     assert E.is_diagonal
-    sysm = wm.CoefficientSystem(domain=UNIT_BOX_2, k=2, E=E,
-                                A=(wm.ConstMatrixField(_OFFDIAG), wm.ConstMatrixField(np.eye(2))),
-                                V=wm.ConstMatrixField(np.zeros((2, 2))))
+    sysm = systems.CoefficientSystem(domain=UNIT_BOX_2, k=2, E=E,
+                                A=(systems.ConstMatrixField(_OFFDIAG), systems.ConstMatrixField(np.eye(2))),
+                                V=systems.ConstMatrixField(np.zeros((2, 2))))
     hidden = hide_structure(sysm)
-    report = wm.validate_system(sysm, samples=64)
-    assert not report.ok and report.issues == wm.validate_system(hidden, samples=64).issues
+    report = systems.validate_system(sysm, samples=64)
+    assert not report.ok and report.issues == systems.validate_system(hidden, samples=64).issues
     probes = []
     for s in (sysm, hidden):
         with pytest.raises(ValidationError) as info:
             systems._spd_probe(UNIT_BOX_2, (), s.E, count=16)
         probes.append(str(info.value))
     assert probes == [report.issues[0]] * 2
-    grid = wm.Grid(UNIT_BOX_2, (16, 16))
+    grid = grids.Grid(UNIT_BOX_2, (16, 16))
     failures = []
     for s in (sysm, hidden):
         with pytest.raises(MatrixError) as info:
-            wm.VelocityField.from_system(s, grid)
+            velocity.VelocityField.from_system(s, grid)
         failures.append((type(info.value), str(info.value)))
     assert failures[0] == failures[1]
     everywhere = isinstance(cells[0], complex)
-    first = wm.dsl.point_where(systems._sample_points(UNIT_BOX_2, 1), np.ones(1, dtype=bool))
+    first = dsl.point_where(systems._sample_points(UNIT_BOX_2, 1), np.ones(1, dtype=bool))
     assert (f"(E at {first})" in report.issues[0]) == everywhere
     node = f"(E at {grid.node_coords((0, 0))})"
     assert failures[0][1].endswith(node) == everywhere
@@ -482,13 +476,13 @@ _CUSTOM_E = [["2 + x", "0.3*x*y", "0.1"],
 # A point and a grid node take E^{-1/2} from the same kernel, so a weight that
 # is not diagonal gets the same bits at every node either way.
 @pytest.mark.parametrize("make, shape", [
-    (lambda: wm.elastic_isotropic(rho="1 + x", K="2 + sin(3*x)", mu="1 + 0.5*x",
-                                  domain=wm.BoxDomain((0.0,), (1.0,))).E, (33,)),
+    (lambda: systems.elastic_isotropic(rho="1 + x", K="2 + sin(3*x)", mu="1 + 0.5*x",
+                                  domain=systems.BoxDomain((0.0,), (1.0,))).E, (33,)),
     (lambda: elastic_isotropic_variable().E, (12, 13)),
-    (lambda: wm.elastic_isotropic(rho="1 + x*z", K="2 + y", mu="1 + 0.5*x*y",
+    (lambda: systems.elastic_isotropic(rho="1 + x*z", K="2 + y", mu="1 + 0.5*x*y",
                                   domain=UNIT_BOX_3).E, (5, 6, 7)),
     (lambda: maxwell_anisotropic_variable().E, (16, 17)),
-    (lambda: wm.ExprMatrixField(_CUSTOM_E), (12, 11)),
+    (lambda: systems.ExprMatrixField(_CUSTOM_E), (12, 11)),
 ], ids=["elastic-1d", "elastic-2d", "elastic-3d", "maxwell_anisotropic", "custom"])
 def test_point_and_grid_inverse_square_roots_agree(make, shape):
     E = make()
@@ -504,43 +498,43 @@ def test_point_and_grid_inverse_square_roots_agree(make, shape):
 
 def test_validate_passes_builtins():
     for sysm in (
-        wm.telegraph(L="1 + 0.5*sin(6*x)", C="2"),
-        wm.maxwell_isotropic(eps="1 + x^2", domain=UNIT_BOX_3),
-        wm.elastic_isotropic(domain=UNIT_BOX_3),
-        wm.dirac_free(),
+        systems.telegraph(L="1 + 0.5*sin(6*x)", C="2"),
+        systems.maxwell_isotropic(eps="1 + x^2", domain=UNIT_BOX_3),
+        systems.elastic_isotropic(domain=UNIT_BOX_3),
+        systems.dirac_free(),
     ):
-        rep = wm.validate_system(sysm, samples=32)
+        rep = systems.validate_system(sysm, samples=32)
         assert rep.ok, rep.issues
 
 
 def test_validate_flags_nonhermitian_with_entry_pair():
-    bad = wm.CoefficientSystem(
-        domain=wm.BoxDomain((0.0,), (1.0,)),
+    bad = systems.CoefficientSystem(
+        domain=systems.BoxDomain((0.0,), (1.0,)),
         k=2,
-        E=wm.ConstMatrixField(np.eye(2)),
-        A=(wm.FuncMatrixField(lambda x: np.array([[0.0, 1.0], [0.0, 0.0]]), 2),),
-        V=wm.ConstMatrixField(np.zeros((2, 2))),
+        E=systems.ConstMatrixField(np.eye(2)),
+        A=(systems.FuncMatrixField(lambda x: np.array([[0.0, 1.0], [0.0, 0.0]]), 2),),
+        V=systems.ConstMatrixField(np.zeros((2, 2))),
     )
-    rep = wm.validate_system(bad, samples=8)
+    rep = systems.validate_system(bad, samples=8)
     assert not rep.ok
     assert "(1, 2)" in rep.issues[0]
 
 
 def test_validate_flags_indefinite_weight():
-    bad = wm.CoefficientSystem(
-        domain=wm.BoxDomain((0.0,), (1.0,)),
+    bad = systems.CoefficientSystem(
+        domain=systems.BoxDomain((0.0,), (1.0,)),
         k=2,
-        E=wm.ConstMatrixField(np.diag([1.0, -1.0])),
-        A=(wm.ConstMatrixField(np.zeros((2, 2))),),
-        V=wm.ConstMatrixField(np.zeros((2, 2))),
+        E=systems.ConstMatrixField(np.diag([1.0, -1.0])),
+        A=(systems.ConstMatrixField(np.zeros((2, 2))),),
+        V=systems.ConstMatrixField(np.zeros((2, 2))),
     )
-    rep = wm.validate_system(bad, samples=8)
+    rep = systems.validate_system(bad, samples=8)
     assert not rep.ok
     assert any("positive definite" in s for s in rep.issues)
 
 
 def test_validate_report_prints_summary():
-    rep = wm.validate_system(wm.telegraph(), samples=8)
+    rep = systems.validate_system(systems.telegraph(), samples=8)
     text = str(rep)
     assert "PASS" in text and "8 sample points" in text
 
@@ -566,22 +560,22 @@ def constant_weights(draw):
 @given(constant_weights())
 def test_validation_passes_exactly_when_the_canonical_transform_succeeds(E):
     k = E.shape[0]
-    sysm = wm.CoefficientSystem(
-        domain=wm.BoxDomain((0.0,), (1.0,)), k=k, E=wm.ConstMatrixField(E),
-        A=(wm.ConstMatrixField(np.ones((k, k))),), V=wm.ConstMatrixField(np.zeros((k, k))))
+    sysm = systems.CoefficientSystem(
+        domain=systems.BoxDomain((0.0,), (1.0,)), k=k, E=systems.ConstMatrixField(E),
+        A=(systems.ConstMatrixField(np.ones((k, k))),), V=systems.ConstMatrixField(np.zeros((k, k))))
     coords = systems._sample_points(sysm.domain, 8)
     try:
-        systems.canonical_A(sysm, coords)
+        systems.canonical_planes(sysm, coords)
         accepted = True
     except MatrixError:
         accepted = False
-    assert wm.validate_system(sysm, samples=8).ok == accepted
+    assert systems.validate_system(sysm, samples=8).ok == accepted
 
 
 def test_construction_checks_the_weight_after_its_parts():
     # eps = 1e-15 and mu = 1 each pass; the weight blockdiag(eps, mu) is singular
     with pytest.raises(ValidationError) as info:
-        wm.maxwell_isotropic("1e-15", "1", domain=UNIT_BOX_2)
+        systems.maxwell_isotropic("1e-15", "1", domain=UNIT_BOX_2)
     assert str(info.value) == ("matrix is numerically singular: eigenvalue 1.000000e-15 "
                                "below 1e-14 of norm 1.000000e+00 (E at [0.5        0.33333333])")
 
@@ -592,19 +586,19 @@ def test_positivity_probe_evaluates_each_coefficient_once(monkeypatch):
     monkeypatch.setattr(systems.dsl, "eval_expr",
                         lambda *args, **kw: calls.append(args[0]) or eval_expr(*args, **kw))
     with pytest.raises(ValidationError) as info:
-        wm.telegraph(L="x - 0.3", C="2")
+        systems.telegraph(L="x - 0.3", C="2")
     assert str(info.value) == "L and C must be positive: got -0.05 at sampled point [0.25]"
     assert len(calls) == 1
-    wm.telegraph(L="1 + x", C="2")
+    systems.telegraph(L="1 + x", C="2")
     assert len(calls) == 3
 
 
 def test_system_dimension_mismatch():
     with pytest.raises(ValueError, match="one first-order coefficient field per axis"):
-        wm.CoefficientSystem(
-            domain=wm.BoxDomain((0.0, 0.0), (1.0, 1.0)),
+        systems.CoefficientSystem(
+            domain=systems.BoxDomain((0.0, 0.0), (1.0, 1.0)),
             k=2,
-            E=wm.ConstMatrixField(np.eye(2)),
-            A=(wm.ConstMatrixField(np.zeros((2, 2))),),
-            V=wm.ConstMatrixField(np.zeros((2, 2))),
+            E=systems.ConstMatrixField(np.eye(2)),
+            A=(systems.ConstMatrixField(np.zeros((2, 2))),),
+            V=systems.ConstMatrixField(np.zeros((2, 2))),
         )

@@ -8,11 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import wavemetric as wm
 from wavemetric import evolve as ev
-from wavemetric import systems
+from wavemetric import grids, systems, verify
 from wavemetric import velocity as vel
-from wavemetric import verify
 from wavemetric.errors import (
     MajorantError,
     MatrixError,
@@ -26,40 +24,40 @@ from metric_oracle import mollify_every_plane
 from velocity_oracle import canonical_stacks, stack_traces, velocity_matrix_structured
 
 
-UNIT_BOX_3 = wm.BoxDomain((0.0,) * 3, (1.0,) * 3)
+UNIT_BOX_3 = systems.BoxDomain((0.0,) * 3, (1.0,) * 3)
 MID3 = np.array([0.5, 0.5, 0.5])
 
-FREE_LINE = wm.BoxDomain((-10.0,), (10.0,), unbounded_lower=(True,), unbounded_upper=(True,))
+FREE_LINE = systems.BoxDomain((-10.0,), (10.0,), unbounded_lower=(True,), unbounded_upper=(True,))
 
 
 def coupling_system(entry, domain=FREE_LINE):
     """Canonical 2-component system with A^1 = entry(x) * offdiagonal."""
-    return wm.CoefficientSystem(
+    return systems.CoefficientSystem(
         domain=domain,
         k=2,
-        E=wm.ConstMatrixField(np.eye(2)),
-        A=(wm.ExprMatrixField([[0.0, entry], [entry, 0.0]]),),
-        V=wm.ConstMatrixField(np.zeros((2, 2))),
+        E=systems.ConstMatrixField(np.eye(2)),
+        A=(systems.ExprMatrixField([[0.0, entry], [entry, 0.0]]),),
+        V=systems.ConstMatrixField(np.zeros((2, 2))),
     )
 
 
 # -- velocity matrix values -------------------------------------------------
 
 def test_telegraph_scalar_value():
-    sysm = wm.telegraph(L="exp(2*x)", C="1", domain=wm.BoxDomain((0.0,), (2.0,)))
+    sysm = systems.telegraph(L="exp(2*x)", C="1", domain=systems.BoxDomain((0.0,), (2.0,)))
     M = vel.velocity_matrix(sysm, [0.7])
     assert M.shape == (1, 1)
     assert M[0, 0] == pytest.approx(2.0 * math.exp(-1.4), rel=1e-12)
 
 
 def test_maxwell_isotropic_value():
-    sysm = wm.maxwell_isotropic(eps="2", mu="0.5", domain=UNIT_BOX_3)
+    sysm = systems.maxwell_isotropic(eps="2", mu="0.5", domain=UNIT_BOX_3)
     M = vel.velocity_matrix(sysm, MID3)
     assert np.allclose(M, 4.0 * np.eye(3), atol=1e-10)
 
 
 def test_maxwell_anisotropic_value():
-    sysm = wm.maxwell_anisotropic(
+    sysm = systems.maxwell_anisotropic(
         eps=[[1, 0, 0], [0, 2, 0], [0, 0, 3]],
         mu=[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
         domain=UNIT_BOX_3,
@@ -69,29 +67,29 @@ def test_maxwell_anisotropic_value():
 
 
 def test_elastic_isotropic_value():
-    sysm = wm.elastic_isotropic(rho="1", K="1", mu="0.3", domain=UNIT_BOX_3)
+    sysm = systems.elastic_isotropic(rho="1", K="1", mu="0.3", domain=UNIT_BOX_3)
     M = vel.velocity_matrix(sysm, MID3)
     assert np.allclose(M, 4.0 * np.eye(3), atol=1e-9)
 
 
 def test_dirac_value():
-    M = vel.velocity_matrix(wm.dirac_free(), [1.0, 0.0, 0.0])
+    M = vel.velocity_matrix(systems.dirac_free(), [1.0, 0.0, 0.0])
     assert np.allclose(M, 4.0 * np.eye(3), atol=1e-12)
 
 
 def test_structured_matches_generic():
     cases = [
-        (wm.telegraph(L="1 + 0.5*x", C="2"), [0.3]),
-        (wm.maxwell_isotropic(eps="1 + x^2", mu="1", domain=UNIT_BOX_3), MID3),
+        (systems.telegraph(L="1 + 0.5*x", C="2"), [0.3]),
+        (systems.maxwell_isotropic(eps="1 + x^2", mu="1", domain=UNIT_BOX_3), MID3),
         (
-            wm.maxwell_anisotropic(
+            systems.maxwell_anisotropic(
                 eps=[["1 + x", 0, 0], [0, 2, "0.1"], [0, "0.1", 3]],
                 mu=[[1, 0, 0], [0, "1 + y", 0], [0, 0, 1]],
                 domain=UNIT_BOX_3,
             ),
             [0.2, 0.7, 0.4],
         ),
-        (wm.elastic_isotropic(rho="2", K="1 + z", mu="0.4", domain=UNIT_BOX_3), MID3),
+        (systems.elastic_isotropic(rho="2", K="1 + z", mu="0.4", domain=UNIT_BOX_3), MID3),
     ]
     for sysm, x in cases:
         ref = vel.velocity_matrix(sysm, x)
@@ -102,11 +100,11 @@ def test_structured_matches_generic():
 def test_structured_error_names_the_point():
     # x - 0.05 passes the construction probe but is negative at x = 0.03
     cases = [
-        (wm.maxwell_isotropic(eps="x - 0.05", mu="1",
-                              domain=wm.BoxDomain((0.0, 0.0), (1.0, 1.0))),
+        (systems.maxwell_isotropic(eps="x - 0.05", mu="1",
+                              domain=systems.BoxDomain((0.0, 0.0), (1.0, 1.0))),
          [0.03, 0.5], "-2.000000e-02 (permittivity at [0.03 0.5 ])"),
-        (wm.elastic_isotropic(rho="1", K="x - 0.05", mu="1",
-                              domain=wm.BoxDomain((0.0,), (1.0,))),
+        (systems.elastic_isotropic(rho="1", K="x - 0.05", mu="1",
+                              domain=systems.BoxDomain((0.0,), (1.0,))),
          [0.03], "-6.000000e-02 (stiffness at [0.03])"),
     ]
     for sysm, x, tail in cases:
@@ -118,17 +116,17 @@ def test_structured_error_names_the_point():
 
 def test_structured_rejects_custom_kind():
     with pytest.raises(UnsupportedSystemError):
-        velocity_matrix_structured(wm.dirac_free(), [1.0, 0.0, 0.0])
+        velocity_matrix_structured(systems.dirac_free(), [1.0, 0.0, 0.0])
 
 
 def test_velocity_matrix_rejects_outside_point():
     with pytest.raises(ValueError, match="inside"):
-        vel.velocity_matrix(wm.telegraph(), [2.0])
+        vel.velocity_matrix(systems.telegraph(), [2.0])
 
 
 def test_elastic_2d_reduction_block():
-    dom = wm.BoxDomain((0.0, 0.0), (1.0, 1.0))
-    sysm = wm.elastic_isotropic(rho="1", K="1", mu="0.3", domain=dom)
+    dom = systems.BoxDomain((0.0, 0.0), (1.0, 1.0))
+    sysm = systems.elastic_isotropic(rho="1", K="1", mu="0.3", domain=dom)
     M = vel.velocity_matrix(sysm, [0.5, 0.5])
     assert M.shape == (2, 2)
     assert np.allclose(M, 4.0 * np.eye(2), atol=1e-9)
@@ -137,13 +135,13 @@ def test_elastic_2d_reduction_block():
 # -- scalar speeds ----------------------------------------------------------
 
 def test_char_speed_telegraph():
-    sysm = wm.telegraph(L="4", C="1")
+    sysm = systems.telegraph(L="4", C="1")
     assert vel.char_speed(sysm, [0.5], [1.0]) == pytest.approx(0.5, rel=1e-12)
     assert vel.char_speed(sysm, [0.5], [-1.0]) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_char_speed_maxwell_direction_free():
-    sysm = wm.maxwell_isotropic(eps="2", mu="2", domain=UNIT_BOX_3)
+    sysm = systems.maxwell_isotropic(eps="2", mu="2", domain=UNIT_BOX_3)
     rng = np.random.default_rng(21)
     for _ in range(10):
         n = rng.standard_normal(3)
@@ -151,7 +149,7 @@ def test_char_speed_maxwell_direction_free():
 
 
 def test_char_speed_dirac_is_one():
-    sysm = wm.dirac_free()
+    sysm = systems.dirac_free()
     rng = np.random.default_rng(22)
     for _ in range(10):
         n = rng.standard_normal(3)
@@ -160,17 +158,17 @@ def test_char_speed_dirac_is_one():
 
 def test_char_speed_rejects_zero_direction():
     with pytest.raises(ValueError, match="nonzero"):
-        vel.char_speed(wm.telegraph(), [0.5], [0.0])
+        vel.char_speed(systems.telegraph(), [0.5], [0.0])
 
 
 def test_fattorini_values():
-    assert vel.fattorini_r(wm.telegraph(L="1", C="1"), [0.5]) == pytest.approx(1.0)
-    assert vel.fattorini_r(wm.maxwell_isotropic(domain=UNIT_BOX_3), MID3) == pytest.approx(1.0)
-    assert vel.fattorini_r(wm.dirac_free(), [1.0, 0.0, 0.0]) == pytest.approx(1.0)
+    assert vel.fattorini_r(systems.telegraph(L="1", C="1"), [0.5]) == pytest.approx(1.0)
+    assert vel.fattorini_r(systems.maxwell_isotropic(domain=UNIT_BOX_3), MID3) == pytest.approx(1.0)
+    assert vel.fattorini_r(systems.dirac_free(), [1.0, 0.0, 0.0]) == pytest.approx(1.0)
 
 
 def test_chernoff_collapses_in_1d():
-    sysm = wm.telegraph(L="exp(2*x)", C="1", domain=wm.BoxDomain((0.0,), (2.0,)))
+    sysm = systems.telegraph(L="exp(2*x)", C="1", domain=systems.BoxDomain((0.0,), (2.0,)))
     br = vel.chernoff_c(sysm, [0.7])
     c = math.exp(-0.7)
     assert br.lower == pytest.approx(c, rel=1e-12)
@@ -178,25 +176,25 @@ def test_chernoff_collapses_in_1d():
 
 
 def test_chernoff_dirac_bracket():
-    br = vel.chernoff_c(wm.dirac_free(), [1.0, 0.0, 0.0])
+    br = vel.chernoff_c(systems.dirac_free(), [1.0, 0.0, 0.0])
     assert br.lower == pytest.approx(1.0, rel=1e-10)
     assert br.upper == pytest.approx(math.sqrt(3.0), rel=1e-10)
     assert br.lower <= br.upper
 
 
 def test_chernoff_maxwell_bracket():
-    br = vel.chernoff_c(wm.maxwell_isotropic(domain=UNIT_BOX_3), MID3)
+    br = vel.chernoff_c(systems.maxwell_isotropic(domain=UNIT_BOX_3), MID3)
     assert br.lower == pytest.approx(1.0, rel=1e-10)
     assert br.upper == pytest.approx(math.sqrt(3.0), rel=1e-10)
 
 
-FREE_SPACE_3 = wm.BoxDomain((-2.0,) * 3, (2.0,) * 3, unbounded_lower=(True,) * 3,
+FREE_SPACE_3 = systems.BoxDomain((-2.0,) * 3, (2.0,) * 3, unbounded_lower=(True,) * 3,
                             unbounded_upper=(True,) * 3)
 
 
 @pytest.mark.parametrize("sysm", [
-    wm.maxwell_isotropic(eps="1 + 0.1*sin(x)", mu="1 + 0.2*y*z", domain=FREE_SPACE_3),
-    wm.dirac_free(),
+    systems.maxwell_isotropic(eps="1 + 0.1*sin(x)", mu="1 + 0.2*y*z", domain=FREE_SPACE_3),
+    systems.dirac_free(),
 ], ids=["maxwell", "dirac"])
 def test_speed_brackets_on_a_stack_equal_pointwise_calls(sysm):
     pts = np.random.default_rng(35).uniform(0.5, 1.5, (5, 3))
@@ -213,16 +211,16 @@ def test_speed_brackets_on_a_stack_equal_pointwise_calls(sysm):
 # -- invariants on random data ----------------------------------------------
 
 SYSTEMS_AND_POINTS = [
-    (wm.telegraph(L="1 + 0.5*sin(3*x)", C="2 - x"), lambda rng: rng.uniform(0.05, 0.95, 1)),
+    (systems.telegraph(L="1 + 0.5*sin(3*x)", C="2 - x"), lambda rng: rng.uniform(0.05, 0.95, 1)),
     (
-        wm.maxwell_isotropic(eps="1 + x*y", mu="1 + 0.3*z", domain=UNIT_BOX_3),
+        systems.maxwell_isotropic(eps="1 + x*y", mu="1 + 0.3*z", domain=UNIT_BOX_3),
         lambda rng: rng.uniform(0.05, 0.95, 3),
     ),
     (
-        wm.elastic_isotropic(rho="1 + 0.2*x", K="2", mu="0.5", domain=UNIT_BOX_3),
+        systems.elastic_isotropic(rho="1 + 0.2*x", K="2", mu="0.5", domain=UNIT_BOX_3),
         lambda rng: rng.uniform(0.05, 0.95, 3),
     ),
-    (wm.dirac_free(), lambda rng: rng.uniform(0.5, 1.5, 3)),
+    (systems.dirac_free(), lambda rng: rng.uniform(0.5, 1.5, 3)),
 ]
 
 
@@ -305,7 +303,7 @@ def test_radial_envelope_monotone():
 
 def test_radial_envelope_rejects_bounded_domain():
     with pytest.raises(UnsupportedSystemError, match="boundary distance"):
-        vel.radial_envelope(wm.telegraph(), [0.1, 0.2])
+        vel.radial_envelope(systems.telegraph(), [0.1, 0.2])
 
 
 def test_radial_envelope_rejects_bad_radii():
@@ -317,13 +315,13 @@ def test_radial_envelope_rejects_bad_radii():
 
 
 def test_radial_envelope_dirac_skips_excluded_ball():
-    b = vel.radial_envelope(wm.dirac_free(radius=0.5), [1.0, 2.0])
+    b = vel.radial_envelope(systems.dirac_free(radius=0.5), [1.0, 2.0])
     assert np.all(b > 0)
     with pytest.raises(ValueError, match="no admissible sample"):
-        vel.radial_envelope(wm.dirac_free(radius=0.5), [0.3, 1.0])
+        vel.radial_envelope(systems.dirac_free(radius=0.5), [0.3, 1.0])
 
 
-class CountingField(wm.MatrixField):
+class CountingField(systems.MatrixField):
     """Delegates to another field and counts the ``sample`` calls."""
 
     def __init__(self, inner):
@@ -337,7 +335,7 @@ class CountingField(wm.MatrixField):
 
 
 def test_radial_envelope_samples_all_shells_at_once():
-    base = wm.maxwell_isotropic(eps="1 + 0.1*sin(x)", mu="1", domain=FREE_SPACE_3)
+    base = systems.maxwell_isotropic(eps="1 + 0.1*sin(x)", mu="1", domain=FREE_SPACE_3)
     E = CountingField(base.E)
     sysm = dataclasses.replace(base, E=E)
     radii = 0.5 * 2.0 ** (np.arange(8) / 4)
@@ -397,18 +395,18 @@ def _diagonal_weight_system(rng, d, per_row, cplx, expression_axis):
         v = _VARS[int(rng.integers(d))]
         c, amp, w = rng.uniform(1.0, 2.0), rng.uniform(0.0, 0.9), rng.uniform(1.0, 6.0)
         cells.append(f"{c:.4f} + {amp:.4f}*sin({w:.4f}*{v} + {i})")
-    E = wm.ExprMatrixField([[cells[i] if i == j else 0.0 for j in range(k)] for i in range(k)])
-    A = [wm.ConstMatrixField(_constant_coefficient(rng, k, per_row, cplx)) for _ in range(d)]
+    E = systems.ExprMatrixField([[cells[i] if i == j else 0.0 for j in range(k)] for i in range(k)])
+    A = [systems.ConstMatrixField(_constant_coefficient(rng, k, per_row, cplx)) for _ in range(d)]
     if expression_axis:
         a = A[0].mat.real
-        A[0] = wm.ExprMatrixField([[f"{a[i, j]:.6f}*(1 + x)" if a[i, j] else 0.0 for j in range(k)]
+        A[0] = systems.ExprMatrixField([[f"{a[i, j]:.6f}*(1 + x)" if a[i, j] else 0.0 for j in range(k)]
                                    for i in range(k)])
-    return wm.CoefficientSystem(domain=wm.BoxDomain((0.0,) * d, (1.0,) * d), k=k, E=E,
-                                A=tuple(A), V=wm.ConstMatrixField(np.zeros((k, k))))
+    return systems.CoefficientSystem(domain=systems.BoxDomain((0.0,) * d, (1.0,) * d), k=k, E=E,
+                                A=tuple(A), V=systems.ConstMatrixField(np.zeros((k, k))))
 
 
 def _oracle_system(kind, d, rng):
-    dom = wm.BoxDomain((0.0,) * d, (1.0,) * d)
+    dom = systems.BoxDomain((0.0,) * d, (1.0,) * d)
     if kind == "diagonal-one":
         return _diagonal_weight_system(rng, d, "one", False, False)
     if kind == "diagonal-several":
@@ -418,21 +416,21 @@ def _oracle_system(kind, d, rng):
     if kind == "diagonal-complex":
         return _diagonal_weight_system(rng, d, "several", True, False)
     if kind == "dirac":
-        return wm.dirac_free()
+        return systems.dirac_free()
     if kind == "identity-complex":
         k = int(rng.integers(2, 5))
-        A = tuple(wm.ConstMatrixField(_constant_coefficient(rng, k, "several", True))
+        A = tuple(systems.ConstMatrixField(_constant_coefficient(rng, k, "several", True))
                   for _ in range(d))
-        return wm.CoefficientSystem(domain=dom, k=k, E=wm.ConstMatrixField(np.eye(k)), A=A,
-                                    V=wm.ConstMatrixField(np.zeros((k, k))))
+        return systems.CoefficientSystem(domain=dom, k=k, E=systems.ConstMatrixField(np.eye(k)), A=A,
+                                    V=systems.ConstMatrixField(np.zeros((k, k))))
     a, b, c = rng.uniform(0.1, 0.4, 3)
     if kind == "elastic":
-        return wm.elastic_isotropic(rho=f"1 + {a:.4f}*x", K=f"2 + {b:.4f}*sin(3*x)",
+        return systems.elastic_isotropic(rho=f"1 + {a:.4f}*x", K=f"2 + {b:.4f}*sin(3*x)",
                                     mu=f"1 + {c:.4f}*x*x", domain=dom)
-    dom = wm.BoxDomain((0.0,) * max(d, 2), (1.0,) * max(d, 2))
+    dom = systems.BoxDomain((0.0,) * max(d, 2), (1.0,) * max(d, 2))
     eps = [["2 + x", f"{a:.4f}*y", "0"], [f"{a:.4f}*y", f"2 + {b:.4f}*x", "0.1"],
            ["0", "0.1", f"1.5 + {c:.4f}*y"]]
-    return wm.maxwell_anisotropic(eps, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], domain=dom)
+    return systems.maxwell_anisotropic(eps, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], domain=dom)
 
 
 # The plane kernels must give every bit of the whole-stack formula: the
@@ -446,7 +444,7 @@ def test_plane_traces_have_the_bits_of_the_einsum_over_whole_stacks(kind, d, see
     rng = np.random.default_rng(seed)
     sysm = _oracle_system(kind, d, rng)
     d = sysm.d
-    grid = wm.Grid(sysm.domain, tuple(int(n) for n in rng.integers(8, 11, d)))
+    grid = grids.Grid(sysm.domain, tuple(int(n) for n in rng.integers(8, 11, d)))
     coords = tuple(np.meshgrid(*grid.axes, indexing="ij", sparse=True))
     full = grid.shape + (d, d)
     want = np.broadcast_to(stack_traces(canonical_stacks(sysm, coords)), full)
@@ -469,9 +467,9 @@ def test_plane_traces_have_the_bits_of_the_einsum_over_whole_stacks(kind, d, see
 
 
 def test_velocity_matrix_at_a_node_is_the_grid_sample_there():
-    sysm = wm.maxwell_isotropic("1 + 0.4*sin(6*x + 1.0)*cos(4*y)", "2 - x*y",
-                                domain=wm.BoxDomain((0.0,) * 2, (1.0,) * 2))
-    grid = wm.Grid(sysm.domain, (16, 17))
+    sysm = systems.maxwell_isotropic("1 + 0.4*sin(6*x + 1.0)*cos(4*y)", "2 - x*y",
+                                domain=systems.BoxDomain((0.0,) * 2, (1.0,) * 2))
+    grid = grids.Grid(sysm.domain, (16, 17))
     fld = vel.VelocityField.from_system(sysm, grid)
     for idx in [(0, 0), (5, 11), (15, 16)]:
         assert np.array_equal(bits(vel.velocity_matrix(sysm, grid.node_coords(idx))),
@@ -480,7 +478,7 @@ def test_velocity_matrix_at_a_node_is_the_grid_sample_there():
 
 def test_diagonal_weight_with_constant_coefficients_keeps_only_their_nonzeros():
     # each 2-D Maxwell curl coefficient has 4 nonzero entries out of 36
-    sysm = wm.maxwell_isotropic("1 + x*y", "2", domain=wm.BoxDomain((0.0,) * 2, (1.0,) * 2))
+    sysm = systems.maxwell_isotropic("1 + x*y", "2", domain=systems.BoxDomain((0.0,) * 2, (1.0,) * 2))
     coords = tuple(np.meshgrid(np.linspace(0.1, 0.9, 8), np.linspace(0.1, 0.9, 9),
                                indexing="ij", sparse=True))
     planes = systems.canonical_planes(sysm, coords)
@@ -493,9 +491,9 @@ def test_diagonal_weight_with_constant_coefficients_keeps_only_their_nonzeros():
 
 def test_field_and_cfl_step_stay_below_one_dense_matrix_stack():
     # one 6x6 float64 matrix per node of the 128^2 grid is 4.72 MB
-    sysm = wm.maxwell_isotropic("1 + 0.4*sin(6*x + 1.0)*cos(4*y)", "1",
-                                domain=wm.BoxDomain((0.0,) * 2, (1.0,) * 2))
-    grid = wm.Grid(sysm.domain, (128, 128))
+    sysm = systems.maxwell_isotropic("1 + 0.4*sin(6*x + 1.0)*cos(4*y)", "1",
+                                domain=systems.BoxDomain((0.0,) * 2, (1.0,) * 2))
+    grid = grids.Grid(sysm.domain, (128, 128))
     stack = 128 * 128 * 6 * 6 * 8
     for build in (lambda: vel.VelocityField.from_system(sysm, grid),
                   lambda: ev.cfl_dt(sysm, grid, 0.4)):
@@ -510,13 +508,13 @@ def test_field_and_cfl_step_stay_below_one_dense_matrix_stack():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: vel.velocity_matrix(wm.telegraph(), [1.5]), "is not inside the domain"),
-    (lambda: vel.char_speed(wm.telegraph(), [0.5], [0.0]), "direction must be nonzero"),
+    (lambda: vel.velocity_matrix(systems.telegraph(), [1.5]), "is not inside the domain"),
+    (lambda: vel.char_speed(systems.telegraph(), [0.5], [0.0]), "direction must be nonzero"),
     (lambda: vel.radial_envelope(coupling_system("1"), []), "non-empty 1-D sequence"),
     (lambda: vel.radial_envelope(coupling_system("1"), [1.0, 1.0]), "strictly increasing"),
-    (lambda: vel.radial_envelope(wm.dirac_free(radius=0.5), [0.3, 1.0]),
+    (lambda: vel.radial_envelope(systems.dirac_free(radius=0.5), [0.3, 1.0]),
      "no admissible sample"),
-    (lambda: vel.majorant(vel.VelocityField(wm.Grid(wm.BoxDomain((0.0,), (1.0,)), (8,)),
+    (lambda: vel.majorant(vel.VelocityField(grids.Grid(systems.BoxDomain((0.0,), (1.0,)), (8,)),
                                             np.ones((8, 1, 1))), 1.5),
      r"slack must lie in \(0, 1\)"),
 ], ids=["outside", "zero-direction", "no-radii", "radii-order", "empty-shell", "slack"])
@@ -528,9 +526,9 @@ def test_bad_arguments_raise_validation_error(call, message):
 # -- sampled fields and majorants -------------------------------------------
 
 def test_field_from_system_matches_pointwise():
-    dom = wm.BoxDomain((0.0,) * 3, (1.0,) * 3)
-    sysm = wm.maxwell_isotropic(eps="1 + x*y", mu="1 + 0.3*z", domain=dom)
-    grid = wm.Grid(dom, (8, 8, 8))
+    dom = systems.BoxDomain((0.0,) * 3, (1.0,) * 3)
+    sysm = systems.maxwell_isotropic(eps="1 + x*y", mu="1 + 0.3*z", domain=dom)
+    grid = grids.Grid(dom, (8, 8, 8))
     fld = vel.VelocityField.from_system(sysm, grid)
     assert fld.M_samples.shape == (8, 8, 8, 3, 3)
     for idx in [(0, 0, 0), (3, 5, 7), (7, 7, 7)]:
@@ -539,9 +537,9 @@ def test_field_from_system_matches_pointwise():
 
 
 def test_diagonal_weight_field_needs_no_eigendecomposition(monkeypatch):
-    dom = wm.BoxDomain((0.0,) * 2, (1.0,) * 2)
-    sysm = wm.maxwell_isotropic(eps="1 + 0.4*sin(6*x)*cos(4*y)", mu="1", domain=dom)
-    grid = wm.Grid(dom, (16, 16))
+    dom = systems.BoxDomain((0.0,) * 2, (1.0,) * 2)
+    sysm = systems.maxwell_isotropic(eps="1 + 0.4*sin(6*x)*cos(4*y)", mu="1", domain=dom)
+    grid = grids.Grid(dom, (16, 16))
     want = vel.VelocityField.from_system(sysm, grid).M_samples
 
     def no_eigh(*args, **kwargs):
@@ -553,8 +551,8 @@ def test_diagonal_weight_field_needs_no_eigendecomposition(monkeypatch):
 
 
 def test_field_rejects_indefinite_samples():
-    dom = wm.BoxDomain((0.0,), (1.0,))
-    grid = wm.Grid(dom, (8,))
+    dom = systems.BoxDomain((0.0,), (1.0,))
+    grid = grids.Grid(dom, (8,))
     M = np.full((8, 1, 1), -1.0)
     with pytest.raises(ValidationError, match="positive semi-definite"):
         vel.VelocityField(grid, M)
@@ -563,8 +561,8 @@ def test_field_rejects_indefinite_samples():
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 @pytest.mark.parametrize("which", ["M samples", "majorant"])
 def test_field_rejects_non_finite_samples(which, bad):
-    dom = wm.BoxDomain((0.0, 0.0), (1.0, 1.0))
-    grid = wm.Grid(dom, (8, 8))
+    dom = systems.BoxDomain((0.0, 0.0), (1.0, 1.0))
+    grid = grids.Grid(dom, (8, 8))
     M = np.tile(np.eye(2), (8, 8, 1, 1))
     H = 2.0 * M
     (M if which == "M samples" else H)[6, 1, 1, 1] = bad
@@ -573,8 +571,8 @@ def test_field_rejects_non_finite_samples(which, bad):
 
 
 def test_field_rejects_asymmetric_samples():
-    dom = wm.BoxDomain((0.0, 0.0), (1.0, 1.0))
-    grid = wm.Grid(dom, (8, 8))
+    dom = systems.BoxDomain((0.0, 0.0), (1.0, 1.0))
+    grid = grids.Grid(dom, (8, 8))
     M = np.zeros((8, 8, 2, 2))
     M[..., 0, 1] = 1.0
     with pytest.raises(ValidationError, match="asymmetric"):
@@ -582,8 +580,8 @@ def test_field_rejects_asymmetric_samples():
 
 
 def test_field_names_the_node_a_majorant_fails_to_dominate_at():
-    dom = wm.BoxDomain((0.0, 0.0), (1.0, 1.0))
-    grid = wm.Grid(dom, (8, 8))
+    dom = systems.BoxDomain((0.0, 0.0), (1.0, 1.0))
+    grid = grids.Grid(dom, (8, 8))
     M = np.tile(np.eye(2), (8, 8, 1, 1))
     H = 2.0 * M
     H[3, 4] = 0.5 * M[3, 4]
@@ -650,8 +648,8 @@ def test_constant_planes_smooth_once_with_the_bits_of_the_whole_plane(monkeypatc
 
 
 def test_majorant_constant_field():
-    dom = wm.BoxDomain((0.0,), (1.0,))
-    grid = wm.Grid(dom, (16,))
+    dom = systems.BoxDomain((0.0,), (1.0,))
+    grid = grids.Grid(dom, (16,))
     M = np.tile(np.array([[2.0]]), (16, 1, 1))
     out = vel.majorant(vel.VelocityField(grid, M), 0.25)
     assert out.delta == 0.25
@@ -660,8 +658,8 @@ def test_majorant_constant_field():
 
 
 def test_majorant_quadratic_field_first_try():
-    dom = wm.BoxDomain((0.0,), (1.0,))
-    grid = wm.Grid(dom, (64,))
+    dom = systems.BoxDomain((0.0,), (1.0,))
+    grid = grids.Grid(dom, (64,))
     x = grid.axes[0]
     M = (2.0 * x**2).reshape(-1, 1, 1)
     out = vel.majorant(vel.VelocityField(grid, M), 0.1)
@@ -671,8 +669,8 @@ def test_majorant_quadratic_field_first_try():
 
 
 def test_majorant_zero_field_warns():
-    dom = wm.BoxDomain((0.0,), (1.0,))
-    grid = wm.Grid(dom, (16,))
+    dom = systems.BoxDomain((0.0,), (1.0,))
+    grid = grids.Grid(dom, (16,))
     fld = vel.VelocityField(grid, np.zeros((16, 1, 1)))
     with pytest.warns(UserWarning, match="vanishes"):
         out = vel.majorant(fld, 0.1)
@@ -680,8 +678,8 @@ def test_majorant_zero_field_warns():
 
 
 def test_majorant_escalates_slack():
-    dom = wm.BoxDomain((0.0,), (1.0,))
-    grid = wm.Grid(dom, (32,))
+    dom = systems.BoxDomain((0.0,), (1.0,))
+    grid = grids.Grid(dom, (32,))
     M = np.ones((32, 1, 1))
     M[16, 0, 0] = 1.35  # single bump needing roughly 23% slack
     out = vel.majorant(vel.VelocityField(grid, M), 0.15)
@@ -689,8 +687,8 @@ def test_majorant_escalates_slack():
 
 
 def test_majorant_gives_up_on_rough_field():
-    dom = wm.BoxDomain((0.0,), (1.0,))
-    grid = wm.Grid(dom, (64,))
+    dom = systems.BoxDomain((0.0,), (1.0,))
+    grid = grids.Grid(dom, (64,))
     M = np.zeros((64, 1, 1))
     M[::2, 0, 0] = 1e6
     with pytest.raises(MajorantError, match="refine the grid"):
@@ -704,8 +702,8 @@ def test_node_norms_are_taken_once_per_field_and_majorant(monkeypatch):
 
     # speed 2 sin^2(pi x): M = 4 sin^4 sets eps above its floor and is small
     # enough near the ends for eps to show in the majorant's bits
-    sysm = wm.telegraph("0.5/sin(pi*x)^2", "0.5/sin(pi*x)^2")
-    grid = wm.Grid(sysm.domain, (64,))
+    sysm = systems.telegraph("0.5/sin(pi*x)^2", "0.5/sin(pi*x)^2")
+    grid = grids.Grid(sysm.domain, (64,))
     calls = []
     node_norms = vel._node_norms
     monkeypatch.setattr(vel, "_node_norms", lambda a: calls.append(a.shape) or node_norms(a))
@@ -737,8 +735,8 @@ def test_node_norms_are_taken_once_per_field_and_majorant(monkeypatch):
 def test_metric_floor_follows_assigned_majorant_samples():
     from wavemetric import geometry as geo
 
-    sysm = wm.telegraph("0.5/sin(pi*x)^2", "0.5/sin(pi*x)^2")
-    grid = wm.Grid(sysm.domain, (64,))
+    sysm = systems.telegraph("0.5/sin(pi*x)^2", "0.5/sin(pi*x)^2")
+    grid = grids.Grid(sysm.domain, (64,))
     fld = vel.majorant(vel.VelocityField.from_system(sysm, grid), 0.1)
     before = geo.metric_from_velocity(fld)
     # scaling one node by 1e13 raises the floor above the majorant elsewhere
@@ -756,8 +754,8 @@ def test_metric_floor_follows_assigned_majorant_samples():
 
 
 def test_majorant_rejects_bad_slack():
-    dom = wm.BoxDomain((0.0,), (1.0,))
-    grid = wm.Grid(dom, (16,))
+    dom = systems.BoxDomain((0.0,), (1.0,))
+    grid = grids.Grid(dom, (16,))
     fld = vel.VelocityField(grid, np.ones((16, 1, 1)))
     with pytest.raises(ValueError):
         vel.majorant(fld, 0.0)
@@ -768,10 +766,10 @@ def test_majorant_rejects_bad_slack():
 def test_symbol_norm_below_majorant_quadratic_form():
     # for a smooth scalar profile f, the squared symbol norm along grad f
     # stays below the majorant quadratic form at every node
-    dom = wm.BoxDomain((0.0,), (2.0,))
-    sysm = wm.telegraph(L="1 + 0.5*sin(2*x)", C="1", domain=dom)
-    can = wm.canonicalize(sysm)
-    grid = wm.Grid(dom, (64,))
+    dom = systems.BoxDomain((0.0,), (2.0,))
+    sysm = systems.telegraph(L="1 + 0.5*sin(2*x)", C="1", domain=dom)
+    can = systems.canonicalize(sysm)
+    grid = grids.Grid(dom, (64,))
     fld = vel.majorant(vel.VelocityField.from_system(sysm, grid), 0.1)
     x = grid.axes[0]
     grad_f = 2.0 * np.cos(2.0 * x) + 0.15 * np.sin(5.0 * x)
@@ -783,9 +781,9 @@ def test_symbol_norm_below_majorant_quadratic_form():
 
 
 def test_csv_export_round_trip(tmp_path):
-    dom = wm.BoxDomain((0.0, 0.0), (1.0, 1.0))
-    sysm = wm.elastic_isotropic(rho="1", K="1 + x", mu="0.3", domain=dom)
-    grid = wm.Grid(dom, (8, 8))
+    dom = systems.BoxDomain((0.0, 0.0), (1.0, 1.0))
+    sysm = systems.elastic_isotropic(rho="1", K="1 + x", mu="0.3", domain=dom)
+    grid = grids.Grid(dom, (8, 8))
     fld = vel.VelocityField.from_system(sysm, grid)
     path = tmp_path / "velocity.csv"
     vel.to_csv(fld, path)

@@ -1,10 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import wavemetric as wm
-from wavemetric import verify
+from wavemetric import grids, systems, velocity, verify
 from wavemetric.errors import ValidationError
 from wavemetric.matkernel import spd_sqrt
 
@@ -14,6 +17,15 @@ def test_all_checks_pass():
     failed = [r.check_id for r in results if r.status == "fail"]
     assert failed == []
     assert len(results) >= 15
+
+
+def test_verify_imports_on_its_own():
+    # verify imports cli at module level; cli imports verify only in its
+    # verify command, so a fresh interpreter loads verify first without a cycle
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    out = subprocess.run([sys.executable, "-c", "import wavemetric.verify"],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0, out.stderr
 
 
 def test_every_module_is_covered():
@@ -65,9 +77,9 @@ def test_weight_check_fails_on_a_wrong_inverse_square_root(monkeypatch):
 
 
 def test_tampered_majorant_fails_domination():
-    sys = wm.telegraph("1 + 0.5*x", "1")
-    grid = wm.Grid(sys.domain, (32,))
-    fld = wm.majorant(wm.VelocityField.from_system(sys, grid), 0.1)
+    sys = systems.telegraph("1 + 0.5*x", "1")
+    grid = grids.Grid(sys.domain, (32,))
+    fld = velocity.majorant(velocity.VelocityField.from_system(sys, grid), 0.1)
     assert verify.majorant_deficit(fld) == 0.0
     fld.majorant_samples = 0.9 * fld.majorant_samples
     deficit = verify.majorant_deficit(fld)
@@ -75,9 +87,9 @@ def test_tampered_majorant_fails_domination():
 
 
 def test_majorant_deficit_requires_majorant():
-    sys = wm.telegraph()
-    grid = wm.Grid(sys.domain, (16,))
-    fld = wm.VelocityField.from_system(sys, grid)
+    sys = systems.telegraph()
+    grid = grids.Grid(sys.domain, (16,))
+    fld = velocity.VelocityField.from_system(sys, grid)
     with pytest.raises(ValidationError, match="majorant"):
         verify.majorant_deficit(fld)
 

@@ -2,7 +2,8 @@
 
 ``velocity_matrix_structured`` bypasses the generic trace formula of
 ``wavemetric.velocity.velocity_matrix`` and uses the known block structure
-of each family's coefficients instead; the tests compare the two.  It
+of each family's coefficients instead, telling the family by the keys of
+its ``parts``; the tests compare the two.  It
 evaluates one point at a time.
 
 ``canonical_stacks`` and ``stack_traces`` are the whole-stack formulas the
@@ -59,15 +60,16 @@ def _structured_elastic(sys: CoefficientSystem, x) -> np.ndarray:
 def velocity_matrix_structured(sys: CoefficientSystem, x) -> np.ndarray:
     """Closed-form velocity matrix for the built-in families at one point."""
     x = _check_inside(sys, x)
-    if sys.kind == "telegraph":
-        L, C = (dsl.eval_expr(e, x, source=src) for e, src in (sys.parts["L"], sys.parts["C"]))
+    parts = sys.parts or {}
+    if "L" in parts:
+        L, C = (dsl.eval_expr(e, x, source=src) for e, src in (parts["L"], parts["C"]))
         return np.array([[2.0 / (L * C)]])
-    if sys.kind == "maxwell":
+    if "eps" in parts:
         return _structured_maxwell(sys, x)
-    if sys.kind == "elastic":
+    if "rho" in parts:
         return _structured_elastic(sys, x)
     raise UnsupportedSystemError(
-        f"no specialized velocity formula for kind {sys.kind!r}; "
+        f"no specialized velocity formula for a system with parts {sorted(parts)}; "
         "use velocity_matrix instead"
     )
 
