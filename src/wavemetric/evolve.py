@@ -147,6 +147,11 @@ def _check_grid(sys: CoefficientSystem, grid: Grid, order: int) -> None:
         raise ValidationError(f"difference order must be one of {sorted(_DIFF_COEFFS)}")
 
 
+def _check_components(sys: CoefficientSystem, state: WaveState) -> None:
+    if state.k != sys.k:
+        raise ValidationError(f"state has {state.k} components, the system has {sys.k}")
+
+
 def _density(values: np.ndarray, E: np.ndarray) -> np.ndarray:
     """Pointwise energy density <psi, E psi> of a state array, one value per node.
 
@@ -278,6 +283,7 @@ class DiscreteOperator:
 
 def energy(sys: CoefficientSystem, state: WaveState) -> float:
     """Trapezoid quadrature of the energy density <psi, E psi> over the grid."""
+    _check_components(sys, state)
     dens = _density(state.values, weight_on_grid(sys.E, state.grid.axes))
     return float((state.grid.trapezoid_weights() * dens).sum())
 
@@ -327,6 +333,7 @@ def support_box(sys: CoefficientSystem, state: WaveState, threshold: float = DEF
     """
     if not 0.0 < threshold < 1.0:
         raise ValidationError(f"support threshold must be in (0, 1), got {threshold}")
+    _check_components(sys, state)
     dens = _density(state.values, weight_on_grid(sys.E, state.grid.axes))
     ref = float(dens.max()) if ref_density is None else float(ref_density)
     found = _support_extent(state.grid, dens, ref, threshold)
@@ -491,6 +498,7 @@ def _evolution(sys, state0, T, cfl, threshold, method, order, dt):
     if not 0.0 < threshold < 1.0:
         raise ValidationError(f"support threshold must be in (0, 1), got {threshold}")
     _check_grid(sys, state0.grid, order)
+    _check_components(sys, state0)
     # plan first: the velocity samples behind the CFL step are freed before assembly
     if not T > 0:
         raise ValidationError("final time must be positive")

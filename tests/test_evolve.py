@@ -919,6 +919,9 @@ def _argument_check_cases():
         "dt must": lambda: ev.integrate(sysm, st, 0.1, dt=-1.0),
         "does not index": lambda: ev.arrival_time(sysm, st, 0.1, [(1, 2)]),
         "lies outside": lambda: ev.arrival_time(sysm, st, 0.1, [(32,)]),
+        "state values must have shape": lambda: ev.DiscreteOperator(sysm, grid).apply(
+            np.zeros((16, 2))),
+        "more than MAX_STEPS": lambda: ev.integrate(sysm, st, 1e9, dt=1e-3),
     }
 
 
@@ -927,6 +930,37 @@ def test_argument_checks_raise_validation_error(message):
     with pytest.raises(ValidationError, match=message) as info:
         _argument_check_cases()[message]()
     assert type(info.value) is ValidationError and isinstance(info.value, ValueError)
+
+
+_STATE_RUNS = {
+    "energy": lambda sysm, st: ev.energy(sysm, st),
+    "support_box": lambda sysm, st: ev.support_box(sysm, st),
+    "integrate": lambda sysm, st: ev.integrate(sysm, st, 0.05),
+    "arrival_time": lambda sysm, st: ev.arrival_time(sysm, st, 0.05, [(3,)]),
+}
+
+
+@pytest.mark.parametrize("run, mismatch", [
+    ("energy", "components"), ("support_box", "components"),
+    ("integrate", "components"), ("arrival_time", "components"),
+    ("integrate", "domain"), ("arrival_time", "domain"),
+])
+def test_state_must_fit_the_system(run, mismatch):
+    # a 3-component state on a 2-component system used to reach numpy's
+    # broadcast error; energy and support_box only sample E, so they take a
+    # grid of any window (closure grids included) but not a wrong k
+    sysm = unit_telegraph()
+    if mismatch == "components":
+        st = ev.gaussian_state(grids.Grid(sysm.domain, (32,)), [1.0, 0.0, 0.0], [0.5], 0.05)
+        message = "state has 3 components, the system has 2"
+    else:
+        other = grids.Grid(systems.BoxDomain((0.0,), (2.0,)), (32,))
+        st = ev.gaussian_state(other, [1.0, 0.0], [0.5], 0.05)
+        message = "grid domain does not match the system domain"
+    with pytest.raises(ValidationError) as info:
+        _STATE_RUNS[run](sysm, st)
+    assert str(info.value) == message
+    assert type(info.value) is ValidationError
 
 
 def test_operator_rejects_non_finite_coefficients():
